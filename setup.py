@@ -1,5 +1,12 @@
 """Build script: compiles the optional accelerator extension.
 
+The extension is built from the committed C source
+`src/sealedbid/_core/_speedups.c` (generated from `_speedups.pyx`), so
+building it needs a C compiler and the Python headers, not Cython. To
+build it in place for a source checkout:
+
+    python setup.py build_ext --inplace
+
 The package works without the extension (a pure-Python backend is selected
 at import time), so a failed compile downgrades to a warning instead of
 aborting the install. Set SEALEDBID_NO_EXT=1 to skip the build entirely.
@@ -35,26 +42,13 @@ class optional_build_ext(build_ext):
 
 
 ext_modules = []
-cmdclass = {}
 if not os.environ.get("SEALEDBID_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "sealedbid._core._speedups",
-                    ["src/sealedbid/_core/_speedups.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            language_level=3,
+    ext_modules = [
+        Extension(
+            "sealedbid._core._speedups",
+            ["src/sealedbid/_core/_speedups.c"],
+            extra_compile_args=["-O3"],
         )
-        cmdclass = {"build_ext": optional_build_ext}
-    except ImportError:
-        print(
-            "WARNING: Cython not available; installing without the compiled backend",
-            file=sys.stderr,
-        )
+    ]
 
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

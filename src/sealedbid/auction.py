@@ -18,12 +18,20 @@ first reached its cutoff balance (located by binary search over
 historical balance queries, valid because escrows only ever receive
 funds before resolution), then by ascending escrow address bytes - both
 auditable from public chain data once the bidder set is disclosed.
+`rank_key` is that rule, shared by both resolution modes.
+
+Both modes end through the same two public steps: `settlement_for`
+builds and signs the settlement transactions for a chosen winner without
+touching any state, and `commit` records the result, emits `Resolved`
+and charges the end-auction gas. `resolve` is the exhaustive mode:
+`determine_winner`, then those two steps; the proposer module picks the
+winner from verified proposals and ends the same way.
 """
 
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from sealedbid.chain import ASSET_REGISTRY_ADDRESS, SimChain, asset_transfer_data
 from sealedbid.enclave import Enclave, Envelope
@@ -184,7 +192,8 @@ class AuctionInstance:
         self.auction_id: Optional[str] = None
         self._asset_handle: Optional[str] = None
         self.asset_escrow_address: Optional[bytes] = None
-        self._proposal_phase = None
+        # the proposer module's ProposalPhase, once proposals are opened
+        self.proposal_phase = None
         self.register_call_count = 0
 
     # -- lifecycle helpers -----------------------------------------------------
@@ -198,7 +207,8 @@ class AuctionInstance:
             raise StateError("%s requires state %s, not %s"
                              % (op, expected.value, self.state.value))
 
-    def _emit(self, event: str, **fields) -> dict:
+    def emit(self, event: str, **fields) -> dict:
+        """Append one attested record to the public event stream."""
         record = {"event": event, "seq": len(self.events.records)}
         record.update(fields)
         report = self.enclave.attest(canonical(record).encode())
@@ -208,26 +218,24 @@ class AuctionInstance:
     # -- sealed registry ----------------------------------------------------------
 
     @property
-    def _registry_label(self) -> str:
+    def registry_label(self) -> str:
+        """Sealed-store label of the bidder registry."""
         return "auction/%s/registry" % self.auction_id
 
     def _load_registry(self) -> List[RegistryEntry]:
-        raw = self.enclave.seal_get(self._registry_label)
+        raw = self.enclave.seal_get(self.registry_label)
         return [RegistryEntry.from_record(r) for r in json.loads(raw)]
 
     def _store_registry(self, entries: List[RegistryEntry]) -> None:
         payload = canonical([e.to_record() for e in entries])
-        self.enclave.seal_put(self._registry_label, payload.encode())
+        self.enclave.seal_put(self.registry_label, payload.encode())
 
-    @property
-    def registered_count(self) -> int:
-        return len(self._load_registry())
-
-    def disclosed_bidders(self) -> List[bytes]:
-        """Escrow addresses; readable only once the auction is resolved."""
-        if self.state not in (AuctionState.RESOLVED, AuctionState.CLAIMED):
-            raise StateError("bidder set is sealed until resolution")
-        return [e.escrow_address for e in self._load_registry()]
+    def entry_for(self, escrow: bytes) -> Optional[RegistryEntry]:
+        """The registry entry of an escrow address, or None."""
+        for entry in self._load_registry():
+            if entry.escrow_address == escrow:
+                return entry
+        return None
 
     # -- operations ------------------------------------------------------------
 
@@ -243,7 +251,7 @@ class AuctionInstance:
         instance.auction_id = enclave.random(4).hex()
         instance._store_registry([])
         instance._set_state(AuctionState.DEPLOYED)
-        instance._emit(
+        instance.emit(
             "Deployed",
             auction_id=instance.auction_id,
             deadline_height=config.deadline_height,
@@ -268,7 +276,7 @@ class AuctionInstance:
         self._asset_handle = handle
         self.asset_escrow_address = address
         self.enclave.seal_put("auction/%s/asset" % self.auction_id, handle.encode())
-        self._emit("AssetEscrowAddress", address=hx(address))
+        self.emit("AssetEscrowAddress", address=hx(address))
         self.gas.charge(LAYER_EXECUTION, OP_START, actor="auctioneer")
         return address
 
@@ -283,8 +291,8 @@ class AuctionInstance:
         if owner != self.asset_escrow_address:
             return False
         self._set_state(AuctionState.OPEN)
-        self._emit("Open", verified_height=observed,
-                   token_id=self.config.token_id)
+        self.emit("Open", verified_height=observed,
+                  token_id=self.config.token_id)
         return True
 
     def register_bidder(self, quorum: QuorumClient,
@@ -320,8 +328,8 @@ class AuctionInstance:
             "registration_index": entry.index,
         }).encode()
         envelope = self.enclave.encrypt_to(encryption_key, response)
-        self._emit("BidderEnvelope", registration_index=entry.index,
-                   **envelope.to_record())
+        self.emit("BidderEnvelope", registration_index=entry.index,
+                  **envelope.to_record())
         self.gas.charge(LAYER_EXECUTION, OP_BID, actor="bidder-%d" % entry.index)
         return envelope
 
@@ -332,13 +340,14 @@ class AuctionInstance:
             return False
         count = len(self._load_registry())
         self._set_state(AuctionState.CLOSED)
-        self._emit("Closed", bidder_count=count,
-                   deadline_height=self.config.deadline_height)
+        self.emit("Closed", bidder_count=count,
+                  deadline_height=self.config.deadline_height)
         return True
 
     # -- winner determination ---------------------------------------------------
 
-    def _cutoff_balance(self, quorum: QuorumClient, escrow: bytes) -> int:
+    def cutoff_balance(self, quorum: QuorumClient, escrow: bytes) -> int:
+        """The escrow's balance at the deadline height: its bid."""
         balance, _ = quorum.query_balance(escrow, self.config.deadline_height)
         return balance
 
@@ -355,10 +364,11 @@ class AuctionInstance:
                 low = mid + 1
         return low
 
-    def _determine_winner(self, quorum: QuorumClient):
+    def determine_winner(self, quorum: QuorumClient
+                         ) -> Tuple[Optional[RegistryEntry], int]:
         """One cutoff query per registered escrow; ties need extra queries."""
         entries = self._load_registry()
-        balances = [(entry, self._cutoff_balance(quorum, entry.escrow_address))
+        balances = [(entry, self.cutoff_balance(quorum, entry.escrow_address))
                     for entry in entries]
         funded = [(entry, bal) for entry, bal in balances if bal > 0]
         if not funded:
@@ -367,12 +377,7 @@ class AuctionInstance:
         tied = [entry for entry, bal in funded if bal == top]
         if len(tied) == 1:
             return tied[0], top
-        ranked = sorted(
-            tied,
-            key=lambda e: (self._first_reach_height(quorum, e.escrow_address, top),
-                           e.escrow_address),
-        )
-        return ranked[0], top
+        return min(tied, key=lambda e: self.rank_key(quorum, e, top)), top
 
     def rank_key(self, quorum: QuorumClient, entry: RegistryEntry,
                  amount: int) -> Tuple[int, bytes]:
@@ -395,9 +400,9 @@ class AuctionInstance:
         )
         return self.enclave.sign_with(handle, tx, self.config.chain_id)
 
-    def _construct_resolution(self, winner: Optional[RegistryEntry],
-                              winner_amount: int,
-                              quorum: QuorumClient) -> ResolutionResult:
+    def settlement_for(self, winner: Optional[RegistryEntry], winner_amount: int,
+                       quorum: QuorumClient) -> ResolutionResult:
+        """Query every escrow and sign the settlement; changes no state."""
         config = self.config
         head, _ = quorum.query_height()
         observed = max(config.deadline_height, head - config.kappa)
@@ -462,10 +467,12 @@ class AuctionInstance:
             conservation=conservation,
         )
 
-    def _commit_resolution(self, result: ResolutionResult) -> None:
+    def commit(self, result: ResolutionResult, actor: str) -> None:
+        """Closed -> Resolved: publish the settlement and charge end_auction."""
+        self._require_state(AuctionState.CLOSED, "commit")
         self.resolution = result
         self._set_state(AuctionState.RESOLVED)
-        self._emit(
+        self.emit(
             "Resolved",
             winner_escrow=hx(result.winner_escrow) if result.has_winner else None,
             winning_amount=result.winning_amount,
@@ -473,26 +480,20 @@ class AuctionInstance:
             payloads=[stx.to_record() for stx in result.settlement_txs],
             bidder_set=[hx(a) for a in result.bidder_set_disclosure],
         )
+        self.gas.charge(LAYER_EXECUTION, OP_END, actor=actor,
+                        n_bidders=len(result.bidder_set_disclosure))
 
     def resolve(self, quorum: QuorumClient) -> ResolutionResult:
         """Exhaustive resolution; on quorum failure the state stays Closed."""
         self._require_state(AuctionState.CLOSED, "resolve")
         if self.config.resolution_mode != MODE_EXHAUSTIVE:
             raise StateError("resolve is only available in exhaustive mode")
-        winner, amount = self._determine_winner(quorum)
-        result = self._construct_resolution(winner, amount, quorum)
-        self._commit_resolution(result)
-        self.gas.charge(LAYER_EXECUTION, OP_END, actor="resolver",
-                        n_bidders=len(result.bidder_set_disclosure))
+        winner, amount = self.determine_winner(quorum)
+        result = self.settlement_for(winner, amount, quorum)
+        self.commit(result, actor="resolver")
         return result
 
     # -- post-resolution ---------------------------------------------------------
-
-    def settlement_payloads(self) -> List[str]:
-        """Raw hex payloads, submittable by any relayer."""
-        if self.state not in (AuctionState.RESOLVED, AuctionState.CLAIMED):
-            raise StateError("no settlement payloads before resolution")
-        return [stx.tx.raw_hex() for stx in self.resolution.settlement_txs]
 
     def finalize(self, chain: SimChain) -> AuctionState:
         """Claimed once every settlement tx is kappa-deep; idempotent poll."""
@@ -507,18 +508,6 @@ class AuctionInstance:
                 return self.state
             heights[stx.to_record()["raw"]] = chain.height_of(tx_hash)
         self._set_state(AuctionState.CLAIMED)
-        self._emit("Claimed", inclusion_heights=heights)
+        self.emit("Claimed", inclusion_heights=heights)
         return self.state
 
-    # -- fuzzing support -----------------------------------------------------------
-
-    def state_fingerprint(self) -> tuple:
-        """Cheap digest of externally visible state, for mutation checks."""
-        return (
-            self.state,
-            self.auction_id,
-            self.asset_escrow_address,
-            len(self.events.records),
-            None if self.resolution is None else
-            (self.resolution.winner_escrow, self.resolution.winning_amount),
-        )

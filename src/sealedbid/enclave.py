@@ -16,7 +16,7 @@ import hmac
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -37,6 +37,7 @@ from sealedbid.errors import (
     SealedStoreMissing,
     SealedStoreRollback,
 )
+from sealedbid.events import unhx
 from sealedbid.transactions import (
     SignedTransaction,
     UnsignedTx,
@@ -87,11 +88,9 @@ class Envelope:
 
     @classmethod
     def from_record(cls, record: dict) -> "Envelope":
-        def unhex(s):
-            return bytes.fromhex(s[2:] if s.startswith("0x") else s)
-        return cls(unhex(record["recipient_key"]),
-                   unhex(record["ephemeral_key"]),
-                   unhex(record["ciphertext"]))
+        return cls(unhx(record["recipient_key"]),
+                   unhx(record["ephemeral_key"]),
+                   unhx(record["ciphertext"]))
 
 
 @dataclass(frozen=True)
@@ -111,12 +110,10 @@ class AttestationReport:
 
     @classmethod
     def from_record(cls, record: dict) -> "AttestationReport":
-        def unhex(s):
-            return bytes.fromhex(s[2:] if s.startswith("0x") else s)
-        sig = unhex(record["signature"])
+        sig = unhx(record["signature"])
         return cls(
-            unhex(record["code_hash"]),
-            unhex(record["output_digest"]),
+            unhx(record["code_hash"]),
+            unhx(record["output_digest"]),
             (int.from_bytes(sig[:32], "big"), int.from_bytes(sig[32:64], "big"),
              sig[64]),
         )
@@ -180,10 +177,6 @@ class Enclave:
             self._keys[handle] = private_key
             address = derive_address(secp256k1.public_key(private_key))
             return handle, address
-
-    def address_of(self, handle: str) -> bytes:
-        with self._lock:
-            return derive_address(secp256k1.public_key(self._keys[handle]))
 
     def sign_with(self, handle: str, tx: UnsignedTx,
                   chain_id: int) -> SignedTransaction:

@@ -5,7 +5,7 @@ the same seed produce byte-identical logs.
 """
 
 import json
-from typing import Dict, List, Optional
+from typing import List
 
 
 def hx(data: bytes) -> str:
@@ -46,20 +46,6 @@ class JsonlLog:
 
 class EventLog(JsonlLog):
     """Public event stream emitted by the execution environment."""
-
-    def emit(self, event: str, **fields) -> dict:
-        record = {"event": event}
-        record.update(fields)
-        return self.append(record)
-
-    def find(self, event: str) -> List[dict]:
-        return [r for r in self.records if r.get("event") == event]
-
-    def first(self, event: str) -> Optional[dict]:
-        for r in self.records:
-            if r.get("event") == event:
-                return r
-        return None
 
 
 class AuditLog(JsonlLog):

@@ -219,8 +219,7 @@ class GasReport:
                 for op, l1, ex in self.table()}
 
 
-def scaling_curve(mode: str, pricing: GasPricing,
-                  n_range) -> List[Tuple[int, int]]:
+def scaling_curve(pricing: GasPricing, n_range) -> List[Tuple[int, int]]:
     """(bidders, end-phase execution gas) for each n in n_range."""
     ns = list(n_range)
     if not ns:
@@ -241,7 +240,7 @@ def write_plot_csv(path, modes=None, pricings=None, bidders=None) -> int:
             for label in pricing_labels:
                 pricing = (default_pricing(mode) if label == "default"
                            else adjusted_pricing(mode))
-                for n, gas in (scaling_curve(mode, pricing, bidder_counts)
+                for n, gas in (scaling_curve(pricing, bidder_counts)
                                if bidder_counts else []):
                     writer.writerow([mode, label, n, OP_END, LAYER_EXECUTION, gas])
                     rows += 1

@@ -31,7 +31,7 @@ from sealedbid.enclave import (
     decrypt_envelope,
     encrypt_to_key,
 )
-from sealedbid.errors import ConfigError, SealedStoreIntegrity
+from sealedbid.errors import SealedStoreIntegrity
 from sealedbid.events import AuditLog, EventLog, canonical, hx, unhx
 from sealedbid.gas import (
     GasLedger,
@@ -303,21 +303,24 @@ class ScenarioRunner:
         self.escrows[bidder_script.name] = escrow
         self._schedule_funding(bidder_script, wallet, escrow)
 
-    def _schedule_funding(self, script, wallet, escrow: bytes) -> None:
+    def _transfer(self, sender: bytes, key: int, to: bytes, value: int,
+                  data: bytes = b""):
+        """Sign a transfer from `sender` (the address of `key`) at its next nonce."""
         scn = self.scenario
+        tx = UnsignedTx(
+            nonce=self.chain.next_nonce(sender),
+            gas_price=scn.auction.gas_price,
+            gas_limit=scn.chain.tx_gas,
+            to=to,
+            value=value,
+            data=data,
+            chain_id=scn.chain.chain_id,
+        )
+        return sign_tx(tx, key, scn.chain.chain_id)
 
+    def _schedule_funding(self, script, wallet, escrow: bytes) -> None:
         def make_builder(amount):
-            def build():
-                tx = UnsignedTx(
-                    nonce=self.chain.next_nonce(wallet.address),
-                    gas_price=scn.auction.gas_price,
-                    gas_limit=scn.chain.tx_gas,
-                    to=escrow,
-                    value=amount,
-                    chain_id=scn.chain.chain_id,
-                )
-                return sign_tx(tx, wallet.key, scn.chain.chain_id)
-            return build
+            return lambda: self._transfer(wallet.address, wallet.key, escrow, amount)
 
         self._tx_at(script.funding_height, "%s:funding" % script.name,
                     make_builder(script.funding))
@@ -327,17 +330,9 @@ class ScenarioRunner:
 
     def _escrow_asset(self) -> None:
         scn = self.scenario
-        tx = UnsignedTx(
-            nonce=self.chain.next_nonce(self.auctioneer.address),
-            gas_price=scn.auction.gas_price,
-            gas_limit=scn.chain.tx_gas,
-            to=ASSET_REGISTRY_ADDRESS,
-            value=0,
-            data=asset_transfer_data(scn.auction.token_id,
-                                     self.auction.asset_escrow_address),
-            chain_id=scn.chain.chain_id,
-        )
-        signed = sign_tx(tx, self.auctioneer.key, scn.chain.chain_id)
+        signed = self._transfer(
+            self.auctioneer.address, self.auctioneer.key, ASSET_REGISTRY_ADDRESS, 0,
+            asset_transfer_data(scn.auction.token_id, self.auction.asset_escrow_address))
         self._tx_at(1, "auctioneer:asset_escrow", lambda: signed)
         self.gas.charge(LAYER_SETTLEMENT, OP_START, actor="auctioneer")
 
@@ -353,20 +348,12 @@ class ScenarioRunner:
             key = int.from_bytes(key_bytes, "big")
             by_address[derive_address(secp256k1.public_key(key))] = key
         target = max(sorted(self.escrows.values()), key=self.chain.balance)
-        key = by_address[target]
         fee = scn.chain.tx_gas * scn.auction.gas_price
         value = self.chain.balance(target) - fee
         if value <= 0:
             return
-        tx = UnsignedTx(
-            nonce=self.chain.next_nonce(target),
-            gas_price=scn.auction.gas_price,
-            gas_limit=scn.chain.tx_gas,
-            to=self.attacker.address,
-            value=value,
-            chain_id=scn.chain.chain_id,
-        )
-        signed = sign_tx(tx, key, scn.chain.chain_id)
+        signed = self._transfer(target, by_address[target], self.attacker.address,
+                                value)
         result = self.chain.submit_tx(signed)
         self.tx_labels[signed.tx_hash()] = "attacker:drain"
         self.flags["attacker_drain_accepted"] = result.accepted
@@ -427,7 +414,7 @@ class ScenarioRunner:
         if scn.faults.tamper_sealed:
             self._at(scn.open_height + 1,
                      lambda: self.enclave.tamper_sealed_entry(
-                         self.auction._registry_label, b"corrupted"))
+                         self.auction.registry_label, b"corrupted"))
         for script in scn.bidders:
             if script.registration_height <= self.chain.head_height:
                 self._register(script)

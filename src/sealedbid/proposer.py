@@ -8,10 +8,16 @@ which keeps the outcome equal to exhaustive resolution when the true
 winner is proposed). If the window expires with no proposals at all,
 resolution falls back to the exhaustive path so the auction still
 terminates.
+
+Only the auction's public steps are used: `cutoff_balance` and `rank_key`
+verify a proposal, and `finalize_proposals` ends like exhaustive
+resolution, through `AuctionInstance.settlement_for` and then
+`AuctionInstance.commit`. A query that fails during finalization leaves
+the auction Closed and the phase open, so finalization can be retried.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from sealedbid.auction import (
     AuctionInstance,
@@ -21,12 +27,7 @@ from sealedbid.auction import (
 )
 from sealedbid.errors import StateError
 from sealedbid.events import hx
-from sealedbid.gas import (
-    LAYER_EXECUTION,
-    MODE_PROPOSER,
-    OP_END,
-    OP_REGISTER_WINNER,
-)
+from sealedbid.gas import LAYER_EXECUTION, MODE_PROPOSER, OP_REGISTER_WINNER
 from sealedbid.quorum import QuorumClient
 
 STATUS_OPEN = "open"
@@ -49,13 +50,6 @@ class ProposalPhase:
     verified_count: int = 0  # proposals that cost a balance query
     _leader_rank: Optional[tuple] = field(default=None, repr=False)
 
-    @property
-    def leader_summary(self) -> Optional[Tuple[bytes, int]]:
-        if self.current_leader is None:
-            return None
-        entry, amount = self.current_leader
-        return entry.escrow_address, amount
-
 
 def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPhase:
     if auction.state is not AuctionState.CLOSED:
@@ -63,13 +57,13 @@ def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPh
                          % auction.state.value)
     if auction.config.resolution_mode != MODE_PROPOSER:
         raise StateError("auction is not configured for proposer-based resolution")
-    if auction._proposal_phase is not None:
+    if auction.proposal_phase is not None:
         raise StateError("proposal phase is already open")
     head, _ = quorum.query_height()
     phase = ProposalPhase(auction=auction,
                           window_end_height=head + auction.config.proposal_window)
-    auction._proposal_phase = phase
-    auction._emit("ProposalsOpened", window_end_height=phase.window_end_height)
+    auction.proposal_phase = phase
+    auction.emit("ProposalsOpened", window_end_height=phase.window_end_height)
     return phase
 
 
@@ -83,14 +77,15 @@ def submit_proposal(phase: ProposalPhase, candidate_escrow: bytes,
     head, _ = quorum.query_height()
     if head >= phase.window_end_height:
         return _reject(auction, REJECT_WINDOW_EXPIRED)
-    entry = _find_entry(auction, candidate_escrow)
+    entry = auction.entry_for(candidate_escrow)
     if entry is None:
         return _reject(auction, REJECT_UNKNOWN_ESCROW)
     phase.verified_count += 1
-    amount = auction._cutoff_balance(quorum, entry.escrow_address)
+    amount = auction.cutoff_balance(quorum, entry.escrow_address)
     auction.gas.charge(LAYER_EXECUTION, OP_REGISTER_WINNER, actor="proposer")
     if amount == 0:
         return _reject(auction, REJECT_ZERO_BALANCE)
+    rank = None
     if phase.current_leader is not None:
         leader_entry, leader_amount = phase.current_leader
         if amount < leader_amount:
@@ -100,18 +95,13 @@ def submit_proposal(phase: ProposalPhase, candidate_escrow: bytes,
             if phase._leader_rank is None:
                 phase._leader_rank = auction.rank_key(quorum, leader_entry,
                                                       leader_amount)
-            candidate_rank = auction.rank_key(quorum, entry, amount)
-            if candidate_rank >= phase._leader_rank:
+            rank = auction.rank_key(quorum, entry, amount)
+            if rank >= phase._leader_rank:
                 return _reject(auction, REJECT_NOT_HIGHER)
-            phase._leader_rank = candidate_rank
-            phase.current_leader = (entry, amount)
-            auction._emit("ProposalAccepted", candidate=hx(entry.escrow_address),
-                          amount=amount)
-            return True, None
     phase.current_leader = (entry, amount)
-    phase._leader_rank = None
-    auction._emit("ProposalAccepted", candidate=hx(entry.escrow_address),
-                  amount=amount)
+    phase._leader_rank = rank
+    auction.emit("ProposalAccepted", candidate=hx(entry.escrow_address),
+                 amount=amount)
     return True, None
 
 
@@ -127,27 +117,19 @@ def finalize_proposals(phase: ProposalPhase,
                          % phase.window_end_height)
     if phase.current_leader is not None:
         winner, amount = phase.current_leader
-        phase.status = STATUS_FINALIZED
+        status = STATUS_FINALIZED
     else:
         # nobody proposed: liveness falls back to the exhaustive scan
-        winner, amount = auction._determine_winner(quorum)
-        phase.status = STATUS_TIMED_OUT
-    result = auction._construct_resolution(winner, amount, quorum)
-    auction._emit("ProposalFinalized", status=phase.status,
-                  proposal_count=phase.proposal_count)
-    auction._commit_resolution(result)
-    auction.gas.charge(LAYER_EXECUTION, OP_END, actor="finalizer",
-                       n_bidders=len(result.bidder_set_disclosure))
+        winner, amount = auction.determine_winner(quorum)
+        status = STATUS_TIMED_OUT
+    result = auction.settlement_for(winner, amount, quorum)
+    phase.status = status
+    auction.emit("ProposalFinalized", status=status,
+                 proposal_count=phase.proposal_count)
+    auction.commit(result, actor="finalizer")
     return result
 
 
-def _find_entry(auction: AuctionInstance, escrow: bytes) -> Optional[RegistryEntry]:
-    for entry in auction._load_registry():
-        if entry.escrow_address == escrow:
-            return entry
-    return None
-
-
 def _reject(auction: AuctionInstance, reason: str):
-    auction._emit("ProposalRejected", reason=reason)
+    auction.emit("ProposalRejected", reason=reason)
     return False, reason

@@ -1,178 +1,17 @@
-"""Shared fixtures: an engine harness wired to a tiny settlement chain."""
-
-import json
+"""Shared fixtures: tests build the system only through the scenario runner."""
 
 import pytest
 
-from sealedbid.auction import AuctionConfig, AuctionInstance
-from sealedbid.chain import ASSET_REGISTRY_ADDRESS, SimChain, asset_transfer_data
-from sealedbid.crypto import secp256k1
-from sealedbid.enclave import (
-    DeterministicStream,
-    Enclave,
-    decrypt_envelope,
-    encrypt_to_key,
-)
-from sealedbid.events import AuditLog, EventLog, canonical, hx, unhx
-from sealedbid.quorum import Behavior, Endpoint, QuorumClient
-from sealedbid.transactions import UnsignedTx, derive_address, sign_tx
-
-TOKEN_ID = 1
-WALLET_BALANCE = 10_000_000
-
-
-class TestWallet:
-    __test__ = False  # not a pytest collectable
-
-    def __init__(self, stream):
-        self.key = secp256k1.generate_private_key(stream.read)
-        self.address = derive_address(secp256k1.public_key(self.key))
-        self.encryption_private = stream.read(32)
-        self.registration_ephemeral = stream.read(32)
-
-    @property
-    def encryption_public(self):
-        from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-        return X25519PrivateKey.from_private_bytes(
-            self.encryption_private).public_key().public_bytes_raw()
-
-
-class EngineHarness:
-    """Auction engine + chain + honest quorum, without the scenario runner."""
-
-    def __init__(self, deadline=8, kappa=2, finality=5, mode="exhaustive",
-                 gas_price=1, seed=0, n_endpoints=3, sample=3, quorum=2,
-                 proposal_window=6, n_wallets=12, behaviors=None,
-                 fallback=None, chain_id=1):
-        stream = DeterministicStream(b"test-wallets/%d" % seed)
-        self.auctioneer = TestWallet(stream)
-        self.wallets = [TestWallet(stream) for _ in range(n_wallets)]
-        genesis = {self.auctioneer.address: WALLET_BALANCE}
-        for w in self.wallets:
-            genesis[w.address] = WALLET_BALANCE
-        self.chain = SimChain(genesis, chain_id=chain_id,
-                              finality_depth=finality,
-                              genesis_assets={TOKEN_ID: self.auctioneer.address})
-        self.enclave = Enclave(mode="test", seed=seed)
-        behaviors = behaviors or {}
-        self.endpoints = [
-            Endpoint("ep%d" % i, self.chain, behaviors.get(i, Behavior()))
-            for i in range(n_endpoints)
-        ]
-        fb = Endpoint("fallback", self.chain, Behavior()) if fallback else None
-        self.audit = AuditLog()
-        self.client = QuorumClient(self.endpoints, sample, quorum, kappa,
-                                   rand=self.enclave.random, fallback=fb,
-                                   audit_log=self.audit)
-        self.events = EventLog()
-        self.config = AuctionConfig(
-            deadline_height=deadline,
-            auctioneer_address=self.auctioneer.address,
-            token_id=TOKEN_ID,
-            gas_price=gas_price,
-            kappa=kappa,
-            resolution_mode=mode,
-            proposal_window=proposal_window,
-            chain_id=chain_id,
-        )
-        self.auction = None
-        self.escrows = {}
-        self._next_wallet = 0
-
-    # -- chain helpers -------------------------------------------------------
-
-    def mine(self, n=1):
-        for _ in range(n):
-            self.chain.mine_block()
-
-    def advance_to(self, height):
-        while self.chain.head_height < height:
-            self.chain.mine_block()
-
-    def transfer(self, wallet, to, value, gas_price=None):
-        tx = UnsignedTx(
-            nonce=self.chain.next_nonce(wallet.address),
-            gas_price=self.config.gas_price if gas_price is None else gas_price,
-            gas_limit=21_000,
-            to=to,
-            value=value,
-            chain_id=self.config.chain_id,
-        )
-        signed = sign_tx(tx, wallet.key, self.config.chain_id)
-        return self.chain.submit_tx(signed)
-
-    # -- lifecycle helpers ------------------------------------------------------
-
-    def deploy(self):
-        self.auction = AuctionInstance.deploy(self.enclave, self.config,
-                                              self.client, self.events)
-        return self.auction
-
-    def open(self):
-        """Deploy, escrow the asset, and open the auction."""
-        if self.auction is None:
-            self.deploy()
-        escrow_addr = self.auction.setup()
-        data = asset_transfer_data(TOKEN_ID, escrow_addr)
-        tx = UnsignedTx(
-            nonce=self.chain.next_nonce(self.auctioneer.address),
-            gas_price=self.config.gas_price,
-            gas_limit=21_000,
-            to=ASSET_REGISTRY_ADDRESS,
-            value=0,
-            data=data,
-            chain_id=self.config.chain_id,
-        )
-        self.chain.submit_tx(sign_tx(tx, self.auctioneer.key, self.config.chain_id))
-        self.mine()
-        self.advance_to(1 + self.config.kappa)
-        assert self.auction.verify_asset_escrow(self.client)
-        return escrow_addr
-
-    def register(self, name):
-        wallet = self.wallets[self._next_wallet]
-        self._next_wallet += 1
-        payload = canonical({
-            "encryption_key": hx(wallet.encryption_public),
-            "claim_address": hx(wallet.address),
-        }).encode()
-        registration = encrypt_to_key(self.enclave.input_public_key, payload,
-                                      wallet.registration_ephemeral)
-        envelope = self.auction.register_bidder(self.client, registration)
-        response = json.loads(decrypt_envelope(wallet.encryption_private, envelope))
-        escrow = unhx(response["escrow_address"])
-        self.escrows[name] = (wallet, escrow)
-        return escrow
-
-    def fund(self, name, amount, mine=True):
-        wallet, escrow = self.escrows[name]
-        result = self.transfer(wallet, escrow, amount)
-        assert result.accepted, result.reason
-        if mine:
-            self.mine()
-        return result
-
-    def close(self):
-        self.advance_to(self.config.deadline_height + self.config.kappa)
-        assert self.auction.close(self.client)
-
-    def settle(self):
-        """Relay every settlement payload and finalize."""
-        for stx in self.auction.resolution.settlement_txs:
-            if self.chain.height_of(stx.tx.tx_hash()) is None:
-                self.chain.submit_tx(stx.tx)
-        self.mine()
-        self.advance_to(self.chain.head_height + self.config.kappa)
-        return self.auction.finalize(self.chain)
+from sealedbid.harness import ScenarioRunner
+from sealedbid.scenario import scenario_from_dict
 
 
 @pytest.fixture
-def harness():
-    return EngineHarness()
-
-
-@pytest.fixture
-def opened():
-    h = EngineHarness()
-    h.open()
-    return h
+def make_runner():
+    """make_runner(**sections) -> ScenarioRunner for a scenario document;
+    `name` and three honest endpoints are filled in when not given."""
+    def make(**sections):
+        data = {"name": "test", "endpoints": [{"id": "ep%d" % i} for i in range(3)]}
+        data.update(sections)
+        return ScenarioRunner(scenario_from_dict(data))
+    return make
