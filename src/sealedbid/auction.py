@@ -31,7 +31,7 @@ winner from verified proposals and ends the same way.
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from sealedbid.chain import ASSET_REGISTRY_ADDRESS, SimChain, asset_transfer_data
 from sealedbid.enclave import Enclave, Envelope
@@ -195,6 +195,9 @@ class AuctionInstance:
         # the proposer module's ProposalPhase, once proposals are opened
         self.proposal_phase = None
         self.register_call_count = 0
+        # escrow address -> registry index; the sealed records stay the
+        # source of truth, so every lookup still unseals and verifies one
+        self._escrow_index: Dict[bytes, int] = {}
 
     # -- lifecycle helpers -----------------------------------------------------
 
@@ -219,23 +222,30 @@ class AuctionInstance:
 
     @property
     def registry_label(self) -> str:
-        """Sealed-store label of the bidder registry."""
+        """Sealed-store label of the registry's count record; entry i is
+        sealed under `registry_label + "/%d" % i`."""
         return "auction/%s/registry" % self.auction_id
 
-    def _load_registry(self) -> List[RegistryEntry]:
-        raw = self.enclave.seal_get(self.registry_label)
-        return [RegistryEntry.from_record(r) for r in json.loads(raw)]
+    def _registry_count(self) -> int:
+        return int(self.enclave.seal_get(self.registry_label))
 
-    def _store_registry(self, entries: List[RegistryEntry]) -> None:
-        payload = canonical([e.to_record() for e in entries])
-        self.enclave.seal_put(self.registry_label, payload.encode())
+    def _entry_label(self, index: int) -> str:
+        return "%s/%d" % (self.registry_label, index)
+
+    def _load_entry(self, index: int) -> RegistryEntry:
+        raw = self.enclave.seal_get(self._entry_label(index))
+        return RegistryEntry.from_record(json.loads(raw))
+
+    def _load_registry(self) -> List[RegistryEntry]:
+        return [self._load_entry(i) for i in range(self._registry_count())]
 
     def entry_for(self, escrow: bytes) -> Optional[RegistryEntry]:
         """The registry entry of an escrow address, or None."""
-        for entry in self._load_registry():
-            if entry.escrow_address == escrow:
-                return entry
-        return None
+        index = self._escrow_index.get(escrow)
+        if index is None:
+            return None
+        entry = self._load_entry(index)
+        return entry if entry.escrow_address == escrow else None
 
     # -- operations ------------------------------------------------------------
 
@@ -249,7 +259,7 @@ class AuctionInstance:
             raise ConfigError("deadline height %d is not past the settlement head %d"
                               % (config.deadline_height, head))
         instance.auction_id = enclave.random(4).hex()
-        instance._store_registry([])
+        instance.enclave.seal_put(instance.registry_label, b"0")
         instance._set_state(AuctionState.DEPLOYED)
         instance.emit(
             "Deployed",
@@ -311,18 +321,20 @@ class AuctionInstance:
             raise RegistrationError("malformed registration payload") from exc
         if len(encryption_key) != 32 or len(claim_address) != 20:
             raise RegistrationError("bad key or claim address length")
-        entries = self._load_registry()
+        count = self._registry_count()
         handle, escrow_address = self.enclave.generate_keypair()
         entry = RegistryEntry(
-            index=len(entries),
+            index=count,
             handle=handle,
             escrow_address=escrow_address,
             encryption_key=encryption_key,
             claim_address=claim_address,
             registration_height=head,
         )
-        entries.append(entry)
-        self._store_registry(entries)
+        self.enclave.seal_put(self._entry_label(count),
+                              canonical(entry.to_record()).encode())
+        self.enclave.seal_put(self.registry_label, b"%d" % (count + 1))
+        self._escrow_index[escrow_address] = count
         response = canonical({
             "escrow_address": hx(escrow_address),
             "registration_index": entry.index,
@@ -338,7 +350,7 @@ class AuctionInstance:
         self._require_state(AuctionState.OPEN, "close")
         if not quorum.confirm_deadline(self.config.deadline_height):
             return False
-        count = len(self._load_registry())
+        count = self._registry_count()
         self._set_state(AuctionState.CLOSED)
         self.emit("Closed", bidder_count=count,
                   deadline_height=self.config.deadline_height)

@@ -18,7 +18,7 @@ from sealedbid.enclave import AttestationReport, verify_attestation
 from sealedbid.errors import ConfigError, SealedBidError
 from sealedbid.events import canonical, unhx
 from sealedbid.gas import write_plot_csv
-from sealedbid.harness import ScenarioRunner, oracle_resolve
+from sealedbid.harness import ScenarioRunner, oracle_resolve, pre_disclosure_leaks
 from sealedbid.scenario import load_scenario
 from sealedbid.transactions import SignedTransaction, recover_signer
 
@@ -75,7 +75,8 @@ def _cmd_plot(args) -> int:
 def _cmd_verify_log(args) -> int:
     """Offline re-verification of a public event stream."""
     with open(args.log, "r", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    records = [json.loads(line) for line in lines]
     if not records:
         print("verify-log: empty log")
         return 1
@@ -120,18 +121,11 @@ def _cmd_verify_log(args) -> int:
             print("payload %-15s signer=%s %s" % (payload["role"], signer,
                                                   "ok" if ok else "FAIL"))
             failures += 0 if ok else 1
-        # confidentiality replay: disclosed escrows must not appear earlier
-        boundary = resolved["seq"]
-        pre_text = "\n".join(canonical(r) for r in records
-                             if r.get("seq", 0) < boundary
-                             and r.get("event") not in ("ProposalsOpened",
-                                                        "ProposalAccepted",
-                                                        "ProposalRejected",
-                                                        "ProposalFinalized")).lower()
-        for addr in bidder_set:
-            if addr[2:] in pre_text:
-                print("confidentiality FAIL: %s disclosed early" % addr)
-                failures += 1
+        # confidentiality replay: no disclosed escrow before disclosure
+        escrows = {addr: unhx(addr) for addr in sorted(bidder_set)}
+        for problem in pre_disclosure_leaks(records, lines, escrows):
+            print("confidentiality FAIL: %s" % problem)
+            failures += 1
 
     print("verify-log: %s (%d event(s), %d failure(s))"
           % ("PASS" if failures == 0 else "FAIL", len(records), failures))

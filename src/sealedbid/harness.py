@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from sealedbid.auction import (
     AuctionConfig,
@@ -31,7 +31,7 @@ from sealedbid.enclave import (
     decrypt_envelope,
     encrypt_to_key,
 )
-from sealedbid.errors import SealedStoreIntegrity
+from sealedbid.errors import QuorumFailure, SealedStoreIntegrity
 from sealedbid.events import AuditLog, EventLog, canonical, hx, unhx
 from sealedbid.gas import (
     GasLedger,
@@ -101,6 +101,67 @@ def oracle_resolve(scenario: Scenario) -> OracleOutcome:
     best_reach = min(r for _, c, r in scored if c == top)
     winners = [n for n, c, r in scored if c == top and r == best_reach]
     return OracleOutcome(winners, top)
+
+
+# a bid below this is not checked: small numbers are heights, indices and
+# sequence numbers in every log
+MIN_CHECKED_BID = 1000
+
+_DECIMAL = re.compile(r"[0-9]+")
+_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
+
+
+def stated_numbers(records) -> Set[int]:
+    """Every number that JSON-like records state as a token.
+
+    That is each integer (not a boolean), each all-digit string read as
+    decimal, each whole `0x` hex string read as its value, and in any
+    other string each maximal run of decimal digits; dict keys count as
+    strings. Digits that occur only inside a longer hex string
+    (ciphertext, a key, a hash) state no number.
+    """
+    numbers: Set[int] = set()
+    stack = list(records)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, str):
+            if _DECIMAL.fullmatch(value):
+                numbers.add(int(value))
+            elif _HEX.fullmatch(value):
+                numbers.add(int(value, 16))
+            else:
+                numbers.update(int(run) for run in _DECIMAL.findall(value))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            numbers.add(value)
+    return numbers
+
+
+def pre_disclosure_leaks(records: List[dict], lines: List[str],
+                         escrows: Dict[str, bytes],
+                         bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
+    """Escrow addresses and bid values that an event stream shows before
+    disclosure begins, at its first `Resolved` or `ProposalsOpened` event.
+
+    `lines[i]` is the canonical text of `records[i]`. An escrow leaks if
+    its hex appears anywhere in that text; a bid (name, amount) leaks if
+    the records state the amount as a number (see `stated_numbers`).
+    """
+    boundary = next((i for i, r in enumerate(records)
+                     if r.get("event") in ("Resolved", "ProposalsOpened")),
+                    len(records))
+    pre_text = "\n".join(lines[:boundary]).lower()
+    problems = ["escrow of %s leaked before disclosure" % name
+                for name, escrow in escrows.items() if escrow.hex() in pre_text]
+    numbers = stated_numbers(records[:boundary])
+    problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
+                    for name, amount in bids
+                    if amount >= MIN_CHECKED_BID and amount in numbers)
+    return problems
 
 
 @dataclass
@@ -453,6 +514,11 @@ class ScenarioRunner:
         auction = self.auction
         state = auction.state.value if auction else "Init"
 
+        if "quorum_failure" in self.flags:
+            checks.append(CheckResult(
+                "liveness", False,
+                "lifecycle stopped by %s" % self.flags["quorum_failure"]))
+
         # expected terminal state
         if scn.expect.final_state is not None:
             checks.append(CheckResult(
@@ -596,31 +662,21 @@ class ScenarioRunner:
     def _confidentiality_check(self) -> CheckResult:
         """No escrow address or bid value in plaintext before disclosure
         begins; no private key material anywhere, ever."""
-        boundary = len(self.events.records)
-        for record in self.events.records:
-            if record.get("event") in ("Resolved", "ProposalsOpened"):
-                boundary = record["seq"]
-                break
-        pre_text = "\n".join(canonical(r)
-                             for r in self.events.records[:boundary]).lower()
-        full_text = self.events.text().lower() + self.audit.text().lower()
-        problems = []
-        for name, escrow in self.escrows.items():
-            if escrow.hex() in pre_text:
-                problems.append("escrow of %s leaked before disclosure" % name)
-        for b in self.scenario.bidders:
-            for amount in filter(None, (b.funding, b.topup or 0)):
-                if amount >= 1000 and re.search(r"(?<!\d)%d(?!\d)" % amount, pre_text):
-                    problems.append("bid value %d of %s visible pre-resolution"
-                                    % (amount, b.name))
+        lines = self.events.lines()
+        bids = [(b.name, amount) for b in self.scenario.bidders
+                for amount in (b.funding, b.topup) if amount]
+        problems = pre_disclosure_leaks(self.events.records, lines,
+                                        self.escrows, bids)
+        events_text = "\n".join(lines).lower()
+        del lines  # the text replaces them: at n=300 each is a megabyte
         if not self.flags.get("compromised"):
-            leaks = self.enclave.scan_for_key_leaks(full_text)
+            leaks = self.enclave.scan_for_key_leaks(
+                events_text + "\n" + self.audit.text())
             if leaks:
                 problems.append("%d private-key leak(s) in public logs" % leaks)
         if self.auction is not None and self.auction.resolution is not None:
-            disclosed = self.events.text().lower()
             for name, escrow in self.escrows.items():
-                if escrow.hex() not in disclosed:
+                if escrow.hex() not in events_text:
                     problems.append("escrow of %s missing from disclosure" % name)
         return CheckResult("confidentiality", not problems,
                            "; ".join(problems) if problems else
@@ -629,14 +685,13 @@ class ScenarioRunner:
     def _non_interactivity_check(self) -> CheckResult:
         expected = len(self.scenario.bidders)
         calls_ok = self.auction.register_call_count == expected
-        transfer_counts = []
-        for name, escrow in self.escrows.items():
-            inflows = 0
-            for height in range(1, self.chain.head_height + 1):
-                for tx in self.chain.block_at(height).tx_list:
-                    if tx.to == escrow and tx.value > 0:
-                        inflows += 1
-            transfer_counts.append((name, inflows))
+        inflows = dict.fromkeys(self.escrows.values(), 0)
+        for height in range(1, self.chain.head_height + 1):
+            for tx in self.chain.block_at(height).tx_list:
+                if tx.value > 0 and tx.to in inflows:
+                    inflows[tx.to] += 1
+        transfer_counts = [(name, inflows[escrow])
+                           for name, escrow in self.escrows.items()]
         transfers_ok = all(count == 1 for _, count in transfer_counts)
         return CheckResult(
             "non_interactivity", calls_ok and transfers_ok,
@@ -651,6 +706,9 @@ class ScenarioRunner:
             self._lifecycle()
         except SealedStoreIntegrity as exc:
             self.flags["integrity_error"] = str(exc)
+        except QuorumFailure as exc:
+            # the auction keeps its state; the run still reports and logs
+            self.flags["quorum_failure"] = "%s: %s" % (type(exc).__name__, exc)
         oracle = oracle_resolve(self.scenario)
         checks = self._checks(oracle)
         report = RunReport(

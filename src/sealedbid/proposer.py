@@ -16,6 +16,7 @@ resolution, through `AuctionInstance.settlement_for` and then
 the auction Closed and the phase open, so finalization can be retried.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -42,13 +43,24 @@ REJECT_WINDOW_EXPIRED = "window_expired"
 
 @dataclass
 class ProposalPhase:
-    auction: AuctionInstance
+    """The proposal window of one auction.
+
+    The auction owns its phase (`AuctionInstance.proposal_phase`) and the
+    phase refers back to it weakly. So the pair forms no reference cycle,
+    and an auction's state is freed as soon as its last user drops it,
+    not at the next full cyclic garbage collection.
+    """
+    _auction: "weakref.ref[AuctionInstance]" = field(repr=False)
     window_end_height: int
     status: str = STATUS_OPEN
     current_leader: Optional[Tuple[RegistryEntry, int]] = None
     proposal_count: int = 0
     verified_count: int = 0  # proposals that cost a balance query
     _leader_rank: Optional[tuple] = field(default=None, repr=False)
+
+    @property
+    def auction(self) -> AuctionInstance:
+        return self._auction()
 
 
 def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPhase:
@@ -60,7 +72,7 @@ def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPh
     if auction.proposal_phase is not None:
         raise StateError("proposal phase is already open")
     head, _ = quorum.query_height()
-    phase = ProposalPhase(auction=auction,
+    phase = ProposalPhase(weakref.ref(auction),
                           window_end_height=head + auction.config.proposal_window)
     auction.proposal_phase = phase
     auction.emit("ProposalsOpened", window_end_height=phase.window_end_height)

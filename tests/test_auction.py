@@ -1,0 +1,182 @@
+"""The sealed bidder registry: rollback and tamper detection, lookup, and
+per-bidder sealed-store and history costs that stay flat as n grows."""
+
+import pytest
+
+from sealedbid import harness
+from sealedbid.auction import AuctionInstance
+from sealedbid.chain import SimChain
+from sealedbid.enclave import Enclave
+
+
+def auction_doc(n, mode="exhaustive", **extra):
+    """n bidders registering at heights 4-7 and funding at 9-11; in
+    proposer mode every bidder proposes itself once."""
+    doc = {
+        "auction": {"deadline_height": 12, "kappa": 2, "resolution_mode": mode},
+        "bidders": [{"name": "b%d" % i, "registration_height": 4 + i % 4,
+                     "funding": 100_000 + 37 * i, "funding_height": 9 + i % 3}
+                    for i in range(n)],
+    }
+    if mode == "proposer":
+        doc["proposals"] = [{"candidate": "b%d" % i, "after_open": 1 + i % 8}
+                            for i in range(n)]
+    doc.update(extra)
+    return doc
+
+
+def host_replays_registry(runner, snapshot_height, inject_height):
+    """The host snapshots the registry record at one height and puts it
+    back at a later one, before that height's registrations run."""
+    snapshot = {}
+
+    def take():
+        snapshot["old"] = runner.enclave.snapshot_sealed_entry(
+            runner.auction.registry_label)
+
+    def replay():
+        runner.enclave.inject_sealed_entry(runner.auction.registry_label,
+                                           snapshot["old"])
+
+    runner._at(snapshot_height, take)
+    runner._at(inject_height, replay)
+
+
+def test_replayed_registry_count_aborts_the_next_registration(make_runner):
+    runner = make_runner(**auction_doc(4))
+    # b1 registers at 5 and b2 at 6: the replay undoes b1's registration
+    host_replays_registry(runner, 5, 6)
+    report = runner.run()
+    assert report.flags["integrity_error"].startswith("stale snapshot")
+    assert report.final_state == "Open"
+    assert runner.auction.register_call_count == 3
+
+
+def test_replayed_registry_count_aborts_close(make_runner):
+    runner = make_runner(**auction_doc(2))
+    # b1 registers at 5; the record of height 5 comes back after it
+    host_replays_registry(runner, 5, 8)
+    report = runner.run()
+    assert report.flags["integrity_error"].startswith("stale snapshot")
+    assert report.final_state == "Open"
+    assert runner.auction.register_call_count == 2
+
+
+def test_tampered_entry_aborts_winner_determination(make_runner, monkeypatch):
+    runner = make_runner(**auction_doc(3))
+    runner._at(11, lambda: runner.enclave.tamper_sealed_entry(
+        runner.auction.registry_label + "/1", b"corrupted"))
+    failed_in = []
+    real = AuctionInstance.determine_winner
+
+    def determine_winner(auction, quorum):
+        try:
+            return real(auction, quorum)
+        except Exception as exc:
+            failed_in.append(type(exc).__name__)
+            raise
+
+    monkeypatch.setattr(AuctionInstance, "determine_winner", determine_winner)
+    report = runner.run()
+    assert failed_in == ["SealedStoreIntegrity"]
+    assert report.flags["integrity_error"].endswith("/1' fails MAC")
+    assert report.final_state == "Closed"
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
+def test_entry_for_finds_registered_escrows_only(make_runner, mode):
+    runner = make_runner(**auction_doc(5, mode))
+    assert runner.run().passed
+    for name, escrow in runner.escrows.items():
+        assert runner.auction.entry_for(escrow).escrow_address == escrow
+    assert runner.auction.entry_for(bytes(20)) is None
+
+
+class SealedBytes:
+    """Sealed-store bytes written and read inside each call of an operation."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.calls = {}
+        self._open = None
+        real_put, real_get = Enclave.seal_put, Enclave.seal_get
+
+        def seal_put(enclave, label, value):
+            if self._open is not None:
+                self._open["put"] += len(value)
+            return real_put(enclave, label, value)
+
+        def seal_get(enclave, label):
+            value = real_get(enclave, label)
+            if self._open is not None:
+                self._open["get"] += len(value)
+            return value
+
+        monkeypatch.setattr(Enclave, "seal_put", seal_put)
+        monkeypatch.setattr(Enclave, "seal_get", seal_get)
+
+    def measure(self, owner, name):
+        real = getattr(owner, name)
+        calls = self.calls.setdefault(name, [])
+
+        def wrapper(*args, **kwargs):
+            self._open = {"put": 0, "get": 0}
+            try:
+                return real(*args, **kwargs)
+            finally:
+                calls.append(self._open)
+                self._open = None
+
+        self.monkeypatch.setattr(owner, name, wrapper)
+
+
+# an index or a count may gain a digit between n=4 and n=12; one whole
+# registry entry is over 200 bytes
+DIGIT_SLACK = 16
+
+
+def sealed_bytes_per_call(make_runner, monkeypatch, mode, name):
+    per_n = {}
+    for n in (4, 12):
+        spy = SealedBytes(monkeypatch)
+        spy.measure(AuctionInstance, "register_bidder")
+        spy.measure(harness, "submit_proposal")
+        assert make_runner(**auction_doc(n, mode)).run().passed
+        per_n[n] = spy.calls[name]
+        monkeypatch.undo()
+    return per_n
+
+
+def test_sealed_bytes_per_registration_do_not_grow(make_runner, monkeypatch):
+    per_n = sealed_bytes_per_call(make_runner, monkeypatch, "exhaustive",
+                                  "register_bidder")
+    assert [len(per_n[n]) for n in (4, 12)] == [4, 12]
+    for kind in ("put", "get"):
+        small = max(c[kind] for c in per_n[4])
+        large = max(c[kind] for c in per_n[12])
+        assert large <= small + DIGIT_SLACK, (kind, small, large)
+
+
+def test_each_proposal_reads_constant_sealed_bytes(make_runner, monkeypatch):
+    per_n = sealed_bytes_per_call(make_runner, monkeypatch, "proposer",
+                                  "submit_proposal")
+    assert [len(per_n[n]) for n in (4, 12)] == [4, 12]
+    small = max(c["get"] for c in per_n[4])
+    large = max(c["get"] for c in per_n[12])
+    assert large <= small + DIGIT_SLACK, (small, large)
+    assert all(c["put"] == 0 for c in per_n[4] + per_n[12])
+
+
+def test_non_interactivity_reads_each_block_once(make_runner, monkeypatch):
+    runner = make_runner(**auction_doc(12))
+    assert runner.run().passed
+    calls = []
+    real = SimChain.block_at
+
+    def block_at(chain, height):
+        calls.append(height)
+        return real(chain, height)
+
+    monkeypatch.setattr(SimChain, "block_at", block_at)
+    assert runner._non_interactivity_check().passed
+    assert 0 < len(calls) <= runner.chain.head_height

@@ -1,5 +1,7 @@
 """Proposer-mode resolution driven through the scenario runner."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,18 @@ def test_failed_settlement_query_leaves_finalization_retryable(make_runner,
     assert report.final_state == "Claimed"
     assert report.winner["bidder"] == "carol"
     assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+
+
+def test_a_finished_auction_is_freed_without_the_cycle_collector(make_runner):
+    # the phase refers back to its auction weakly, so dropping the runner
+    # frees the auction, its enclave and its logs at once
+    doc = yaml.safe_load((SCENARIOS / "proposer_4_bidders.yaml").read_text())
+    runner = make_runner(**doc)
+    assert runner.run().passed
+    auction = weakref.ref(runner.auction)
+    gc.disable()
+    try:
+        del runner
+        assert auction() is None
+    finally:
+        gc.enable()
