@@ -1,9 +1,8 @@
 """Build script: compiles the optional accelerator extension.
 
-The extension is built from the committed C source
-`src/sealedbid/_core/_speedups.c` (generated from `_speedups.pyx`), so
-building it needs a C compiler and the Python headers, not Cython. To
-build it in place for a source checkout:
+The extension is built from the hand-written C source
+`src/sealedbid/_core/_speedups.c`, so building it needs a C compiler and
+the Python headers. To build it in place for a source checkout:
 
     python setup.py build_ext --inplace
 

@@ -1,8 +1,8 @@
 """Pure-Python fallback for the hot kernels: keccak-256 and secp256k1 group math.
 
-Mirrors the API of the compiled `_speedups` extension. Points are affine
-`(x, y)` tuples of ints; the point at infinity is `None`. Scalars must
-already be reduced into the group order by the caller.
+Implements the three-call backend contract stated in `sealedbid.crypto`,
+as does the compiled `_speedups` extension, and is the reference the
+extension is tested against.
 """
 
 IMPLEMENTATION = "pure"
@@ -98,15 +98,6 @@ P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
-
-
-def is_on_curve(point) -> bool:
-    if point is None:
-        return False
-    x, y = point
-    if not (0 <= x < P and 0 <= y < P):
-        return False
-    return (y * y - (x * x * x + 7)) % P == 0
 
 
 # Jacobian coordinates: (X, Y, Z) with x = X/Z^2, y = Y/Z^3. Z == 0 means
@@ -211,7 +202,7 @@ def scalar_mult_base(k: int):
     return _to_affine(acc)
 
 
-def point_mul(k: int, point):
+def _point_mul(k: int, point):
     if point is None or k % N == 0:
         return None
     k %= N
@@ -224,7 +215,7 @@ def point_mul(k: int, point):
     return _to_affine(acc)
 
 
-def point_add(a, b):
+def _point_add(a, b):
     if a is None:
         return b
     if b is None:
@@ -235,5 +226,5 @@ def point_add(a, b):
 def double_mult_base(u1: int, u2: int, point):
     """u1*G + u2*point, the inner loop of public-key recovery."""
     left = scalar_mult_base(u1)
-    right = point_mul(u2, point)
-    return point_add(left, right)
+    right = _point_mul(u2, point)
+    return _point_add(left, right)

@@ -72,11 +72,31 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+# what a malformed record raises when a field is missing, mistyped or not hex
+MALFORMED = (KeyError, ValueError, TypeError, AttributeError, IndexError)
+
+
+def _name(record: dict) -> str:
+    return "event %-18s seq=%-3s" % (record.get("event"), record.get("seq", -1))
+
+
 def _cmd_verify_log(args) -> int:
     """Offline re-verification of a public event stream."""
     with open(args.log, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    records = [json.loads(line) for line in lines]
+        numbered = [(number, line.rstrip("\n"))
+                    for number, line in enumerate(fh, 1) if line.strip()]
+    lines = [line for _, line in numbered]
+    records = []
+    for number, line in numbered:
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            print("line %d FAIL (not JSON: %s)" % (number, exc))
+            return 1
+        if not isinstance(record, dict):
+            print("line %d FAIL (not a JSON object)" % number)
+            return 1
+        records.append(record)
     if not records:
         print("verify-log: empty log")
         return 1
@@ -84,45 +104,54 @@ def _cmd_verify_log(args) -> int:
     if header.get("event") != "Deployed":
         print("verify-log: log does not start with a Deployed event")
         return 1
-    code_hash = unhx(header["code_hash"])
-    attestation_address = unhx(header["attestation_address"])
+    try:
+        code_hash = unhx(header["code_hash"])
+        attestation_address = unhx(header["attestation_address"])
+    except MALFORMED as exc:
+        print("%s FAIL (malformed: %r)" % (_name(header), exc))
+        return 1
     failures = 0
 
     for record in records:
         attestation = record.get("attestation")
         if attestation is None:
-            print("event %-18s seq=%-3d FAIL (no attestation)"
-                  % (record.get("event"), record.get("seq", -1)))
+            print("%s FAIL (no attestation)" % _name(record))
             failures += 1
             continue
         stripped = {k: v for k, v in record.items() if k != "attestation"}
-        report = AttestationReport.from_record(attestation)
-        ok = verify_attestation(report, code_hash,
-                                canonical(stripped).encode(),
-                                attestation_address)
-        print("event %-18s seq=%-3d %s" % (record.get("event"),
-                                           record.get("seq", -1),
-                                           "ok" if ok else "FAIL"))
+        try:
+            report = AttestationReport.from_record(attestation)
+            ok = verify_attestation(report, code_hash,
+                                    canonical(stripped).encode(),
+                                    attestation_address)
+            verdict = "ok" if ok else "FAIL"
+        except MALFORMED as exc:
+            ok, verdict = False, "FAIL (malformed: %r)" % exc
+        print("%s %s" % (_name(record), verdict))
         failures += 0 if ok else 1
 
     resolved = next((r for r in records if r.get("event") == "Resolved"), None)
     if resolved is not None:
-        bidder_set = {addr.lower() for addr in resolved.get("bidder_set", [])}
-        asset_events = [r for r in records if r.get("event") == "AssetEscrowAddress"]
-        known = set(bidder_set)
-        known.update(r["address"].lower() for r in asset_events)
-        for payload in resolved.get("payloads", []):
-            tx = SignedTransaction.from_raw(payload["raw"])
+        try:
+            bidder_set = {addr.lower() for addr in resolved.get("bidder_set", [])}
+            known = bidder_set | {r["address"].lower() for r in records
+                                  if r.get("event") == "AssetEscrowAddress"}
+            escrows = {addr: unhx(addr) for addr in sorted(bidder_set)}
+            payloads = [(p.get("role"), p.get("raw"))
+                        for p in resolved.get("payloads", [])]
+        except MALFORMED as exc:
+            print("%s FAIL (malformed: %r)" % (_name(resolved), exc))
+            return 1
+        for role, raw in payloads:
             try:
+                tx = SignedTransaction.from_raw(raw)
                 signer = "0x" + recover_signer(tx).hex()
                 ok = signer in known
-            except SealedBidError:
+            except (SealedBidError,) + MALFORMED:
                 signer, ok = "<unrecoverable>", False
-            print("payload %-15s signer=%s %s" % (payload["role"], signer,
-                                                  "ok" if ok else "FAIL"))
+            print("payload %-15s signer=%s %s" % (role, signer, "ok" if ok else "FAIL"))
             failures += 0 if ok else 1
         # confidentiality replay: no disclosed escrow before disclosure
-        escrows = {addr: unhx(addr) for addr in sorted(bidder_set)}
         for problem in pre_disclosure_leaks(records, lines, escrows):
             print("confidentiality FAIL: %s" % problem)
             failures += 1

@@ -1,8 +1,19 @@
 """Cryptographic kernels with a compiled fast path.
 
-The Cython extension is preferred when importable; otherwise the
-pure-Python backend is used. `SEALEDBID_BACKEND=pure` forces the fallback,
-`SEALEDBID_BACKEND=compiled` fails loudly if the extension is missing.
+A backend is a module that provides `IMPLEMENTATION` (its name) and three
+calls, which are all the package makes of it:
+
+- `keccak_256(data)`: the 32-byte keccak-256 digest of a bytes-like object;
+- `scalar_mult_base(k)`: k*G;
+- `double_mult_base(u1, u2, point)`: u1*G + u2*point, where `point` may be
+  None.
+
+Points are affine `(x, y)` tuples of ints, the point at infinity is None,
+and scalars are reduced mod N by the backend. The C extension
+`sealedbid._core._speedups` is used when it is importable; otherwise the
+pure-Python reference `sealedbid._core._purepy` is. `SEALEDBID_BACKEND`
+picks one: `auto` (the default, also when empty), `pure`, or `compiled`,
+which fails loudly if the extension is missing.
 """
 
 import os
@@ -12,31 +23,19 @@ from sealedbid.errors import ConfigError
 
 
 def _load_backend():
-    choice = os.environ.get("SEALEDBID_BACKEND", "auto").strip().lower()
-    if choice in ("pure", "python"):
+    choice = os.environ.get("SEALEDBID_BACKEND", "auto").strip().lower() or "auto"
+    if choice == "pure":
         return _purepy
-    if choice in ("auto", "", "compiled", "cython"):
-        try:
-            from sealedbid._core import _speedups
-            return _speedups
-        except ImportError:
-            if choice in ("compiled", "cython"):
-                raise ConfigError(
-                    "SEALEDBID_BACKEND=%s but the compiled extension is not built" % choice
-                )
-            return _purepy
-    raise ConfigError("unknown SEALEDBID_BACKEND value: %r" % choice)
-
-
-def available_backends():
-    """Name -> module map of importable backends (used by benchmarks/tests)."""
-    found = {"pure": _purepy}
+    if choice not in ("auto", "compiled"):
+        raise ConfigError("unknown SEALEDBID_BACKEND value: %r" % choice)
     try:
         from sealedbid._core import _speedups
-        found["compiled"] = _speedups
+        return _speedups
     except ImportError:
-        pass
-    return found
+        if choice == "compiled":
+            raise ConfigError(
+                "SEALEDBID_BACKEND=compiled but the compiled extension is not built")
+        return _purepy
 
 
 backend = _load_backend()

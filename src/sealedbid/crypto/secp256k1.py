@@ -29,6 +29,15 @@ def generate_private_key(rand: Callable[[int], bytes]) -> int:
             return candidate
 
 
+def is_on_curve(point) -> bool:
+    if point is None:
+        return False
+    x, y = point
+    if not (0 <= x < P and 0 <= y < P):
+        return False
+    return (y * y - (x * x * x + 7)) % P == 0
+
+
 def public_key(private_key: int) -> Point:
     if not 1 <= private_key < N:
         raise KeyMaterialError("private key out of range")
@@ -44,7 +53,7 @@ def point_from_bytes(data: bytes) -> Point:
     if len(data) != 64:
         raise KeyMaterialError("public key must be 64 bytes, got %d" % len(data))
     point = (int.from_bytes(data[:32], "big"), int.from_bytes(data[32:], "big"))
-    if not backend.is_on_curve(point):
+    if not is_on_curve(point):
         raise KeyMaterialError("point is not on the curve")
     return point
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from sealedbid import crypto
 from sealedbid.auction import (
     AuctionConfig,
     AuctionInstance,
@@ -186,6 +187,7 @@ class RunReport:
     gas: dict
     counters: dict
     paths: dict = field(default_factory=dict)
+    backend: str = crypto.IMPLEMENTATION  # the crypto backend that ran
 
     @property
     def passed(self) -> bool:
@@ -195,6 +197,7 @@ class RunReport:
         return {
             "scenario": self.scenario,
             "seed": self.seed,
+            "backend": self.backend,
             "final_state": self.final_state,
             "winner": self.winner,
             "oracle": self.oracle,
@@ -207,8 +210,9 @@ class RunReport:
         }
 
     def format_text(self) -> str:
-        lines = ["scenario %s (seed %d): %s" % (self.scenario, self.seed,
-                                                "PASS" if self.passed else "FAIL")]
+        lines = ["scenario %s (seed %d, %s crypto): %s"
+                 % (self.scenario, self.seed, self.backend,
+                    "PASS" if self.passed else "FAIL")]
         lines.append("  final state: %s" % self.final_state)
         if self.winner:
             lines.append("  winner: %(bidder)s escrow=%(escrow)s amount=%(amount)d"

@@ -21,7 +21,7 @@ def derive_address(public_key) -> bytes:
         point = secp256k1.point_from_bytes(bytes(public_key))
     else:
         point = public_key
-        if not secp256k1.backend.is_on_curve(point):
+        if not secp256k1.is_on_curve(point):
             raise KeyMaterialError("point is not on the curve")
     return keccak_256(secp256k1.public_key_bytes(point))[-ADDRESS_LENGTH:]
 

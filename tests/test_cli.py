@@ -38,3 +38,24 @@ def test_verify_log_reports_an_escrow_shown_before_disclosure(tmp_path, capsys):
     assert main(["verify-log", str(log)]) == 1
     out = capsys.readouterr().out
     assert "confidentiality FAIL: escrow of %s leaked before disclosure" % escrow in out
+
+
+@pytest.mark.parametrize("case", ["bad_hex", "not_json", "no_code_hash"])
+def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
+    log = run_logged("honest_4_bidders", tmp_path)
+    lines = log.read_text().splitlines()
+    header = json.loads(lines[0])
+    if case == "bad_hex":
+        header["code_hash"] = "0xzz"
+        lines[0], named = json.dumps(header), "event Deployed"
+    elif case == "no_code_hash":
+        del header["code_hash"]
+        lines[0], named = json.dumps(header), "event Deployed"
+    else:
+        lines[3:3] = ["", "{not json"]  # blank lines still count in the number
+        named = "line 5"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-log", str(log)]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith(named) and "FAIL" in line for line in out.splitlines()), out

@@ -1,10 +1,12 @@
 """The scenario runner's own checks and its report on an aborted run."""
 
+import json
 from pathlib import Path
 
 import pytest
 import yaml
 
+from sealedbid import crypto
 from sealedbid.events import canonical
 from sealedbid.harness import pre_disclosure_leaks, run_scenario, stated_numbers
 
@@ -75,3 +77,14 @@ def test_a_quorum_failure_still_gives_a_report_and_logs(make_runner, tmp_path):
     for name in ("events.jsonl", "audit.jsonl", "gas.csv", "report.json"):
         assert (tmp_path / name).exists()
     assert (tmp_path / "audit.jsonl").read_text().count("\n") == report.counters["queries"]
+
+
+def test_the_report_names_its_crypto_backend(tmp_path):
+    report = run_scenario(SCENARIOS / "honest_1_bidder.yaml", out_dir=tmp_path)
+    assert report.backend == crypto.IMPLEMENTATION
+    assert report.to_dict()["backend"] == crypto.IMPLEMENTATION
+    assert json.loads((tmp_path / "report.json").read_text())["backend"] == \
+        crypto.IMPLEMENTATION
+    assert report.format_text().splitlines()[0] == \
+        "scenario honest_1_bidder (seed %d, %s crypto): PASS" % (report.seed,
+                                                                 crypto.IMPLEMENTATION)

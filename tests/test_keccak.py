@@ -1,12 +1,15 @@
-"""keccak-256 vectors and cross-backend equivalence."""
+"""keccak-256 vectors, cross-backend equivalence and backend selection."""
 
 import random
+import sys
+import types
 
 import pytest
 
-from sealedbid.crypto import available_backends
-
-BACKENDS = available_backends()
+import sealedbid._core
+from sealedbid import crypto
+from sealedbid._core import _purepy
+from sealedbid.errors import ConfigError
 
 # original-padding keccak-256, not SHA3-256
 VECTORS = [
@@ -16,11 +19,6 @@ VECTORS = [
     (b"The quick brown fox jumps over the lazy dog",
      "4d741b6f1eb29cb2a9b9911c82f56fa8d73b04959d3d9d222895df6c0b28aa15"),
 ]
-
-
-@pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
-def backend(request):
-    return BACKENDS[request.param]
 
 
 def test_known_vectors(backend):
@@ -33,24 +31,40 @@ def test_digest_is_32_bytes(backend):
 
 
 @pytest.mark.parametrize("length", [0, 1, 7, 135, 136, 137, 271, 272, 273, 1000])
-def test_padding_boundaries_cross_backend(length):
-    if "compiled" not in BACKENDS:
-        pytest.skip("compiled backend not built")
+def test_padding_boundaries_cross_backend(length, compiled_kernel):
     rng = random.Random(length)
     data = rng.randbytes(length)
-    assert (BACKENDS["pure"].keccak_256(data)
-            == BACKENDS["compiled"].keccak_256(data))
+    assert _purepy.keccak_256(data) == compiled_kernel.keccak_256(data)
 
 
 def test_accepts_bytearray(backend):
     assert backend.keccak_256(bytearray(b"abc")) == backend.keccak_256(b"abc")
 
 
-def test_random_equivalence():
-    if "compiled" not in BACKENDS:
-        pytest.skip("compiled backend not built")
+def test_random_equivalence(compiled_kernel):
     rng = random.Random(1234)
     for _ in range(300):
         data = rng.randbytes(rng.randrange(0, 600))
-        assert (BACKENDS["pure"].keccak_256(data)
-                == BACKENDS["compiled"].keccak_256(data))
+        assert _purepy.keccak_256(data) == compiled_kernel.keccak_256(data)
+
+
+def test_backend_selection(monkeypatch):
+    kernel = types.ModuleType("sealedbid._core._speedups")
+    monkeypatch.delattr(sealedbid._core, "_speedups", raising=False)
+    monkeypatch.setitem(sys.modules, kernel.__name__, kernel)
+    monkeypatch.delenv("SEALEDBID_BACKEND", raising=False)
+    assert crypto._load_backend() is kernel
+    for value, chosen in [("", kernel), ("auto", kernel), (" Compiled ", kernel),
+                          ("pure", _purepy)]:
+        monkeypatch.setenv("SEALEDBID_BACKEND", value)
+        assert crypto._load_backend() is chosen, value
+    for value in ("python", "cython", "fast"):
+        monkeypatch.setenv("SEALEDBID_BACKEND", value)
+        with pytest.raises(ConfigError):
+            crypto._load_backend()
+    monkeypatch.setitem(sys.modules, kernel.__name__, None)  # not built
+    monkeypatch.setenv("SEALEDBID_BACKEND", "auto")
+    assert crypto._load_backend() is _purepy
+    monkeypatch.setenv("SEALEDBID_BACKEND", "compiled")
+    with pytest.raises(ConfigError):
+        crypto._load_backend()

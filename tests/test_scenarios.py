@@ -8,13 +8,18 @@ that alters a log on purpose must update the digest here and say why.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sealedbid.harness import run_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 LOGS = ("events.jsonl", "audit.jsonl", "gas.csv")
 
 # sha256 of (events.jsonl, audit.jsonl, gas.csv) per scenario
@@ -99,3 +104,45 @@ def test_scenario_passes_with_pinned_logs(name, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / log).read_bytes()).hexdigest()
                     for log in LOGS)
     assert digests == DIGESTS[name]
+
+
+# Runs in a fresh interpreter: registers the kernel under its package name
+# before `sealedbid` is imported, as `perfbench/compiled.py` does, then
+# prints the backend, and each scenario's verdict and log digests, as JSON.
+COMPILED_RUN = """
+import hashlib, importlib.util, json, sys, tempfile
+from pathlib import Path
+
+kernel, src, scenarios, logs = sys.argv[1], sys.argv[2], Path(sys.argv[3]), sys.argv[4:]
+spec = importlib.util.spec_from_file_location("sealedbid._core._speedups", kernel)
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+sys.modules[spec.name] = module
+sys.path.insert(0, src)
+from sealedbid import crypto
+from sealedbid.harness import run_scenario
+
+results = {}
+for path in sorted(scenarios.glob("*.yaml")):
+    with tempfile.TemporaryDirectory() as out:
+        report = run_scenario(path, out_dir=out)
+        results[path.stem] = [report.passed] + [
+            hashlib.sha256((Path(out) / log).read_bytes()).hexdigest() for log in logs]
+print(json.dumps({"backend": crypto.IMPLEMENTATION,
+                  "selected": crypto.backend is module, "results": results}))
+"""
+
+
+def test_compiled_backend_gives_the_pinned_logs(compiled_kernel_path):
+    env = dict(os.environ, SEALEDBID_BACKEND="compiled")
+    proc = subprocess.run(
+        [sys.executable, "-c", COMPILED_RUN, str(compiled_kernel_path),
+         str(ROOT / "src"), str(SCENARIOS), *LOGS],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["backend"] == "compiled" and out["selected"]
+    assert sorted(out["results"]) == sorted(DIGESTS)
+    for name, (passed, *digests) in out["results"].items():
+        assert passed, name
+        assert tuple(digests) == DIGESTS[name], name
