@@ -254,7 +254,7 @@ class AuctionInstance:
                quorum: QuorumClient, events: Optional[EventLog] = None,
                gas: Optional[GasLedger] = None) -> "AuctionInstance":
         instance = cls(enclave, config, events, gas)
-        head, _ = quorum.query_height()
+        head = quorum.query_height()
         if config.deadline_height <= head:
             raise ConfigError("deadline height %d is not past the settlement head %d"
                               % (config.deadline_height, head))
@@ -295,9 +295,9 @@ class AuctionInstance:
         self._require_state(AuctionState.DEPLOYED, "verify_asset_escrow")
         if self._asset_handle is None:
             raise StateError("setup has not been called")
-        head, _ = quorum.query_height()
+        head = quorum.query_height()
         observed = max(0, head - self.config.kappa)
-        owner, _ = quorum.query_asset_owner(self.config.token_id, observed)
+        owner = quorum.query_asset_owner(self.config.token_id, observed)
         if owner != self.asset_escrow_address:
             return False
         self._set_state(AuctionState.OPEN)
@@ -310,7 +310,7 @@ class AuctionInstance:
         """One enclave call per bidder: returns the escrow address envelope."""
         self._require_state(AuctionState.OPEN, "register_bidder")
         self.register_call_count += 1
-        head, _ = quorum.query_height()
+        head = quorum.query_height()
         if head >= self.config.deadline_height:
             raise RegistrationError("registration after the deadline is rejected")
         try:
@@ -360,7 +360,7 @@ class AuctionInstance:
 
     def cutoff_balance(self, quorum: QuorumClient, escrow: bytes) -> int:
         """The escrow's balance at the deadline height: its bid."""
-        balance, _ = quorum.query_balance(escrow, self.config.deadline_height)
+        balance = quorum.query_balance(escrow, self.config.deadline_height)
         return balance
 
     def _first_reach_height(self, quorum: QuorumClient, escrow: bytes,
@@ -369,7 +369,7 @@ class AuctionInstance:
         low, high = 1, self.config.deadline_height
         while low < high:
             mid = (low + high) // 2
-            balance, _ = quorum.query_balance(escrow, mid)
+            balance = quorum.query_balance(escrow, mid)
             if balance >= target:
                 high = mid
             else:
@@ -416,7 +416,7 @@ class AuctionInstance:
                        quorum: QuorumClient) -> ResolutionResult:
         """Query every escrow and sign the settlement; changes no state."""
         config = self.config
-        head, _ = quorum.query_height()
+        head = quorum.query_height()
         observed = max(config.deadline_height, head - config.kappa)
         fee = config.settlement_fee
         entries = self._load_registry()
@@ -432,12 +432,12 @@ class AuctionInstance:
         txs.append(SettlementTx("asset_claim", asset_tx))
 
         for entry in entries:
-            full, _ = quorum.query_balance(entry.escrow_address, observed)
+            full = quorum.query_balance(entry.escrow_address, observed)
             record = ConservationEntry(entry.escrow_address, full)
             conservation.entries.append(record)
             if full == 0:
                 continue
-            source, _ = quorum.query_funding_source(entry.escrow_address, observed)
+            source = quorum.query_funding_source(entry.escrow_address, observed)
             refund_to = source if source else None
             nonce = 0
             if winner is not None and entry.index == winner.index:

@@ -44,7 +44,7 @@ from sealedbid.gas import (
     default_pricing,
 )
 from sealedbid.proposer import finalize_proposals, open_proposals, submit_proposal
-from sealedbid.quorum import Behavior, Endpoint, QuorumClient
+from sealedbid.quorum import Endpoint, EndpointSpec, QuorumClient
 from sealedbid.scenario import Scenario, load_scenario
 from sealedbid.transactions import UnsignedTx, derive_address, sign_tx
 
@@ -278,16 +278,11 @@ class ScenarioRunner:
             tx_gas=scn.chain.tx_gas,
         )
         self.enclave = Enclave(mode="test", seed=self.seed)
-        endpoints = [
-            Endpoint(spec.id, self.chain,
-                     Behavior(kind=spec.behavior, offset=spec.offset,
-                              value=spec.value, probability=spec.probability))
-            for spec in scn.endpoints
-        ]
+        endpoints = [Endpoint(spec, self.chain) for spec in scn.endpoints]
         fallback = None
         if scn.quorum.fallback:
-            fallback = Endpoint("fallback", self.chain,
-                                Behavior(kind=scn.quorum.fallback))
+            fallback = Endpoint(EndpointSpec("fallback", scn.quorum.fallback),
+                                self.chain)
         self.audit = AuditLog()
         self.client = QuorumClient(
             endpoints,

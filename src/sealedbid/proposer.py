@@ -55,7 +55,6 @@ class ProposalPhase:
     status: str = STATUS_OPEN
     current_leader: Optional[Tuple[RegistryEntry, int]] = None
     proposal_count: int = 0
-    verified_count: int = 0  # proposals that cost a balance query
     _leader_rank: Optional[tuple] = field(default=None, repr=False)
 
     @property
@@ -71,7 +70,7 @@ def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPh
         raise StateError("auction is not configured for proposer-based resolution")
     if auction.proposal_phase is not None:
         raise StateError("proposal phase is already open")
-    head, _ = quorum.query_height()
+    head = quorum.query_height()
     phase = ProposalPhase(weakref.ref(auction),
                           window_end_height=head + auction.config.proposal_window)
     auction.proposal_phase = phase
@@ -86,13 +85,12 @@ def submit_proposal(phase: ProposalPhase, candidate_escrow: bytes,
         raise StateError("proposal phase is %s" % phase.status)
     auction = phase.auction
     phase.proposal_count += 1
-    head, _ = quorum.query_height()
+    head = quorum.query_height()
     if head >= phase.window_end_height:
         return _reject(auction, REJECT_WINDOW_EXPIRED)
     entry = auction.entry_for(candidate_escrow)
     if entry is None:
         return _reject(auction, REJECT_UNKNOWN_ESCROW)
-    phase.verified_count += 1
     amount = auction.cutoff_balance(quorum, entry.escrow_address)
     auction.gas.charge(LAYER_EXECUTION, OP_REGISTER_WINNER, actor="proposer")
     if amount == 0:
@@ -123,7 +121,7 @@ def finalize_proposals(phase: ProposalPhase,
     if phase.status != STATUS_OPEN:
         raise StateError("proposal phase is %s" % phase.status)
     auction = phase.auction
-    head, _ = quorum.query_height()
+    head = quorum.query_height()
     if head < phase.window_end_height:
         raise StateError("challenge window is open until height %d"
                          % phase.window_end_height)

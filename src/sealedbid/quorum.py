@@ -5,7 +5,8 @@ replacement (driven by enclave randomness), collects their responses,
 and accepts the plurality value only if at least q endpoints reported
 it. On disagreement the optional trusted fallback endpoint is consulted;
 if that also fails the query raises. Every query, including failed
-ones, appends one AuditRecord to the audit log.
+ones, counts once in `query_count` and appends one record to the audit
+log: its parameters, every sample, the decision and the discrepancies.
 
 Endpoint behaviors model the threat surface: honest endpoints mirror
 chain ground truth, `misreport_balance` / `misreport_height` skew their
@@ -13,8 +14,8 @@ respective query kinds (colluders share the same skew), and `withhold`
 times out with a configurable probability.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from sealedbid.chain import SimChain
 from sealedbid.errors import (
@@ -30,91 +31,77 @@ TIMEOUT_LATENCY = 10
 
 BEHAVIOR_KINDS = ("honest", "misreport_balance", "misreport_height", "withhold")
 
+# the names under which each query kind's arguments appear in the audit log
+QUERY_PARAMS = {
+    "balance": ("address", "height"),
+    "height": (),
+    "asset_owner": ("token_id", "height"),
+    "funding_source": ("address", "height"),
+}
+
 
 @dataclass(frozen=True)
-class Behavior:
-    kind: str = "honest"
+class EndpointSpec:
+    """One declared endpoint: its id and how it answers."""
+    id: str
+    behavior: str = "honest"
     offset: int = 0
     value: Optional[int] = None
     probability: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in BEHAVIOR_KINDS:
-            raise ConfigError("unknown endpoint behavior %r" % self.kind)
+        if self.behavior not in BEHAVIOR_KINDS:
+            raise ConfigError("unknown endpoint behavior %r" % self.behavior)
 
 
 class Endpoint:
     """One settlement-layer interface backed by chain ground truth."""
 
-    def __init__(self, endpoint_id: str, chain: SimChain,
-                 behavior: Behavior = Behavior()):
-        self.id = endpoint_id
+    def __init__(self, spec: EndpointSpec, chain: SimChain):
+        self.spec = spec
+        self.id = spec.id
         self.chain = chain
-        self.behavior = behavior
 
-    def serve(self, request: tuple, draw01: Callable[[], float]):
-        """Returns (value, latency); value None models a timeout."""
-        if self.behavior.kind == "withhold" and draw01() < self.behavior.probability:
-            return None, TIMEOUT_LATENCY
-        kind = request[0]
-        if kind == "balance":
-            truth = self.chain.balance_at(request[1], request[2])
-            if self.behavior.kind == "misreport_balance":
-                if self.behavior.value is not None:
-                    return self.behavior.value, HONEST_LATENCY
-                return truth + self.behavior.offset, HONEST_LATENCY
-            return truth, HONEST_LATENCY
-        if kind == "height":
+    def serve(self, query: str, args: tuple, draw01: Callable[[], float]):
+        """The endpoint's answer; None models a timeout."""
+        spec = self.spec
+        if spec.behavior == "withhold" and draw01() < spec.probability:
+            return None
+        if query == "balance":
+            truth = self.chain.balance_at(*args)
+            if spec.behavior == "misreport_balance":
+                return spec.value if spec.value is not None else truth + spec.offset
+            return truth
+        if query == "height":
             truth = self.chain.head_height
-            if self.behavior.kind == "misreport_height":
-                return truth + self.behavior.offset, HONEST_LATENCY
-            return truth, HONEST_LATENCY
-        if kind == "asset_owner":
+            if spec.behavior == "misreport_height":
+                return truth + spec.offset
+            return truth
+        if query == "asset_owner":
             try:
-                owner = self.chain.asset_owner_at(request[1], request[2])
+                return self.chain.asset_owner_at(*args)
             except ChainQueryError:
-                owner = b""  # token unknown at that height
-            return owner, HONEST_LATENCY
-        if kind == "funding_source":
-            funder = self.chain.first_funder(request[1], request[2])
+                return b""  # token unknown at that height
+        if query == "funding_source":
+            funder = self.chain.first_funder(*args)
             # b"" means "no funder yet"; None is reserved for timeouts
-            return (funder if funder is not None else b""), HONEST_LATENCY
-        raise ConfigError("unknown query kind %r" % kind)
-
-
-@dataclass
-class Decision:
-    kind: str            # "agreed" | "fallback" | "failed"
-    value: object = None
-    reason: Optional[str] = None
-
-
-@dataclass
-class AuditRecord:
-    query: str
-    params: dict
-    samples: List[dict] = field(default_factory=list)
-    decision: Optional[Decision] = None
-    discrepancy_ids: List[str] = field(default_factory=list)
-
-    def to_record(self) -> dict:
-        return {
-            "query": self.query,
-            "params": self.params,
-            "samples": self.samples,
-            "decision": {
-                "kind": self.decision.kind,
-                "value": _jsonable(self.decision.value),
-                "reason": self.decision.reason,
-            },
-            "discrepancies": self.discrepancy_ids,
-        }
+            return funder if funder is not None else b""
+        raise ConfigError("unknown query kind %r" % query)
 
 
 def _jsonable(value):
     if isinstance(value, (bytes, bytearray)):
         return hx(value)
     return value
+
+
+def _sample(endpoint: Endpoint, value) -> dict:
+    return {
+        "endpoint": endpoint.id,
+        "response": _jsonable(value),
+        "timeout": value is None,
+        "latency": TIMEOUT_LATENCY if value is None else HONEST_LATENCY,
+    }
 
 
 class QuorumClient:
@@ -156,8 +143,6 @@ class QuorumClient:
 
     def sample_endpoints(self) -> List[Endpoint]:
         """Uniform sample of sample_size distinct endpoints."""
-        if self.sample_size > len(self.endpoints):
-            raise ConfigError("sample_size exceeds endpoint list")
         pool = list(self.endpoints)
         chosen = []
         for i in range(self.sample_size):
@@ -168,49 +153,39 @@ class QuorumClient:
 
     # -- core query path -------------------------------------------------------
 
-    def _execute(self, query: str, params: dict, request: tuple):
-        record = AuditRecord(query=query, params=params)
-        responses = []
-        for endpoint in self.sample_endpoints():
-            value, latency = endpoint.serve(request, self._draw01)
-            responses.append((endpoint.id, value))
-            record.samples.append({
-                "endpoint": endpoint.id,
-                "response": _jsonable(value) if value is not None else None,
-                "timeout": value is None,
-                "latency": latency,
-            })
-        decided = self._agree(responses)
-        if decided is not None:
-            record.decision = Decision("agreed", decided)
-            record.discrepancy_ids = [eid for eid, v in responses if v != decided]
-            return self._finish(record, decided)
-        # no agreement: consult the fallback if one is declared
-        if self.fallback is not None:
-            value, latency = self.fallback.serve(request, self._draw01)
-            record.samples.append({
-                "endpoint": self.fallback.id,
-                "response": _jsonable(value) if value is not None else None,
-                "timeout": value is None,
-                "latency": latency,
-                "fallback": True,
-            })
-            if value is not None:
-                record.decision = Decision("fallback", value)
-                record.discrepancy_ids = [eid for eid, v in responses if v != value]
-                return self._finish(record, value)
-        all_withheld = all(v is None for _, v in responses)
-        reason = "timeout" if all_withheld else "no_quorum"
-        record.decision = Decision("failed", None, reason)
-        record.discrepancy_ids = [eid for eid, _ in responses]
-        self._finish(record, None)
+    def _execute(self, query: str, *args):
+        """Run one query: sample, decide, audit, then return or raise."""
+        responses = [(endpoint, endpoint.serve(query, args, self._draw01))
+                     for endpoint in self.sample_endpoints()]
+        samples = [_sample(endpoint, value) for endpoint, value in responses]
+        value = self._agree([value for _, value in responses])
+        kind, reason = "agreed", None
+        if value is None and self.fallback is not None:
+            value = self.fallback.serve(query, args, self._draw01)
+            samples.append(dict(_sample(self.fallback, value), fallback=True))
+            kind = "fallback"
+        if value is None:
+            all_withheld = all(v is None for _, v in responses)
+            kind, reason = "failed", "timeout" if all_withheld else "no_quorum"
+        self.query_count += 1
+        self.audit_log.append({
+            "query": query,
+            "params": {name: _jsonable(arg)
+                       for name, arg in zip(QUERY_PARAMS[query], args)},
+            "samples": samples,
+            "decision": {"kind": kind, "value": _jsonable(value), "reason": reason},
+            "discrepancies": [endpoint.id for endpoint, v in responses
+                              if value is None or v != value],
+        })
         if reason == "timeout":
             raise QuorumTimeout("every sampled endpoint withheld its response")
-        raise QuorumFailure("no value reached the agreement quorum")
+        if reason == "no_quorum":
+            raise QuorumFailure("no value reached the agreement quorum")
+        return value
 
-    def _agree(self, responses):
+    def _agree(self, values):
         counts = {}
-        for _, value in responses:
+        for value in values:
             if value is not None:
                 counts[value] = counts.get(value, 0) + 1
         reaching = [(count, value) for value, count in counts.items()
@@ -223,31 +198,20 @@ class QuorumClient:
             return None  # ambiguous plurality: treat as disagreement
         return winners[0]
 
-    def _finish(self, record: AuditRecord, value):
-        self.query_count += 1
-        self.audit_log.append(record.to_record())
-        return value, record
-
     # -- public query operations ---------------------------------------------------
 
-    def query_balance(self, addr: bytes, height: int):
-        return self._execute("balance", {"address": hx(addr), "height": height},
-                             ("balance", addr, height))
+    def query_balance(self, addr: bytes, height: int) -> int:
+        return self._execute("balance", addr, height)
 
-    def query_height(self):
-        return self._execute("height", {}, ("height",))
+    def query_height(self) -> int:
+        return self._execute("height")
 
-    def query_asset_owner(self, token_id: int, height: int):
-        return self._execute("asset_owner",
-                             {"token_id": token_id, "height": height},
-                             ("asset_owner", token_id, height))
+    def query_asset_owner(self, token_id: int, height: int) -> bytes:
+        return self._execute("asset_owner", token_id, height)
 
-    def query_funding_source(self, addr: bytes, height: int):
-        return self._execute("funding_source",
-                             {"address": hx(addr), "height": height},
-                             ("funding_source", addr, height))
+    def query_funding_source(self, addr: bytes, height: int) -> bytes:
+        return self._execute("funding_source", addr, height)
 
     def confirm_deadline(self, deadline_height: int) -> bool:
         """True once the agreed head is kappa blocks past the deadline."""
-        head, _ = self.query_height()
-        return head >= deadline_height + self.kappa
+        return self.query_height() >= deadline_height + self.kappa

@@ -20,6 +20,7 @@ import yaml
 
 from sealedbid.errors import ConfigError
 from sealedbid.gas import MODE_EXHAUSTIVE, MODE_PROPOSER
+from sealedbid.quorum import BEHAVIOR_KINDS, EndpointSpec
 
 
 @dataclass
@@ -50,15 +51,6 @@ class QuorumParams:
     sample_size: int = 3
     agreement_quorum: int = 2
     fallback: Optional[str] = None  # behavior name of a trusted fallback
-
-
-@dataclass
-class EndpointSpec:
-    id: str
-    behavior: str = "honest"
-    offset: int = 0
-    value: Optional[int] = None
-    probability: float = 1.0
 
 
 @dataclass
@@ -156,7 +148,7 @@ def _build(cls, data, context):
         raise ConfigError("%s: unknown keys %s" % (context, sorted(unknown)))
     try:
         return cls(**data)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError("%s: %s" % (context, exc))
 
 
@@ -206,6 +198,9 @@ def validate_scenario(scn: Scenario) -> None:
         raise ConfigError("%s: declares no endpoints" % ctx)
     if scn.quorum.sample_size > len(scn.endpoints):
         raise ConfigError("%s: sample_size exceeds the endpoint roster" % ctx)
+    if scn.quorum.fallback and scn.quorum.fallback not in BEHAVIOR_KINDS:
+        raise ConfigError("%s: quorum.fallback: unknown endpoint behavior %r"
+                          % (ctx, scn.quorum.fallback))
     seen_ids = set()
     for ep in scn.endpoints:
         if ep.id in seen_ids:

@@ -180,3 +180,22 @@ def test_non_interactivity_reads_each_block_once(make_runner, monkeypatch):
     monkeypatch.setattr(SimChain, "block_at", block_at)
     assert runner._non_interactivity_check().passed
     assert 0 < len(calls) <= runner.chain.head_height
+
+
+def expected_queries(n, mode):
+    """Queries per kind of one auction_doc run: 4n+5 exhaustive, 5n+7 proposer."""
+    heights = n + 4 if mode == "exhaustive" else 2 * n + 6
+    return {"height": heights, "balance": 2 * n, "funding_source": n,
+            "asset_owner": 1}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
+@pytest.mark.parametrize("n", [4, 12])
+def test_query_traffic_per_kind(make_runner, mode, n):
+    runner = make_runner(**auction_doc(n, mode))
+    assert runner.run().passed
+    counts = {}
+    for record in runner.audit.records:
+        counts[record["query"]] = counts.get(record["query"], 0) + 1
+    assert counts == expected_queries(n, mode)
+    assert runner.client.query_count == sum(counts.values())

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from sealedbid.cli import main
 
@@ -59,3 +60,17 @@ def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     assert main(["verify-log", str(log)]) == 1
     out = capsys.readouterr().out
     assert any(line.startswith(named) and "FAIL" in line for line in out.splitlines()), out
+
+
+@pytest.mark.parametrize("where", ["endpoint", "fallback"])
+def test_oracle_rejects_an_unknown_behavior(where, tmp_path, capsys):
+    doc = yaml.safe_load((SCENARIOS / "honest_4_bidders.yaml").read_text())
+    if where == "endpoint":
+        doc["endpoints"][0]["behavior"] = "lie"
+    else:
+        doc.setdefault("quorum", {})["fallback"] = "lie"
+    path = tmp_path / "lie.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    assert main(["oracle", str(path)]) == 2
+    assert "unknown endpoint behavior 'lie'" in capsys.readouterr().err
