@@ -1,6 +1,6 @@
 """Pure-Python fallback for the hot kernels: keccak-256 and secp256k1 group math.
 
-Implements the three-call backend contract stated in `sealedbid.crypto`,
+Implements the four-call backend contract stated in `sealedbid.crypto`,
 as does the compiled `_speedups` extension, and is the reference the
 extension is tested against.
 """
@@ -228,3 +228,15 @@ def double_mult_base(u1: int, u2: int, point):
     left = scalar_mult_base(u1)
     right = _point_mul(u2, point)
     return _point_add(left, right)
+
+
+def lift_x(x: int, odd):
+    """The curve point (x, y) with y odd when `odd` is true and even
+    otherwise, or None when x^3 + 7 is not a square mod P."""
+    y_sq = (pow(x, 3, P) + 7) % P
+    y = pow(y_sq, (P + 1) // 4, P)
+    if y * y % P != y_sq:
+        return None
+    if (y & 1) != bool(odd):
+        y = P - y
+    return (x, y)

@@ -1,8 +1,8 @@
-/* Compiled hot kernels: keccak-256 and secp256k1 base-point multiplication.
+/* Compiled hot kernels: keccak-256 and secp256k1 group math.
  *
- * Implements the three-call backend contract stated in `sealedbid.crypto`
- * (`keccak_256`, `scalar_mult_base`, `double_mult_base`); results match
- * the pure-Python reference `_purepy` exactly.
+ * Implements the four-call backend contract stated in `sealedbid.crypto`
+ * (`keccak_256`, `scalar_mult_base`, `double_mult_base`, `lift_x`); results
+ * match the pure-Python reference `_purepy` exactly.
  *
  * Field elements are four 64-bit limbs, least significant first, kept
  * reduced below p = 2^256 - 2^32 - 977; reductions use 2^256 = 0x1000003D1
@@ -111,6 +111,8 @@ typedef struct { uint64_t l[4]; } fe;
 #define REDC 0x1000003D1ULL /* 2^256 mod p */
 
 static const fe FE_P = {{0xFFFFFFFEFFFFFC2FULL, ~0ULL, ~0ULL, ~0ULL}};
+static const fe FE_ZERO = {{0, 0, 0, 0}};
+static const fe SEVEN = {{7, 0, 0, 0}}; /* the curve's b */
 
 /* r = a + b mod 2^256; returns the carry out */
 static uint64_t limbs_add(fe *r, const fe *a, const fe *b)
@@ -167,18 +169,21 @@ static void fe_fold(fe *r, uint64_t carry)
     memset(r, 0, sizeof *r); /* r == p */
 }
 
-static void fe_add(fe *r, const fe *a, const fe *b)
+/* noinline on fe_add, fe_sub, fe_mul, jac_double and jac_add: they have
+ * many call sites, and inlining them into each one slows the build (by
+ * about a third with -O3) without speeding the code. */
+static __attribute__((noinline)) void fe_add(fe *r, const fe *a, const fe *b)
 {
     fe_fold(r, limbs_add(r, a, b));
 }
 
-static void fe_sub(fe *r, const fe *a, const fe *b)
+static __attribute__((noinline)) void fe_sub(fe *r, const fe *a, const fe *b)
 {
     if (limbs_sub(r, a, b))
         limbs_add(r, r, &FE_P); /* a - b + 2^256 + p, whose carry is dropped */
 }
 
-static void fe_mul(fe *r, const fe *a, const fe *b)
+static __attribute__((noinline)) void fe_mul(fe *r, const fe *a, const fe *b)
 {
     uint64_t t[8] = {0};
     u128 c;
@@ -208,26 +213,48 @@ static void fe_sqr_n(fe *r, const fe *a, int n)
         fe_mul(r, r, r);
 }
 
-/* r = a^(p-2) = 1/a, by the addition chain of libsecp256k1's fe_inv:
- * p - 2 has runs of ones of lengths 223, 22, 2 and 1 (twice). */
-static void fe_inv(fe *r, const fe *a)
+/* The runs of ones shared by the exponents of fe_inv and fe_sqrt, after
+ * libsecp256k1: x_n = a^(2^n - 1) for n = 2, 22 and 223. */
+static void fe_pow_runs(fe *x2, fe *x22, fe *x223, const fe *a)
 {
-    fe x2, x3, x6, x9, x11, x22, x44, x88, x176, x220, x223, t;
-    fe_mul(&x2, a, a);        fe_mul(&x2, &x2, a);
-    fe_mul(&x3, &x2, &x2);    fe_mul(&x3, &x3, a);
+    fe x3, x6, x9, x11, x44, x88, x176, x220, t;
+    fe_mul(x2, a, a);         fe_mul(x2, x2, a);
+    fe_mul(&x3, x2, x2);      fe_mul(&x3, &x3, a);
     fe_sqr_n(&t, &x3, 3);     fe_mul(&x6, &t, &x3);
     fe_sqr_n(&t, &x6, 3);     fe_mul(&x9, &t, &x3);
-    fe_sqr_n(&t, &x9, 2);     fe_mul(&x11, &t, &x2);
-    fe_sqr_n(&t, &x11, 11);   fe_mul(&x22, &t, &x11);
-    fe_sqr_n(&t, &x22, 22);   fe_mul(&x44, &t, &x22);
+    fe_sqr_n(&t, &x9, 2);     fe_mul(&x11, &t, x2);
+    fe_sqr_n(&t, &x11, 11);   fe_mul(x22, &t, &x11);
+    fe_sqr_n(&t, x22, 22);    fe_mul(&x44, &t, x22);
     fe_sqr_n(&t, &x44, 44);   fe_mul(&x88, &t, &x44);
     fe_sqr_n(&t, &x88, 88);   fe_mul(&x176, &t, &x88);
     fe_sqr_n(&t, &x176, 44);  fe_mul(&x220, &t, &x44);
-    fe_sqr_n(&t, &x220, 3);   fe_mul(&x223, &t, &x3);
+    fe_sqr_n(&t, &x220, 3);   fe_mul(x223, &t, &x3);
+}
+
+/* r = a^(p-2) = 1/a: p - 2 has runs of ones of lengths 223, 22, 2 and 1
+ * (twice). */
+static void fe_inv(fe *r, const fe *a)
+{
+    fe x2, x22, x223, t;
+    fe_pow_runs(&x2, &x22, &x223, a);
     fe_sqr_n(&t, &x223, 23);  fe_mul(&t, &t, &x22);
     fe_sqr_n(&t, &t, 5);      fe_mul(&t, &t, a);
     fe_sqr_n(&t, &t, 3);      fe_mul(&t, &t, &x2);
     fe_sqr_n(&t, &t, 2);      fe_mul(r, &t, a);
+}
+
+/* r = a^((p+1)/4), a square root of a when a has one (p = 3 mod 4);
+ * (p+1)/4 has runs of ones of lengths 223, 22 and 2. Returns whether
+ * r^2 == a. */
+static int fe_sqrt(fe *r, const fe *a)
+{
+    fe x2, x22, x223, t;
+    fe_pow_runs(&x2, &x22, &x223, a);
+    fe_sqr_n(&t, &x223, 23);  fe_mul(&t, &t, &x22);
+    fe_sqr_n(&t, &t, 6);      fe_mul(&t, &t, &x2);
+    fe_sqr_n(r, &t, 2);
+    fe_mul(&t, r, r);
+    return fe_equal(&t, a);
 }
 
 /* ------------------------------------------------------------------------
@@ -235,6 +262,7 @@ static void fe_inv(fe *r, const fe *a)
  */
 
 typedef struct { fe x, y, z; } jac;
+typedef struct { fe x, y; } affine;
 
 static const jac G_JAC = {
     {{0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9ULL,
@@ -246,7 +274,7 @@ static const jac G_JAC = {
 
 static const jac INFINITY_JAC = {{{0, 0, 0, 0}}, {{1, 0, 0, 0}}, {{0, 0, 0, 0}}};
 
-static void jac_double(jac *r, const jac *p)
+static __attribute__((noinline)) void jac_double(jac *r, const jac *p)
 {
     fe a, b, c, d, e, t;
     if (fe_is_zero(&p->z) || fe_is_zero(&p->y)) {
@@ -276,7 +304,7 @@ static void jac_double(jac *r, const jac *p)
     fe_sub(&r->y, &t, &c);     /* Y3 = E(D - X3) - 8C */
 }
 
-static void jac_add(jac *r, const jac *p1, const jac *p2)
+static __attribute__((noinline)) void jac_add(jac *r, const jac *p1, const jac *p2)
 {
     fe z1z1, z2z2, u1, u2, s1, s2, h, i, j, rr, v, t;
     if (fe_is_zero(&p1->z)) {
@@ -325,23 +353,129 @@ static void jac_add(jac *r, const jac *p1, const jac *p2)
     fe_sub(&r->y, &t, &s1);    /* Y3 = r(V - X3) - 2 S1 J */
 }
 
-/* r = k1*G + k2*q, scalars as 32 big-endian bytes: double-and-add over
- * one bit of each scalar per step (a 1-bit joint Shamir ladder). */
-static void jac_shamir(jac *r, const uint8_t k1[32], const uint8_t k2[32],
-                       const jac *q)
+/* r = p1 + p2 for an affine p2: jac_add with Z2 = 1, so U1 = X1 and
+ * S1 = Y1 and the products with Z2 drop out. */
+static void jac_add_affine(jac *r, const jac *p1, const affine *p2)
 {
-    jac table[4];
-    table[1] = G_JAC;
-    table[2] = *q;
-    jac_add(&table[3], &G_JAC, q);
+    fe z1z1, u2, s2, h, i, j, rr, v, t;
+    if (fe_is_zero(&p1->z)) {
+        r->x = p2->x;
+        r->y = p2->y;
+        r->z = G_JAC.z;
+        return;
+    }
+    fe_mul(&z1z1, &p1->z, &p1->z);
+    fe_mul(&u2, &p2->x, &z1z1);
+    fe_mul(&s2, &p2->y, &p1->z);
+    fe_mul(&s2, &s2, &z1z1);
+    if (fe_equal(&p1->x, &u2)) {
+        if (fe_equal(&p1->y, &s2))
+            jac_double(r, p1);
+        else
+            *r = INFINITY_JAC;
+        return;
+    }
+    fe_sub(&h, &u2, &p1->x);
+    fe_add(&i, &h, &h);
+    fe_mul(&i, &i, &i);        /* I = (2H)^2 */
+    fe_mul(&j, &h, &i);        /* J = H * I */
+    fe_sub(&rr, &s2, &p1->y);
+    fe_add(&rr, &rr, &rr);     /* r = 2(S2 - Y1) */
+    fe_mul(&v, &p1->x, &i);    /* V = X1 * I */
+    fe_mul(&r->z, &p1->z, &h);
+    fe_add(&r->z, &r->z, &r->z); /* Z3 = 2 Z1 H */
+    fe_mul(&t, &p1->y, &j);    /* before r->y is written, as r may be p1 */
+    fe_add(&t, &t, &t);
+    fe_mul(&r->x, &rr, &rr);
+    fe_sub(&r->x, &r->x, &j);
+    fe_sub(&r->x, &r->x, &v);
+    fe_sub(&r->x, &r->x, &v);  /* X3 = r^2 - J - 2V */
+    fe_sub(&v, &v, &r->x);
+    fe_mul(&v, &rr, &v);
+    fe_sub(&r->y, &v, &t);     /* Y3 = r(V - X3) - 2 Y1 J */
+}
+
+/* 4-bit fixed windows of a 256-bit scalar: nibble i of 32 big-endian bytes,
+ * counted from the least significant end. */
+#define WINDOWS 64
+
+static int nibble(const uint8_t k[32], int i)
+{
+    return (k[31 - i / 2] >> (4 * (i & 1))) & 0xF;
+}
+
+/* G_TABLE[i][d - 1] = d * 16^i * G in affine form, for digits d in 1..15;
+ * filled once when the module is initialised. */
+
+static affine G_TABLE[WINDOWS][15];
+
+static int build_g_table(void)
+{
+    const int count = WINDOWS * 15;
+    jac *pts = PyMem_Malloc(count * sizeof *pts);
+    fe *before = PyMem_Malloc(count * sizeof *before);
+    fe inv, zi, zi2;
+    if (pts == NULL || before == NULL) {
+        PyMem_Free(pts);
+        PyMem_Free(before);
+        PyErr_NoMemory();
+        return -1;
+    }
+    jac base = G_JAC;
+    for (int i = 0; i < WINDOWS; i++) {
+        jac *row = pts + 15 * i;
+        row[0] = base;
+        for (int d = 1; d < 15; d++)
+            jac_add(&row[d], &row[d - 1], &base);
+        jac_add(&base, &base, &row[14]); /* 16^(i+1) * G */
+    }
+    /* one inversion for all Z: before[n] = Z_0 * ... * Z_(n-1) */
+    inv = G_JAC.z;
+    for (int n = 0; n < count; n++) {
+        before[n] = inv;
+        fe_mul(&inv, &inv, &pts[n].z);
+    }
+    fe_inv(&inv, &inv);
+    for (int n = count - 1; n >= 0; n--) {
+        fe_mul(&zi, &inv, &before[n]); /* 1/Z_n */
+        fe_mul(&inv, &inv, &pts[n].z);
+        affine *out = &G_TABLE[n / 15][n % 15];
+        fe_mul(&zi2, &zi, &zi);
+        fe_mul(&out->x, &pts[n].x, &zi2);
+        fe_mul(&zi2, &zi2, &zi);
+        fe_mul(&out->y, &pts[n].y, &zi2);
+    }
+    PyMem_Free(pts);
+    PyMem_Free(before);
+    return 0;
+}
+
+/* r = k*G: one table addition per nonzero window, no doublings */
+static void base_mult(jac *r, const uint8_t k[32])
+{
     *r = INFINITY_JAC;
-    for (int i = 0; i < 32; i++)
-        for (int bit = 7; bit >= 0; bit--) {
-            int idx = ((k1[i] >> bit) & 1) | (((k2[i] >> bit) & 1) << 1);
+    for (int i = 0; i < WINDOWS; i++) {
+        int d = nibble(k, i);
+        if (d)
+            jac_add_affine(r, r, &G_TABLE[i][d - 1]);
+    }
+}
+
+/* r = k*q by 4-bit fixed windows, most significant first */
+static void point_mult(jac *r, const uint8_t k[32], const jac *q)
+{
+    jac multiples[16]; /* multiples[d] = d*q */
+    multiples[1] = *q;
+    for (int d = 2; d < 16; d++)
+        jac_add(&multiples[d], &multiples[d - 1], q);
+    *r = INFINITY_JAC;
+    for (int i = WINDOWS - 1; i >= 0; i--) {
+        int d = nibble(k, i);
+        for (int b = 0; b < 4; b++)
             jac_double(r, r);
-            if (idx)
-                jac_add(r, r, &table[idx]);
-        }
+        if (d)
+            jac_add(r, r, &multiples[d]);
+    }
 }
 
 /* ------------------------------------------------------------------------
@@ -438,11 +572,11 @@ static int point_to_jac(PyObject *point, jac *out)
 
 static PyObject *py_scalar_mult_base(PyObject *self, PyObject *k)
 {
-    uint8_t k1[32], k2[32] = {0};
+    uint8_t kb[32];
     jac r;
-    if (scalar_to_bytes(k, k1) < 0)
+    if (scalar_to_bytes(k, kb) < 0)
         return NULL;
-    jac_shamir(&r, k1, k2, &INFINITY_JAC);
+    base_mult(&r, kb);
     return to_affine(&r);
 }
 
@@ -450,13 +584,37 @@ static PyObject *py_double_mult_base(PyObject *self, PyObject *args)
 {
     PyObject *u1, *u2, *point;
     uint8_t k1[32], k2[32];
-    jac q, r;
+    jac q, left, right;
     if (!PyArg_ParseTuple(args, "OOO:double_mult_base", &u1, &u2, &point)
         || scalar_to_bytes(u1, k1) < 0 || scalar_to_bytes(u2, k2) < 0
         || point_to_jac(point, &q) < 0)
         return NULL;
-    jac_shamir(&r, k1, k2, &q);
-    return to_affine(&r);
+    base_mult(&left, k1);
+    point_mult(&right, k2, &q);
+    jac_add(&left, &left, &right);
+    return to_affine(&left);
+}
+
+static PyObject *py_lift_x(PyObject *self, PyObject *args)
+{
+    PyObject *px, *py, *point;
+    int odd;
+    fe x, y, y2;
+    if (!PyArg_ParseTuple(args, "Op:lift_x", &px, &odd) || int_to_fe(px, &x) < 0)
+        return NULL;
+    fe_mul(&y2, &x, &x);
+    fe_mul(&y2, &y2, &x);
+    fe_add(&y2, &y2, &SEVEN);
+    if (!fe_sqrt(&y, &y2))
+        Py_RETURN_NONE;
+    if ((int)(y.l[0] & 1) != odd)
+        fe_sub(&y, &FE_ZERO, &y);
+    py = fe_to_int(&y);
+    if (py == NULL)
+        return NULL;
+    point = PyTuple_Pack(2, px, py);
+    Py_DECREF(py);
+    return point;
 }
 
 static PyMethodDef methods[] = {
@@ -467,6 +625,9 @@ static PyMethodDef methods[] = {
     {"double_mult_base", py_double_mult_base, METH_VARARGS,
      "double_mult_base(u1, u2, point) -> u1*G + u2*point as (x, y), or None\n"
      "for infinity; point may be None. The inner loop of key recovery."},
+    {"lift_x", py_lift_x, METH_VARARGS,
+     "lift_x(x, odd) -> the curve point (x, y) whose y is odd when odd is true\n"
+     "and even otherwise, or None when x^3 + 7 has no square root mod p."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -488,6 +649,8 @@ PyMODINIT_FUNC PyInit__speedups(void)
         if (N_INT == NULL)
             return NULL;
     }
+    if (build_g_table() < 0)
+        return NULL;
     m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "IMPLEMENTATION", "compiled") < 0)
         Py_CLEAR(m);

@@ -1,12 +1,15 @@
 """Cryptographic kernels with a compiled fast path.
 
-A backend is a module that provides `IMPLEMENTATION` (its name) and three
+A backend is a module that provides `IMPLEMENTATION` (its name) and four
 calls, which are all the package makes of it:
 
 - `keccak_256(data)`: the 32-byte keccak-256 digest of a bytes-like object;
 - `scalar_mult_base(k)`: k*G;
 - `double_mult_base(u1, u2, point)`: u1*G + u2*point, where `point` may be
-  None.
+  None;
+- `lift_x(x, odd)`: the curve point `(x, y)` for a field element x in
+  [0, P), with y odd when `odd` is true and even otherwise, or None when
+  x^3 + 7 has no square root mod P.
 
 Points are affine `(x, y)` tuples of ints, the point at infinity is None,
 and scalars are reduced mod N by the backend. The C extension

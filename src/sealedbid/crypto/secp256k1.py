@@ -121,17 +121,14 @@ def recover_public_key(digest: bytes, r: int, s: int, recovery_bit: int) -> Poin
         raise SignatureError("high-s signature rejected")
     if r >= P:
         raise SignatureError("r does not name a curve x-coordinate")
-    y_sq = (pow(r, 3, P) + 7) % P
-    y = pow(y_sq, (P + 1) // 4, P)
-    if y * y % P != y_sq:
+    r_point = backend.lift_x(r, recovery_bit)
+    if r_point is None:
         raise SignatureError("signature point is not on the curve")
-    if (y & 1) != recovery_bit:
-        y = P - y
     z = int.from_bytes(digest, "big")
     r_inv = pow(r, -1, N)
     u1 = (-z * r_inv) % N
     u2 = (s * r_inv) % N
-    point = backend.double_mult_base(u1, u2, (r, y))
+    point = backend.double_mult_base(u1, u2, r_point)
     if point is None:
         raise SignatureError("recovered the point at infinity")
     return point

@@ -196,8 +196,11 @@ def validate_scenario(scn: Scenario) -> None:
     ctx = "scenario %r" % scn.name
     if not scn.endpoints:
         raise ConfigError("%s: declares no endpoints" % ctx)
-    if scn.quorum.sample_size > len(scn.endpoints):
-        raise ConfigError("%s: sample_size exceeds the endpoint roster" % ctx)
+    if not 1 <= scn.quorum.sample_size <= len(scn.endpoints):
+        raise ConfigError("%s: sample_size must be in [1, %d], the endpoint roster"
+                          % (ctx, len(scn.endpoints)))
+    if not 1 <= scn.quorum.agreement_quorum <= scn.quorum.sample_size:
+        raise ConfigError("%s: agreement_quorum must be in [1, sample_size]" % ctx)
     if scn.quorum.fallback and scn.quorum.fallback not in BEHAVIOR_KINDS:
         raise ConfigError("%s: quorum.fallback: unknown endpoint behavior %r"
                           % (ctx, scn.quorum.fallback))

@@ -30,18 +30,29 @@ def make_runner():
 
 
 @pytest.fixture(scope="session")
-def compiled_kernel_path(tmp_path_factory):
-    """The committed `_speedups.c`, compiled into a tmp dir with the
-    benchmark's command (`gcc -shared -fPIC -O3`); skips without gcc."""
+def compile_kernel():
+    """compile_kernel(out, *flags) -> the finished run of the benchmark's
+    command (`gcc -shared -fPIC -O3`) plus `flags` on the committed
+    `_speedups.c`; skips without gcc."""
     compiler = shutil.which("gcc")
     if compiler is None:
         pytest.skip("no C compiler (gcc) on PATH")
+
+    def run(out, *flags):
+        return subprocess.run(
+            [compiler, "-shared", "-fPIC", "-O3", *flags,
+             "-I", sysconfig.get_paths()["include"], str(KERNEL_SOURCE), "-o", str(out)],
+            capture_output=True, text=True)
+    return run
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel_path(compile_kernel, tmp_path_factory):
+    """The committed `_speedups.c`, compiled into a tmp dir with the
+    benchmark's exact command."""
     out = (tmp_path_factory.mktemp("kernel")
            / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX")))
-    proc = subprocess.run(
-        [compiler, "-shared", "-fPIC", "-O3", "-I", sysconfig.get_paths()["include"],
-         str(KERNEL_SOURCE), "-o", str(out)],
-        capture_output=True, text=True)
+    proc = compile_kernel(out)
     if proc.returncode != 0:
         pytest.fail("compiling %s failed:\n%s" % (KERNEL_SOURCE.name, proc.stderr))
     return out

@@ -6,6 +6,7 @@ import pytest
 from sealedbid import harness
 from sealedbid.auction import AuctionInstance
 from sealedbid.chain import SimChain
+from sealedbid.crypto import secp256k1
 from sealedbid.enclave import Enclave
 
 
@@ -199,3 +200,25 @@ def test_query_traffic_per_kind(make_runner, mode, n):
         counts[record["query"]] = counts.get(record["query"], 0) + 1
     assert counts == expected_queries(n, mode)
     assert runner.client.query_count == sum(counts.values())
+
+
+def expected_crypto_calls(n, mode):
+    """secp256k1 calls of one auction_doc run; at n=300 exhaustive they are
+    908, 602 and 604, as the traced benchmark counts."""
+    signatures = 3 * n + 8 if mode == "exhaustive" else 4 * n + 10
+    return {"sign_recoverable": signatures, "recover_public_key": 2 * n + 2,
+            "public_key": 2 * n + 4}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
+@pytest.mark.parametrize("n", [4, 12])
+def test_crypto_calls_per_bidder(make_runner, monkeypatch, mode, n):
+    runner = make_runner(**auction_doc(n, mode))
+    counts = dict.fromkeys(expected_crypto_calls(n, mode), 0)
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(secp256k1, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(secp256k1, name, counted)
+    assert runner.run().passed
+    assert counts == expected_crypto_calls(n, mode)

@@ -74,3 +74,17 @@ def test_oracle_rejects_an_unknown_behavior(where, tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", str(path)]) == 2
     assert "unknown endpoint behavior 'lie'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quorum, message", [
+    ({"sample_size": 0, "agreement_quorum": 0}, "sample_size must be in [1, "),
+    ({"sample_size": 3, "agreement_quorum": 5}, "agreement_quorum must be in [1, sample_size]"),
+], ids=["no_sample", "quorum_above_sample"])
+def test_oracle_rejects_an_impossible_quorum(quorum, message, tmp_path, capsys):
+    doc = yaml.safe_load((SCENARIOS / "honest_4_bidders.yaml").read_text())
+    doc.setdefault("quorum", {}).update(quorum)
+    path = tmp_path / "quorum.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    assert main(["oracle", str(path)]) == 2
+    assert message in capsys.readouterr().err

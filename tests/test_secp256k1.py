@@ -1,9 +1,10 @@
 """secp256k1 group math and recoverable ECDSA.
 
-Both backends are tested through the three calls of the backend contract
+Both backends are tested through the four calls of the backend contract
 (see `sealedbid.crypto`): `scalar_mult_base` and `double_mult_base` give
 point addition as `double_mult_base(a, 1, Q) = a*G + Q` and point
-multiplication as `double_mult_base(0, b, Q) = b*Q`.
+multiplication as `double_mult_base(0, b, Q) = b*Q`, and `lift_x` gives the
+points of a given x.
 """
 
 import random
@@ -24,6 +25,12 @@ ADDRESS_VECTORS = [
     (2, "2b5ad5c4795c026514f8317c7a215e218dccd6cf"),
     (3, "6813eb9362372eef6200f3b1dbc3f819671cba69"),
 ]
+
+
+def test_kernel_compiles_without_warnings(compile_kernel, tmp_path):
+    # dead code, such as a helper no call reaches any more, fails here
+    proc = compile_kernel(tmp_path / "_speedups.so", "-Wall", "-Werror")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_generator_constants_agree(backend):
@@ -87,6 +94,47 @@ def test_backend_equivalence_random_scalars(compiled_kernel):
         assert pa == compiled.scalar_mult_base(a)
         assert pure.double_mult_base(0, b, pa) == compiled.double_mult_base(0, b, pa)
         assert pure.double_mult_base(a, b, pa) == compiled.double_mult_base(a, b, pa)
+
+
+def test_base_table_cells_match_the_reference(compiled_kernel):
+    # one scalar per cell of the 64 x 15 table of d * 16^i * G
+    for i in range(64):
+        for d in range(1, 16):
+            k = d << (4 * i)
+            assert compiled_kernel.scalar_mult_base(k) == _purepy.scalar_mult_base(k), (i, d)
+
+
+@pytest.mark.parametrize("k", [0, N, N - 1, N + 1, ((1 << 256) - 1) % N],
+                         ids=["zero", "N", "N-1", "N+1", "all-f mod N"])
+def test_edge_scalars_match_the_reference(compiled_kernel, k):
+    assert compiled_kernel.scalar_mult_base(k) == _purepy.scalar_mult_base(k)
+    g = _purepy.scalar_mult_base(1)
+    assert compiled_kernel.double_mult_base(k, k, g) == _purepy.double_mult_base(k, k, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.integers(min_value=0, max_value=P - 1),
+                   st.integers(min_value=P - 64, max_value=P - 1),
+                   st.integers(min_value=0, max_value=64)),
+       odd=st.booleans())
+def test_lift_x_matches_the_reference(compiled_kernel, x, odd):
+    point = compiled_kernel.lift_x(x, odd)
+    assert point == _purepy.lift_x(x, odd)
+    if point is not None:
+        assert point[0] == x
+        assert secp256k1.is_on_curve(point)
+        assert point[1] & 1 == odd
+
+
+def test_recovery_rejects_an_r_off_the_curve(backend, monkeypatch):
+    monkeypatch.setattr(secp256k1, "backend", backend)
+    digest = b"\x44" * 32
+    r, s, bit = secp256k1.sign_recoverable(digest, 31337)
+    assert secp256k1.recover_public_key(digest, r, s, bit) == secp256k1.public_key(31337)
+    # the smallest x whose x^3 + 7 is a non-residue
+    r = next(x for x in range(1, 100) if _purepy.lift_x(x, 0) is None)
+    with pytest.raises(SignatureError, match="signature point is not on the curve"):
+        secp256k1.recover_public_key(digest, r, s, bit)
 
 
 def test_sign_recover_identity_bulk():
