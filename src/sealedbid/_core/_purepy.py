@@ -1,6 +1,7 @@
-"""Pure-Python fallback for the hot kernels: keccak-256 and secp256k1 group math.
+"""Pure-Python fallback for the hot kernels: keccak-256, secp256k1 group math
+and inverses mod N.
 
-Implements the four-call backend contract stated in `sealedbid.crypto`,
+Implements the five-call backend contract stated in `sealedbid.crypto`,
 as does the compiled `_speedups` extension, and is the reference the
 extension is tested against.
 """
@@ -240,3 +241,8 @@ def lift_x(x: int, odd):
     if (y & 1) != bool(odd):
         y = P - y
     return (x, y)
+
+
+def inverse_mod_n(k: int) -> int:
+    """1/k mod N; ValueError when k = 0 (mod N)."""
+    return pow(k, -1, N)

@@ -78,12 +78,17 @@ class Block:
     senders: Tuple[bytes, ...] = field(default=(), compare=False)
 
     def header_hash(self) -> bytes:
-        return keccak_256(rlp.encode([
-            rlp.encode_int(self.height),
-            self.parent_hash,
-            self.state_root,
-            [tx.raw() for tx in self.tx_list],
-        ]))
+        """keccak of rlp([height, parent_hash, state_root, [raw txs]]),
+        computed once per block (kept outside the dataclass fields)."""
+        digest = self.__dict__.get("_hash")
+        if digest is None:
+            digest = self.__dict__["_hash"] = keccak_256(rlp.encode([
+                rlp.encode_int(self.height),
+                self.parent_hash,
+                self.state_root,
+                [tx.raw() for tx in self.tx_list],
+            ]))
+        return digest
 
 
 @dataclass(frozen=True)
@@ -112,28 +117,54 @@ class ReorgResult:
 
 
 class _State:
-    """Post-block account/asset snapshot; cheap to copy at desk scale."""
+    """Post-block account/asset snapshot; cheap to copy at desk scale.
 
-    __slots__ = ("balances", "nonces", "assets", "fees_collected")
+    The root is computed once per content: a copy keeps its source's root
+    until `SimChain._apply` changes it (and clears `known_root`). `leaves`
+    maps an address to its last (balance, nonce) and that account's RLP
+    leaf `rlp([addr, balance, nonce])`; copies share it, and a leaf is
+    reused only while the account's pair is unchanged, so a root
+    re-encodes just the accounts whose block touched them.
+    """
 
-    def __init__(self, balances=None, nonces=None, assets=None, fees_collected=0):
+    __slots__ = ("balances", "nonces", "assets", "fees_collected", "leaves",
+                 "known_root")
+
+    def __init__(self, balances=None, nonces=None, assets=None, fees_collected=0,
+                 leaves=None, known_root=None):
         self.balances: Dict[bytes, int] = dict(balances or {})
         self.nonces: Dict[bytes, int] = dict(nonces or {})
         self.assets: Dict[int, bytes] = dict(assets or {})
         self.fees_collected = fees_collected
+        self.leaves: Dict[bytes, Tuple[int, int, bytes]] = {} if leaves is None else leaves
+        self.known_root: Optional[bytes] = known_root
 
     def copy(self) -> "_State":
-        return _State(self.balances, self.nonces, self.assets, self.fees_collected)
+        return _State(self.balances, self.nonces, self.assets, self.fees_collected,
+                      self.leaves, self.known_root)
 
     def root(self) -> bytes:
-        accounts = sorted(set(self.balances) | set(self.nonces))
-        return keccak_256(rlp.encode([
-            [[addr, rlp.encode_int(self.balances.get(addr, 0)),
-              rlp.encode_int(self.nonces.get(addr, 0))] for addr in accounts],
+        """keccak of rlp([[[addr, balance, nonce] for each account, sorted],
+        [[token, owner] for each asset, sorted], fees_collected])."""
+        if self.known_root is not None:
+            return self.known_root
+        leaves = []
+        for addr in sorted(set(self.balances) | set(self.nonces)):
+            balance = self.balances.get(addr, 0)
+            nonce = self.nonces.get(addr, 0)
+            cached = self.leaves.get(addr)
+            if cached is None or cached[0] != balance or cached[1] != nonce:
+                cached = (balance, nonce, rlp.Encoded(rlp.encode(
+                    [addr, rlp.encode_int(balance), rlp.encode_int(nonce)])))
+                self.leaves[addr] = cached
+            leaves.append(cached[2])
+        self.known_root = keccak_256(rlp.encode([
+            leaves,
             [[rlp.encode_int(token), owner]
              for token, owner in sorted(self.assets.items())],
             rlp.encode_int(self.fees_collected),
         ]))
+        return self.known_root
 
 
 class SimChain:
@@ -167,6 +198,8 @@ class SimChain:
         genesis_block = Block(0, b"\x00" * 32, (), state.root())
         self._blocks: List[Block] = [genesis_block]
         self._tx_index: Dict[bytes, int] = {}  # tx_hash -> inclusion height
+        # address -> (height, sender) of its first value inflow
+        self._first_inflow: Dict[bytes, Tuple[int, bytes]] = {}
 
     @staticmethod
     def _iter_genesis(genesis):
@@ -245,11 +278,10 @@ class SimChain:
         with self._lock:
             if not 0 <= height <= self.head_height:
                 raise ChainQueryError("unknown height %d" % height)
-            for block in self._blocks[1:height + 1]:
-                for tx, sender in zip(block.tx_list, block.senders):
-                    if tx.to == addr and tx.value > 0:
-                        return sender
-            return None
+            first = self._first_inflow.get(addr)
+            if first is None or first[0] > height:
+                return None
+            return first[1]
 
     def pending_count(self) -> int:
         """Executable transactions awaiting the next block; queued ones are
@@ -342,8 +374,10 @@ class SimChain:
             )
             self._blocks.append(block)
             self._snapshots.append(state)
-            for tx in applied:
+            for tx, sender in zip(applied, senders):
                 self._tx_index[tx.tx_hash()] = block.height
+                if tx.value > 0 and tx.to not in self._first_inflow:
+                    self._first_inflow[tx.to] = (block.height, sender)
             return block
 
     def _apply(self, state: _State, tx: SignedTransaction, sender: bytes) -> bool:
@@ -353,6 +387,7 @@ class SimChain:
         fee = self.tx_fee(tx)
         if state.balances.get(sender, 0) < tx.value + fee:
             return False
+        state.known_root = None  # recomputed at the next root() call
         if tx.to == ASSET_REGISTRY_ADDRESS:
             try:
                 token_id, recipient = parse_asset_transfer(tx.data)
@@ -387,6 +422,9 @@ class SimChain:
             for block in removed:
                 for tx in block.tx_list:
                     self._tx_index.pop(tx.tx_hash(), None)
+                    first = self._first_inflow.get(tx.to)
+                    if first is not None and first[0] > self.head_height:
+                        del self._first_inflow[tx.to]
             stashed, stashed_queued = self._pending, self._queued
             self._pending, self._queued = [], {}
             results = [(tx, self.submit_tx(tx)) for tx in replacement_txs]

@@ -1,6 +1,6 @@
 """Cryptographic kernels with a compiled fast path.
 
-A backend is a module that provides `IMPLEMENTATION` (its name) and four
+A backend is a module that provides `IMPLEMENTATION` (its name) and five
 calls, which are all the package makes of it:
 
 - `keccak_256(data)`: the 32-byte keccak-256 digest of a bytes-like object;
@@ -9,7 +9,8 @@ calls, which are all the package makes of it:
   None;
 - `lift_x(x, odd)`: the curve point `(x, y)` for a field element x in
   [0, P), with y odd when `odd` is true and even otherwise, or None when
-  x^3 + 7 has no square root mod P.
+  x^3 + 7 has no square root mod P;
+- `inverse_mod_n(k)`: 1/k mod N, raising ValueError when k = 0 (mod N).
 
 Points are affine `(x, y)` tuples of ints, the point at infinity is None,
 and scalars are reduced mod N by the backend. The C extension

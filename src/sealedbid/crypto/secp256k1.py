@@ -93,7 +93,7 @@ def sign_recoverable(digest: bytes, private_key: int) -> Tuple[int, int, int]:
         if x_r >= N:  # would need recovery bit 2/3; draw the next nonce
             continue
         r = x_r
-        s = pow(k, -1, N) * (z + r * private_key) % N
+        s = backend.inverse_mod_n(k) * (z + r * private_key) % N
         if r == 0 or s == 0:
             continue
         recovery_bit = y_r & 1
@@ -125,7 +125,7 @@ def recover_public_key(digest: bytes, r: int, s: int, recovery_bit: int) -> Poin
     if r_point is None:
         raise SignatureError("signature point is not on the curve")
     z = int.from_bytes(digest, "big")
-    r_inv = pow(r, -1, N)
+    r_inv = backend.inverse_mod_n(r)
     u1 = (-z * r_inv) % N
     u2 = (s * r_inv) % N
     point = backend.double_mult_base(u1, u2, r_point)

@@ -331,11 +331,15 @@ def encrypt_to_key(recipient_public_key: bytes, plaintext: bytes,
     return Envelope(bytes(recipient_public_key), ephemeral_pub, ciphertext)
 
 
-def decrypt_envelope(private_key_bytes: bytes, envelope: Envelope) -> bytes:
-    """Recipient-side decryption (bidders run this outside the enclave)."""
-    if len(private_key_bytes) != 32:
-        raise KeyMaterialError("private key must be 32 bytes")
-    private_key = X25519PrivateKey.from_private_bytes(bytes(private_key_bytes))
+def decrypt_envelope(private_key, envelope: Envelope) -> bytes:
+    """Recipient-side decryption (bidders run this outside the enclave).
+
+    `private_key` is an X25519PrivateKey, or its 32 raw bytes.
+    """
+    if not isinstance(private_key, X25519PrivateKey):
+        if len(private_key) != 32:
+            raise KeyMaterialError("private key must be 32 bytes")
+        private_key = X25519PrivateKey.from_private_bytes(bytes(private_key))
     expected_pub = private_key.public_key().public_bytes_raw()
     if expected_pub != envelope.recipient_public_key:
         raise EnvelopeAuthError("envelope is addressed to a different key")

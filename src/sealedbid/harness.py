@@ -14,8 +14,11 @@ and the quorum client.
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from sealedbid import crypto
 from sealedbid.auction import (
@@ -235,11 +238,14 @@ class _Wallet:
         self.encryption_private = stream.read(32)
         self.registration_ephemeral = stream.read(32)
 
+    @cached_property
+    def encryption_key(self) -> X25519PrivateKey:
+        """The bidder's X25519 key, built once from `encryption_private`."""
+        return X25519PrivateKey.from_private_bytes(self.encryption_private)
+
     @property
     def encryption_public(self) -> bytes:
-        from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-        return X25519PrivateKey.from_private_bytes(
-            self.encryption_private).public_key().public_bytes_raw()
+        return self.encryption_key.public_key().public_bytes_raw()
 
 
 class ScenarioRunner:
@@ -358,7 +364,7 @@ class ScenarioRunner:
         registration = encrypt_to_key(self.enclave.input_public_key, payload,
                                       wallet.registration_ephemeral)
         envelope = self.auction.register_bidder(self.client, registration)
-        response = json.loads(decrypt_envelope(wallet.encryption_private, envelope))
+        response = json.loads(decrypt_envelope(wallet.encryption_key, envelope))
         escrow = unhx(response["escrow_address"])
         self.escrows[bidder_script.name] = escrow
         self._schedule_funding(bidder_script, wallet, escrow)

@@ -4,6 +4,14 @@ Legacy (pre-typed) transaction format with chain-id replay protection:
 the signature covers rlp([nonce, gas_price, gas_limit, to, value, data,
 chain_id, '', '']) and v encodes the chain id as chain_id*2 + 35 + parity.
 All integer fields use minimal big-endian encoding; decoding enforces it.
+
+A `SignedTransaction` is immutable, so its encodings and hashes are
+memoised: `raw()` encodes it once, `tx_hash()` hashes it once and
+`signing_digest()` is computed once (`sign_tx` stores the digest it
+signed, so recovering the signer re-encodes nothing). `from_raw` keeps its
+input bytes as the encoding, which strict decoding makes identical to a
+re-encoding. Concurrent first calls may both compute a value, but they
+store the same bytes, so no lock is needed.
 """
 
 from dataclasses import dataclass
@@ -99,24 +107,39 @@ class SignedTransaction:
         return UnsignedTx(self.nonce, self.gas_price, self.gas_limit, self.to,
                           self.value, self.data, self.chain_id)
 
+    # the memoised values live in the instance dict, outside the dataclass
+    # fields, so equality, hashing and repr still see only the fields
+    def signing_digest(self) -> bytes:
+        """The digest the signature covers, `unsigned().signing_digest()`."""
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = self.__dict__["_digest"] = self.unsigned().signing_digest()
+        return digest
+
     def raw(self) -> bytes:
-        return rlp.encode([
-            rlp.encode_int(self.nonce),
-            rlp.encode_int(self.gas_price),
-            rlp.encode_int(self.gas_limit),
-            self.to,
-            rlp.encode_int(self.value),
-            self.data,
-            rlp.encode_int(self.v),
-            rlp.encode_int(self.r),
-            rlp.encode_int(self.s),
-        ])
+        raw = self.__dict__.get("_raw")
+        if raw is None:
+            raw = self.__dict__["_raw"] = rlp.encode([
+                rlp.encode_int(self.nonce),
+                rlp.encode_int(self.gas_price),
+                rlp.encode_int(self.gas_limit),
+                self.to,
+                rlp.encode_int(self.value),
+                self.data,
+                rlp.encode_int(self.v),
+                rlp.encode_int(self.r),
+                rlp.encode_int(self.s),
+            ])
+        return raw
 
     def raw_hex(self) -> str:
         return "0x" + self.raw().hex()
 
     def tx_hash(self) -> bytes:
-        return keccak_256(self.raw())
+        digest = self.__dict__.get("_hash")
+        if digest is None:
+            digest = self.__dict__["_hash"] = keccak_256(self.raw())
+        return digest
 
     @classmethod
     def from_raw(cls, raw: bytes) -> "SignedTransaction":
@@ -134,7 +157,7 @@ class SignedTransaction:
         v = rlp.decode_int(fields[6])
         if v < 35:
             raise CodecError("v=%d does not carry a chain id" % v)
-        return cls(
+        tx = cls(
             nonce=rlp.decode_int(fields[0]),
             gas_price=rlp.decode_int(fields[1]),
             gas_limit=rlp.decode_int(fields[2]),
@@ -145,6 +168,8 @@ class SignedTransaction:
             r=rlp.decode_int(fields[7]),
             s=rlp.decode_int(fields[8]),
         )
+        tx.__dict__["_raw"] = bytes(raw)
+        return tx
 
 
 def sign_tx(tx: UnsignedTx, private_key: int, chain_id: int) -> SignedTransaction:
@@ -152,8 +177,9 @@ def sign_tx(tx: UnsignedTx, private_key: int, chain_id: int) -> SignedTransactio
         raise ConfigError(
             "transaction targets chain %d but was signed for %d" % (tx.chain_id, chain_id)
         )
-    r, s, recovery_bit = secp256k1.sign_recoverable(tx.signing_digest(), private_key)
-    return SignedTransaction(
+    digest = tx.signing_digest()
+    r, s, recovery_bit = secp256k1.sign_recoverable(digest, private_key)
+    signed = SignedTransaction(
         nonce=tx.nonce,
         gas_price=tx.gas_price,
         gas_limit=tx.gas_limit,
@@ -164,12 +190,14 @@ def sign_tx(tx: UnsignedTx, private_key: int, chain_id: int) -> SignedTransactio
         r=r,
         s=s,
     )
+    signed.__dict__["_digest"] = digest
+    return signed
 
 
 def recover_signer(stx: SignedTransaction) -> bytes:
     """Address whose key produced the signature; raises SignatureError."""
     if stx.v < 35:
         raise SignatureError("v=%d does not carry a chain id" % stx.v)
-    digest = stx.unsigned().signing_digest()
-    point = secp256k1.recover_public_key(digest, stx.r, stx.s, stx.recovery_bit)
+    point = secp256k1.recover_public_key(stx.signing_digest(), stx.r, stx.s,
+                                         stx.recovery_bit)
     return derive_address(point)

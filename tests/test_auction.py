@@ -1,13 +1,17 @@
 """The sealed bidder registry: rollback and tamper detection, lookup, and
 per-bidder sealed-store and history costs that stay flat as n grows."""
 
-import pytest
+from collections import Counter
 
-from sealedbid import harness
+import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
+from sealedbid import harness, rlp, transactions
 from sealedbid.auction import AuctionInstance
 from sealedbid.chain import SimChain
 from sealedbid.crypto import secp256k1
 from sealedbid.enclave import Enclave
+from sealedbid.transactions import SignedTransaction
 
 
 def auction_doc(n, mode="exhaustive", **extra):
@@ -222,3 +226,83 @@ def test_crypto_calls_per_bidder(make_runner, monkeypatch, mode, n):
         monkeypatch.setattr(secp256k1, name, counted)
     assert runner.run().passed
     assert counts == expected_crypto_calls(n, mode)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
+@pytest.mark.parametrize("n", [4, 12])
+def test_each_transaction_is_encoded_and_hashed_once(make_runner, monkeypatch, mode, n):
+    runner = make_runner(**auction_doc(n, mode))
+    created, encoded, hashed = [], Counter(), Counter()
+    real_init, real_encode = SignedTransaction.__init__, rlp.encode
+    real_keccak = transactions.keccak_256
+
+    def init(tx, *args, **kwargs):
+        real_init(tx, *args, **kwargs)
+        created.append(tx)
+
+    def encode(item):
+        out = real_encode(item)
+        encoded[out] += 1
+        return out
+
+    def keccak_256(data):
+        hashed[bytes(data)] += 1
+        return real_keccak(data)
+
+    monkeypatch.setattr(SignedTransaction, "__init__", init)
+    monkeypatch.setattr(rlp, "encode", encode)
+    monkeypatch.setattr(transactions, "keccak_256", keccak_256)
+    assert runner.run().passed
+    monkeypatch.undo()
+    raws = [tx.raw() for tx in created]
+    assert len(set(raws)) == len(created) > 2 * n  # funding and settlement txs
+    assert [encoded[raw] for raw in raws] == [1] * len(raws)
+    # every settlement and funding transaction was hashed, each one once
+    assert [hashed[raw] for raw in raws] == [1] * len(raws)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
+@pytest.mark.parametrize("n", [4, 12])
+def test_x25519_keys_built_per_auction(make_runner, monkeypatch, mode, n):
+    # the enclave's input key, then per bidder: its wallet key, its
+    # registration's ephemeral key and the enclave's reply ephemeral key
+    runner = make_runner(**auction_doc(n, mode))
+    calls = []
+    real = X25519PrivateKey.from_private_bytes.__func__
+
+    def from_private_bytes(cls, data):
+        calls.append(len(data))
+        return real(cls, data)
+
+    monkeypatch.setattr(X25519PrivateKey, "from_private_bytes",
+                        classmethod(from_private_bytes))
+    assert runner.run().passed
+    assert len(calls) == 3 * n + 1
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_first_funder_reads_no_blocks(make_runner, monkeypatch, n):
+    runner = make_runner(**auction_doc(n))
+    calls, reads = [], []
+    real = SimChain.first_funder
+
+    class CountedBlocks(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+    def first_funder(chain, addr, height):
+        calls.append(addr)
+        blocks, chain._blocks = chain._blocks, CountedBlocks(chain._blocks)
+        try:
+            return real(chain, addr, height)
+        finally:
+            chain._blocks = blocks
+
+    monkeypatch.setattr(SimChain, "first_funder", first_funder)
+    assert runner.run().passed
+    assert len(calls) >= n and reads == []

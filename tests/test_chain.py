@@ -2,17 +2,20 @@
 
 import random
 import threading
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sealedbid import chain as chain_module, rlp
 from sealedbid.chain import (
     ASSET_REGISTRY_ADDRESS,
     SimChain,
     asset_transfer_data,
 )
-from sealedbid.crypto import secp256k1
+from sealedbid.crypto import keccak_256, secp256k1
 from sealedbid.errors import ChainQueryError, ConfigError
-from sealedbid.transactions import UnsignedTx, derive_address, sign_tx
+from sealedbid.transactions import UnsignedTx, derive_address, recover_signer, sign_tx
 
 CHAIN_ID = 1
 GAS = 21_000
@@ -505,3 +508,184 @@ def test_concurrent_submissions_are_safe():
     chain.mine_block()
     assert chain.balance(C) == 8 * 10 * 10
     assert chain.total_supply() == 8 * 1_000_000
+
+
+# -- state roots, header hashes and the first-inflow index --------------------------
+
+def reference_root(state):
+    """The state root recomputed from scratch, as every block computed it
+    before account leaves were cached."""
+    accounts = sorted(set(state.balances) | set(state.nonces))
+    return keccak_256(rlp.encode([
+        [[addr, rlp.encode_int(state.balances.get(addr, 0)),
+          rlp.encode_int(state.nonces.get(addr, 0))] for addr in accounts],
+        [[rlp.encode_int(token), owner]
+         for token, owner in sorted(state.assets.items())],
+        rlp.encode_int(state.fees_collected),
+    ]))
+
+
+def reference_header_hash(block):
+    """The header hash with every transaction re-encoded from its fields."""
+    raws = [rlp.encode([rlp.encode_int(tx.nonce), rlp.encode_int(tx.gas_price),
+                        rlp.encode_int(tx.gas_limit), tx.to, rlp.encode_int(tx.value),
+                        tx.data, rlp.encode_int(tx.v), rlp.encode_int(tx.r),
+                        rlp.encode_int(tx.s)])
+            for tx in block.tx_list]
+    return keccak_256(rlp.encode([rlp.encode_int(block.height), block.parent_hash,
+                                  block.state_root, raws]))
+
+
+def reference_first_funder(chain, addr, height):
+    """The block scan that `first_funder` made before it kept an index."""
+    for block in chain._blocks[1:height + 1]:
+        for tx, sender in zip(block.tx_list, block.senders):
+            if tx.to == addr and tx.value > 0:
+                return sender
+    return None
+
+
+def test_state_root_and_header_hash_of_a_fixed_history():
+    # a transfer, then a transfer with an asset move that a reorg drops
+    chain = make_chain(assets={3: A})
+    chain.submit_tx(transfer(chain, KEY_A, C, 5))
+    chain.mine_block()
+    late = transfer(chain, KEY_B, C, 9)
+    chain.submit_tx(late)
+    chain.submit_tx(transfer(chain, KEY_A, ASSET_REGISTRY_ADDRESS, 0,
+                             data=asset_transfer_data(3, C)))
+    # the fee-exempt asset move changes A's nonce but not its balance
+    assert chain.mine_block().state_root.hex() == \
+        "41ef4f8d4287b88840d02b602f02a552ba905163c9ca2ca2913b1931f1a4e2e0"
+    assert chain.reorg(1, replacement_txs=[late]).applied
+    chain.mine_block()
+    head = chain.block_at(3)
+    assert head.state_root.hex() == \
+        "ce7b9679562d8e1b24c0670da24f58f2c6e98e5252035e1178cfd03e2122343e"
+    assert head.header_hash().hex() == \
+        "2e19e3bb218454896e4e9c67a5588b6357aa0ed6049bc7cea5326772066932be"
+    assert chain.block_at(2).header_hash().hex() == \
+        "8597d13c50c24051f4537b86cd9d63578a2d70bf252f980d52b1344ebb365a38"
+
+
+KEY_D = 1004
+D = addr_of(KEY_D)
+HISTORY_KEYS = (KEY_A, KEY_B, KEY_D)
+HISTORY_NONCES = 5
+TOKEN = 7
+
+
+@lru_cache(maxsize=None)
+def pooled_tx(key, nonce, kind):
+    """One signed transaction per (sender, nonce, kind), shared by every
+    example: a value transfer to C, a zero-value transfer to A, or a move of
+    TOKEN to C that only its owner at mining can make."""
+    to, value, data = {
+        "pay": (C, 1_000 + nonce, b""),
+        "zero": (A, 0, b""),
+        "move": (ASSET_REGISTRY_ADDRESS, 0, asset_transfer_data(TOKEN, C)),
+    }[kind]
+    tx = UnsignedTx(nonce=nonce, gas_price=1, gas_limit=GAS, to=to, value=value,
+                    data=data, chain_id=CHAIN_ID)
+    return sign_tx(tx, key, CHAIN_ID)
+
+
+_SENDERS = {}
+
+
+def recover_once(tx):
+    """`recover_signer`, memoised over the pool, so the examples stay fast
+    on the pure-Python backend."""
+    if tx not in _SENDERS:
+        _SENDERS[tx] = recover_signer(tx)
+    return _SENDERS[tx]
+
+
+submission = st.tuples(st.sampled_from(HISTORY_KEYS), st.sampled_from(("pay", "zero", "move")),
+                       st.sampled_from((0, 0, 0, 1)))
+history_step = st.one_of(
+    st.tuples(st.just("block"), st.lists(submission, max_size=4)),
+    st.tuples(st.just("reorg"), st.integers(min_value=1, max_value=3),
+              st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                 st.integers(min_value=0, max_value=3)), max_size=3)),
+)
+
+
+def run_history(steps, check):
+    """Build a chain step by step and call `check(chain)` after each one:
+    a block of submissions at the sender's next nonce (or one past it, so
+    some wait queued), or a reorg whose replacements come from the blocks
+    it removes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_module, "recover_signer", recover_once)
+        chain = make_chain(genesis={A: 10_000_000, B: 10_000_000, D: 50_000},
+                           assets={TOKEN: B})
+        check(chain)
+        for step in steps:
+            if step[0] == "block":
+                for key, kind, ahead in step[1]:
+                    nonce = chain.next_nonce(addr_of(key)) + ahead
+                    if nonce < HISTORY_NONCES:
+                        chain.submit_tx(pooled_tx(key, nonce, kind))
+                chain.mine_block()
+            else:
+                _, depth, picks = step
+                depth = min(depth, chain.head_height)
+                removed = [chain.block_at(chain.head_height - i).tx_list
+                           for i in range(depth)]
+                replacements = [removed[b][t] for b, t in picks
+                                if b < len(removed) and t < len(removed[b])]
+                chain.reorg(depth, replacements)
+            check(chain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(history_step, min_size=1, max_size=8))
+def test_maintained_state_root_matches_the_from_scratch_formula(steps):
+    def check(chain):
+        for height in range(chain.head_height + 1):
+            block = chain.block_at(height)
+            assert block.state_root == reference_root(chain._snapshots[height])
+            assert block.header_hash() == reference_header_hash(block)
+            if height:
+                assert block.parent_hash == reference_header_hash(chain.block_at(height - 1))
+    run_history(steps, check)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(history_step, min_size=1, max_size=8))
+def test_first_funder_index_matches_a_block_scan(steps):
+    def check(chain):
+        for addr in (A, B, C, D, ASSET_REGISTRY_ADDRESS):
+            for height in range(chain.head_height + 1):
+                assert chain.first_funder(addr, height) == \
+                    reference_first_funder(chain, addr, height), (addr.hex(), height)
+    run_history(steps, check)
+
+
+class CountingList(list):
+    """A block list that counts reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingList.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        CountingList.reads += 1
+        return super().__iter__()
+
+
+def test_first_funder_reads_no_blocks():
+    chain = make_chain()
+    for value in (3, 4):
+        chain.submit_tx(transfer(chain, KEY_B, C, value))
+        chain.mine_block()
+    expected = [chain.first_funder(addr, h) for addr in (A, C) for h in (0, 1, 2)]
+    chain._blocks = CountingList(chain._blocks)
+    CountingList.reads = 0
+    assert [chain.first_funder(addr, h) for addr in (A, C) for h in (0, 1, 2)] == expected
+    assert expected == [None, None, None, None, B, B]
+    assert CountingList.reads == 0
+

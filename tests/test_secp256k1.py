@@ -1,10 +1,10 @@
 """secp256k1 group math and recoverable ECDSA.
 
-Both backends are tested through the four calls of the backend contract
-(see `sealedbid.crypto`): `scalar_mult_base` and `double_mult_base` give
-point addition as `double_mult_base(a, 1, Q) = a*G + Q` and point
-multiplication as `double_mult_base(0, b, Q) = b*Q`, and `lift_x` gives the
-points of a given x.
+Both backends are tested through the calls of the backend contract (see
+`sealedbid.crypto`): `scalar_mult_base` and `double_mult_base` give point
+addition as `double_mult_base(a, 1, Q) = a*G + Q` and point multiplication
+as `double_mult_base(0, b, Q) = b*Q`, `lift_x` gives the points of a given
+x, and `inverse_mod_n` inverts scalars.
 """
 
 import random
@@ -214,3 +214,92 @@ def test_generate_private_key_retries_out_of_range():
         return next(calls)
 
     assert secp256k1.generate_private_key(rand) == 42
+
+
+# -- GLV: the compiled double_mult_base splits each scalar k as k1 + k2*lambda
+
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# the kernel's lattice basis (a1, b1), (a2, b2 = a1) and rounding constants
+A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+MINUS_B1 = 0xE4437ED6010E88286F547FA90ABFE4C3
+A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+G1 = 0x3086D221A7D46BCDE86C90E49284EB153DAA8A1471E8CA7FE893209A45DBB031
+G2 = 0xE4437ED6010E88286F547FA90ABFE4C4221208AC9DF506C61571B4AE8AC47F71
+
+
+def glv_split(k):
+    """The kernel's split of k into signed halves, k = k1 + k2*lambda (mod N)."""
+    c1 = (k * G1 + (1 << 383)) >> 384
+    c2 = (k * G2 + (1 << 383)) >> 384
+    return k - c1 * A1 - c2 * A2, c1 * MINUS_B1 - c2 * A1
+
+
+def test_glv_constants():
+    g = _purepy.scalar_mult_base(1)
+    assert LAMBDA != 1 and pow(LAMBDA, 3, N) == 1
+    assert BETA != 1 and pow(BETA, 3, P) == 1
+    assert _purepy.double_mult_base(0, LAMBDA, g) == (BETA * g[0] % P, g[1])
+    # both basis vectors lie on the lattice i + j*lambda = 0 (mod N)
+    assert (A1 - MINUS_B1 * LAMBDA) % N == 0
+    assert (A2 + A1 * LAMBDA) % N == 0
+    assert G1 == ((A1 << 384) + N // 2) // N and G2 == ((MINUS_B1 << 384) + N // 2) // N
+    for k in (0, 1, N - 1, LAMBDA, 2 ** 128 + 1, 0xDEADBEEF << 200):
+        k1, k2 = glv_split(k)
+        assert (k1 + k2 * LAMBDA - k) % N == 0
+        assert max(abs(k1), abs(k2)).bit_length() <= 128
+
+
+def scalars_with_signs():
+    """The first scalar from a fixed stream for each sign pattern of its two
+    halves."""
+    rng = random.Random(2024)
+    found = {}
+    while len(found) < 4:
+        k = rng.randrange(N)
+        found.setdefault(tuple(h < 0 for h in glv_split(k)), k)
+    return [found[key] for key in sorted(found)]
+
+
+GLV_SCALARS = [0, 1, N - 1, LAMBDA, N - LAMBDA, 2 ** 128 - 1, 2 ** 128, 2 ** 128 + 1,
+               *scalars_with_signs()]
+GLV_SCALAR_IDS = ["0", "1", "N-1", "lambda", "N-lambda", "2^128-1", "2^128", "2^128+1",
+                  "k1+k2+", "k1+k2-", "k1-k2+", "k1-k2-"]
+
+
+def glv_points():
+    g = _purepy.scalar_mult_base(1)
+    r = _purepy.scalar_mult_base(0xC0FFEE)
+    return {"G": g, "-G": (g[0], P - g[1]), "lambda*R": (BETA * r[0] % P, r[1]),
+            "R": r, "infinity": None}
+
+
+def test_scalars_cover_every_sign_pattern():
+    assert len(set(GLV_SCALARS)) == len(GLV_SCALARS) == len(GLV_SCALAR_IDS)
+    assert {tuple(h < 0 for h in glv_split(k)) for k in GLV_SCALARS} == \
+        {(a, b) for a in (False, True) for b in (False, True)}
+
+
+@pytest.mark.parametrize("point", list(glv_points()))
+@pytest.mark.parametrize("k", GLV_SCALARS, ids=GLV_SCALAR_IDS)
+def test_double_mult_base_matches_the_reference_at_glv_boundaries(compiled_kernel, k, point):
+    q = glv_points()[point]
+    other = 0x1234567890ABCDEF ** 3 % N
+    for u1, u2 in ((0, k), (k, 0), (k, k), (other, k), (k, other)):
+        assert compiled_kernel.double_mult_base(u1, u2, q) == \
+            _purepy.double_mult_base(u1, u2, q), (u1, u2)
+
+
+def test_inverse_mod_n_matches_the_reference(backend):
+    rng = random.Random(11)
+    for k in [1, 2, N - 1, N + 1, -3, *(rng.randrange(1, N) for _ in range(200))]:
+        inverse = backend.inverse_mod_n(k)
+        assert inverse == pow(k, -1, N)
+        assert 0 < inverse < N and inverse * k % N == 1
+
+
+@pytest.mark.parametrize("k", [0, N, -N], ids=["0", "N", "-N"])
+def test_inverse_mod_n_rejects_zero(backend, k):
+    with pytest.raises(ValueError):
+        backend.inverse_mod_n(k)
+
