@@ -193,6 +193,8 @@ class SimChain:
         self.tx_gas = tx_gas
         self._lock = threading.RLock()
         self._pending: List[Tuple[SignedTransaction, bytes]] = []  # (tx, sender)
+        # sender -> (its transactions in _pending, the value plus fees they commit)
+        self._pending_from: Dict[bytes, Tuple[int, int]] = {}
         self._queued: Dict[bytes, Dict[int, SignedTransaction]] = {}  # sender -> nonce -> tx
         self._snapshots: List[_State] = [state]
         genesis_block = Block(0, b"\x00" * 32, (), state.root())
@@ -247,8 +249,7 @@ class SimChain:
         Queued (future-nonce) transactions are not counted.
         """
         with self._lock:
-            pending = sum(1 for _, sender in self._pending if sender == addr)
-            return self.account_nonce(addr) + pending
+            return self.account_nonce(addr) + self._pending_from.get(addr, (0, 0))[0]
 
     def token_owner(self, token_id: int) -> bytes:
         return self.asset_owner_at(token_id, self.head_height)
@@ -316,25 +317,29 @@ class SimChain:
         cost = tx.value + self.tx_fee(tx)
         with self._lock:
             state = self._snapshots[-1]
-            pending_from_sender = [p for p, s in self._pending if s == sender]
-            expected_nonce = state.nonces.get(sender, 0) + len(pending_from_sender)
+            pending, committed = self._pending_from.get(sender, (0, 0))
+            expected_nonce = state.nonces.get(sender, 0) + pending
             queued = self._queued.get(sender, {})
             if tx.nonce < expected_nonce:
                 return SubmitResult(False, REJECT_NONCE_GAP, tx_hash)
             if tx.nonce > expected_nonce and (tx.nonce in queued
                                               or len(queued) >= MAX_QUEUED_PER_SENDER):
                 return SubmitResult(False, REJECT_NONCE_GAP, tx_hash)
-            committed = sum(p.value + self.tx_fee(p) for p in pending_from_sender)
             spendable = state.balances.get(sender, 0) - committed
             if cost > spendable:
                 return SubmitResult(False, REJECT_INSUFFICIENT, tx_hash)
             if tx.nonce > expected_nonce:
                 self._queued.setdefault(sender, {})[tx.nonce] = tx
                 return SubmitResult(False, REJECT_NONCE_GAP, tx_hash, queued=True)
-            self._pending.append((tx, sender))
+            self._admit(tx, sender, cost)
             if queued:
                 self._promote(sender, tx.nonce, spendable - cost)
             return SubmitResult(True, None, tx_hash)
+
+    def _admit(self, tx: SignedTransaction, sender: bytes, cost: int) -> None:
+        self._pending.append((tx, sender))
+        pending, committed = self._pending_from.get(sender, (0, 0))
+        self._pending_from[sender] = (pending + 1, committed + cost)
 
     def _promote(self, sender: bytes, admitted_nonce: int, spendable: int) -> None:
         """Discard `sender`'s queued transaction at `admitted_nonce`, then
@@ -349,7 +354,7 @@ class SimChain:
             cost = tx.value + self.tx_fee(tx)
             if cost > spendable:
                 break
-            self._pending.append((tx, sender))
+            self._admit(tx, sender, cost)
             spendable -= cost
             nonce += 1
         if not queued:
@@ -364,7 +369,7 @@ class SimChain:
                 if self._apply(state, tx, sender):
                     applied.append(tx)
                     senders.append(sender)
-            self._pending = []
+            self._pending, self._pending_from = [], {}
             block = Block(
                 height=self.head_height + 1,
                 parent_hash=self._blocks[-1].header_hash(),
@@ -425,8 +430,8 @@ class SimChain:
                     first = self._first_inflow.get(tx.to)
                     if first is not None and first[0] > self.head_height:
                         del self._first_inflow[tx.to]
-            stashed, stashed_queued = self._pending, self._queued
-            self._pending, self._queued = [], {}
+            stashed = self._pending, self._pending_from, self._queued
+            self._pending, self._pending_from, self._queued = [], {}, {}
             results = [(tx, self.submit_tx(tx)) for tx in replacement_txs]
             included, rejected = [], []
             for tx, result in results:
@@ -438,6 +443,6 @@ class SimChain:
                     rejected.append((result.tx_hash, result.reason))
             for _ in range(depth):
                 self.mine_block()
-            self._pending, self._queued = stashed, stashed_queued
+            self._pending, self._pending_from, self._queued = stashed
             return ReorgResult(applied=True, included=tuple(included),
                                rejected=tuple(rejected))

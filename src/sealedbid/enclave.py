@@ -16,7 +16,7 @@ import hmac
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -37,7 +37,7 @@ from sealedbid.errors import (
     SealedStoreMissing,
     SealedStoreRollback,
 )
-from sealedbid.events import unhx
+from sealedbid.events import find_hex, unhx
 from sealedbid.transactions import (
     SignedTransaction,
     UnsignedTx,
@@ -273,21 +273,45 @@ class Enclave:
             exported["input-encryption"] = self._input_key.private_bytes_raw()
             return exported
 
-    def scan_for_key_leaks(self, public_text: str) -> int:
-        """Count private-key hex occurrences in a public transcript.
+    def scan_for_key_leaks(self, *texts: str,
+                           watch: Iterable[str] = ()) -> Tuple[int, Dict[str, List[int]]]:
+        """Count the enclave's private keys, as hex, in public texts.
 
-        Runs inside the trust boundary so no key material crosses it.
+        The count is the sum over keys and texts of
+        `text.lower().count(key_hex)`: non-overlapping occurrences, taken
+        from the left. It runs inside the trust boundary, so no key
+        material crosses it. Each text is read once (`find_hex`), however
+        many keys there are, and no text is copied whole. The `watch`
+        strings are public hex; where they occur in the first text
+        (`find_hex`'s result) comes back with the count, from the same
+        pass.
         """
         with self._lock:
             material = [k.to_bytes(32, "big").hex() for k in self._keys.values()]
             material.append(self._attestation_key.to_bytes(32, "big").hex())
             material.append(self._input_key.private_bytes_raw().hex())
-        haystack = public_text.lower()
-        return sum(haystack.count(m) for m in material)
+        watch = list(watch)
+        leaks, watched = 0, {}
+        for index, text in enumerate(texts):
+            found = find_hex(text, material + watch if index == 0 else material)
+            leaks += sum(_count_apart(found.get(key, ()), len(key)) for key in material)
+            if index == 0:
+                watched = {w: found[w] for w in watch if w in found}
+        return leaks, watched
 
     def _require_test_mode(self, op: str) -> None:
         if self.mode != "test":
             raise EnclaveModeError("%s is refused in production mode" % op)
+
+
+def _count_apart(offsets: Iterable[int], length: int) -> int:
+    """How many of the ascending `offsets` `str.count` counts for a needle
+    of `length`: each one that starts after the last counted one ends."""
+    count, free = 0, 0
+    for at in offsets:
+        if at >= free:
+            count, free = count + 1, at + length
+    return count
 
 
 def _seal_box(ephemeral: X25519PrivateKey, recipient: X25519PublicKey,

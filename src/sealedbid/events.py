@@ -1,11 +1,24 @@
 """Line-delimited JSON logs: the public event stream and the query audit trail.
 
 Records are canonicalized (sorted keys, no whitespace) so that runs with
-the same seed produce byte-identical logs.
+the same seed produce byte-identical logs. `find_hex` searches a log's
+text for many hex strings in one pass.
 """
 
 import json
-from typing import List
+from typing import Dict, Iterable, List
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# `find_hex` reads the lowercased text as 8-byte words, one every _STRIDE
+# characters. Wherever a needle of at least _HEAD characters occurs, one
+# of those words lies inside it at an offset below _STRIDE, so looking
+# each word up among the needles' words at offsets 0.._STRIDE-1 finds
+# every occurrence.
+_WORD = 8
+_STRIDE = 16
+_HEAD = _STRIDE + _WORD  # the needle characters the table reads
+_WINDOW = 1 << 14  # characters lowercased and read at once; a multiple of _STRIDE
 
 
 def hx(data: bytes) -> str:
@@ -17,7 +30,76 @@ def unhx(text: str) -> bytes:
 
 
 def canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(record)
+
+
+def find_hex(text: str, needles: Iterable[str]) -> Dict[str, List[int]]:
+    """Where each needle occurs in `text.lower()`, from one pass over `text`.
+
+    Returns needle -> the ascending start offsets of all its occurrences,
+    overlapping ones included, for each needle that occurs at all; so
+    `needle in result` is `needle in text.lower()`. Needles are lowercase
+    hex, such as an address's or a key's `bytes.hex()`.
+
+    The text is read once, a window at a time, whatever the number of
+    needles; the table holds _STRIDE words per needle, and each word hit
+    is checked against the text. A needle shorter than _HEAD characters
+    or not ASCII, which no 20- or 32-byte value's hex is, costs one
+    `str.find` pass of its own.
+    """
+    wanted = set(needles)
+    if not text.isascii():
+        text = text.lower()  # lowering can change the length of non-ASCII text
+    found: Dict[str, List[int]] = {}
+    anchored = {n for n in wanted if len(n) >= _HEAD and n.isascii()}
+    short = wanted - anchored
+    if short:
+        lowered = text.lower()
+        for needle in short:
+            at = lowered.find(needle)
+            while at >= 0:
+                found.setdefault(needle, []).append(at)
+                at = lowered.find(needle, at + 1)
+    if not anchored:
+        return found
+    anchors = _anchor_table(anchored)
+    lengths = sorted({len(n) for n in anchored})
+    for start in range(0, len(text), _WINDOW):
+        window = text[start:start + _WINDOW].lower().encode("ascii", "replace")
+        whole = memoryview(window)[:len(window) - len(window) % _WORD]
+        words = whole.cast("Q")[::_STRIDE // _WORD]
+        if anchors.keys().isdisjoint(words):
+            continue
+        for k, word in enumerate(words):
+            mask = anchors.get(word)
+            if mask is None:
+                continue
+            at = start + k * _STRIDE
+            for j in range(min(_STRIDE, at + 1)):
+                if mask >> j & 1:
+                    for length in lengths:
+                        candidate = text[at - j:at - j + length].lower()
+                        if candidate in anchored:
+                            found.setdefault(candidate, []).append(at - j)
+    for offsets in found.values():
+        offsets.sort()
+    return found
+
+
+def _anchor_table(needles) -> Dict[int, int]:
+    """word -> a mask with bit j set when some needle holds that word at
+    offset j. The heads of the needles are packed _HEAD bytes apart, so
+    the words at one offset are read as one strided view."""
+    heads = b"".join(n[:_HEAD].encode("ascii") for n in needles)
+    span = _HEAD * (len(needles) - 1) + _WORD
+    table: Dict[int, int] = {}
+    for j in range(_STRIDE):
+        words = dict.fromkeys(
+            memoryview(heads[j:j + span]).cast("Q")[::_HEAD // _WORD], 1 << j)
+        for word in words.keys() & table.keys():  # rare: one word at two offsets
+            words[word] |= table[word]
+        table.update(words)
+    return table
 
 
 class JsonlLog:

@@ -36,7 +36,7 @@ from sealedbid.enclave import (
     encrypt_to_key,
 )
 from sealedbid.errors import QuorumFailure, SealedStoreIntegrity
-from sealedbid.events import AuditLog, EventLog, canonical, hx, unhx
+from sealedbid.events import AuditLog, EventLog, canonical, find_hex, hx, unhx
 from sealedbid.gas import (
     GasLedger,
     LAYER_SETTLEMENT,
@@ -115,56 +115,92 @@ _DECIMAL = re.compile(r"[0-9]+")
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
-def stated_numbers(records) -> Set[int]:
-    """Every number that JSON-like records state as a token.
+def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
+    """The members of `amounts` that JSON-like records state as a token.
 
-    That is each integer (not a boolean), each all-digit string read as
+    A token is each integer (not a boolean), each all-digit string read as
     decimal, each whole `0x` hex string read as its value, and in any
     other string each maximal run of decimal digits; dict keys count as
     strings. Digits that occur only inside a longer hex string
-    (ciphertext, a key, a hash) state no number.
+    (ciphertext, a key, a hash) state no number. One walk of the records
+    tests each token against `amounts`; a token with more significant
+    digits than the largest amount is never read as a number.
     """
-    numbers: Set[int] = set()
+    amounts = set(amounts)
+    stated: Set[int] = set()
+    if not amounts:
+        return stated
+    top = max(amounts)
+    width = {10: len(str(top)), 16: len(format(top, "x"))}
+    keys: Set[str] = set()  # read once each: every record repeats them
     stack = list(records)
-    while stack:
-        value = stack.pop()
-        if isinstance(value, dict):
-            stack.extend(value)
+    while stack or keys:
+        value = stack.pop() if stack else keys.pop()
+        if isinstance(value, str):
+            if _HEX.fullmatch(value):
+                tokens, base = (value[2:],), 16
+            elif _DECIMAL.fullmatch(value):
+                tokens, base = (value,), 10
+            else:
+                tokens, base = _DECIMAL.findall(value), 10
+            for token in tokens:
+                digits = token.lstrip("0")
+                if len(digits) <= width[base]:
+                    number = int(digits or "0", base)
+                    if number in amounts:
+                        stated.add(number)
+        elif isinstance(value, dict):
+            keys.update(value)
             stack.extend(value.values())
         elif isinstance(value, (list, tuple)):
             stack.extend(value)
-        elif isinstance(value, str):
-            if _DECIMAL.fullmatch(value):
-                numbers.add(int(value))
-            elif _HEX.fullmatch(value):
-                numbers.add(int(value, 16))
-            else:
-                numbers.update(int(run) for run in _DECIMAL.findall(value))
         elif isinstance(value, int) and not isinstance(value, bool):
-            numbers.add(value)
-    return numbers
+            if value in amounts:
+                stated.add(value)
+    return stated
 
 
 def pre_disclosure_leaks(records: List[dict], lines: List[str],
                          escrows: Dict[str, bytes],
-                         bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
+                         bids: Iterable[Tuple[str, int]] = (),
+                         found: Optional[Dict[str, List[int]]] = None) -> List[str]:
     """Escrow addresses and bid values that an event stream shows before
     disclosure begins, at its first `Resolved` or `ProposalsOpened` event.
 
-    `lines[i]` is the canonical text of `records[i]`. An escrow leaks if
-    its hex appears anywhere in that text; a bid (name, amount) leaks if
-    the records state the amount as a number (see `stated_numbers`).
+    `lines[i]` is the text of `records[i]`, and the stream's text is the
+    lines joined by "\n"; the cut is where the disclosing line starts.
+    - An escrow leaks if its hex occurs in the lowercased text before the
+      cut, also inside a longer hex run.
+    - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
+      records before the cut state the amount as a number (see
+      `stated_numbers`).
+
+    `found` is `find_hex(text, escrow hex)` for the whole text, when the
+    caller has read it already; otherwise the text before the cut is read
+    here. Either way each rule makes one pass: one scan of the text and
+    one walk of the records.
     """
     boundary = next((i for i, r in enumerate(records)
                      if r.get("event") in ("Resolved", "ProposalsOpened")),
                     len(records))
-    pre_text = "\n".join(lines[:boundary]).lower()
-    problems = ["escrow of %s leaked before disclosure" % name
-                for name, escrow in escrows.items() if escrow.hex() in pre_text]
-    numbers = stated_numbers(records[:boundary])
+    before = lines[:boundary]
+    if all(map(str.isascii, before)):
+        cut = sum(map(len, before)) + max(len(before) - 1, 0)
+    else:  # lowering can change the length of non-ASCII text
+        cut = len("\n".join(before).lower())
+    if found is None:
+        found = find_hex("\n".join(before), [e.hex() for e in escrows.values()])
+    problems = []
+    for name, escrow in escrows.items():
+        needle = escrow.hex()
+        offsets = found.get(needle)
+        if offsets and offsets[0] + len(needle) <= cut:
+            problems.append("escrow of %s leaked before disclosure" % name)
+    bids = list(bids)
+    stated = stated_numbers(records[:boundary],
+                            (amount for _, amount in bids if amount >= MIN_CHECKED_BID))
     problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
-                    for name, amount in bids
-                    if amount >= MIN_CHECKED_BID and amount in numbers)
+                    for name, amount in bids if amount in stated)
     return problems
 
 
@@ -666,23 +702,30 @@ class ScenarioRunner:
 
     def _confidentiality_check(self) -> CheckResult:
         """No escrow address or bid value in plaintext before disclosure
-        begins; no private key material anywhere, ever."""
+        begins; no private key material anywhere, ever.
+
+        Each log is read once: the events text for every escrow and key
+        together, the audit text for every key (`find_hex`).
+        """
         lines = self.events.lines()
+        events_text = "\n".join(lines)
+        escrow_hex = [escrow.hex() for escrow in self.escrows.values()]
+        leaks = 0
+        if self.flags.get("compromised"):
+            found = find_hex(events_text, escrow_hex)
+        else:
+            leaks, found = self.enclave.scan_for_key_leaks(
+                events_text, self.audit.text(), watch=escrow_hex)
         bids = [(b.name, amount) for b in self.scenario.bidders
                 for amount in (b.funding, b.topup) if amount]
         problems = pre_disclosure_leaks(self.events.records, lines,
-                                        self.escrows, bids)
-        events_text = "\n".join(lines).lower()
-        del lines  # the text replaces them: at n=300 each is a megabyte
-        if not self.flags.get("compromised"):
-            leaks = self.enclave.scan_for_key_leaks(
-                events_text + "\n" + self.audit.text())
-            if leaks:
-                problems.append("%d private-key leak(s) in public logs" % leaks)
+                                        self.escrows, bids, found)
+        if leaks:
+            problems.append("%d private-key leak(s) in public logs" % leaks)
         if self.auction is not None and self.auction.resolution is not None:
-            for name, escrow in self.escrows.items():
-                if escrow.hex() not in events_text:
-                    problems.append("escrow of %s missing from disclosure" % name)
+            problems.extend("escrow of %s missing from disclosure" % name
+                            for name, escrow in self.escrows.items()
+                            if escrow.hex() not in found)
         return CheckResult("confidentiality", not problems,
                            "; ".join(problems) if problems else
                            "no plaintext leaks before disclosure")

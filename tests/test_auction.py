@@ -1,12 +1,13 @@
 """The sealed bidder registry: rollback and tamper detection, lookup, and
-per-bidder sealed-store and history costs that stay flat as n grows."""
+per-bidder sealed-store, history and log-scan costs that stay flat as n
+grows."""
 
 from collections import Counter
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from sealedbid import harness, rlp, transactions
+from sealedbid import enclave as enclave_module, events, harness, rlp, transactions
 from sealedbid.auction import AuctionInstance
 from sealedbid.chain import SimChain
 from sealedbid.crypto import secp256k1
@@ -306,3 +307,22 @@ def test_first_funder_reads_no_blocks(make_runner, monkeypatch, n):
     monkeypatch.setattr(SimChain, "first_funder", first_funder)
     assert runner.run().passed
     assert len(calls) >= n and reads == []
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
+@pytest.mark.parametrize("n", [4, 12])
+def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mode, n):
+    runner = make_runner(**auction_doc(n, mode))
+    assert runner.run().passed
+    scanned = []
+    real = events.find_hex
+
+    def find_hex(text, needles):
+        scanned.append(len(text))
+        return real(text, needles)
+
+    monkeypatch.setattr(harness, "find_hex", find_hex)
+    monkeypatch.setattr(enclave_module, "find_hex", find_hex)
+    assert runner._confidentiality_check().passed
+    # the events text, then the audit text: each once, whatever n is
+    assert scanned == [len("\n".join(runner.events.lines())), len(runner.audit.text())]

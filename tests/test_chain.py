@@ -614,20 +614,21 @@ history_step = st.one_of(
 def run_history(steps, check):
     """Build a chain step by step and call `check(chain)` after each one:
     a block of submissions at the sender's next nonce (or one past it, so
-    some wait queued), or a reorg whose replacements come from the blocks
-    it removes."""
+    some wait queued), the same submissions left pending ("submit"), or a
+    reorg whose replacements come from the blocks it removes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain_module, "recover_signer", recover_once)
         chain = make_chain(genesis={A: 10_000_000, B: 10_000_000, D: 50_000},
                            assets={TOKEN: B})
         check(chain)
         for step in steps:
-            if step[0] == "block":
+            if step[0] in ("block", "submit"):
                 for key, kind, ahead in step[1]:
                     nonce = chain.next_nonce(addr_of(key)) + ahead
                     if nonce < HISTORY_NONCES:
                         chain.submit_tx(pooled_tx(key, nonce, kind))
-                chain.mine_block()
+                if step[0] == "block":
+                    chain.mine_block()
             else:
                 _, depth, picks = step
                 depth = min(depth, chain.head_height)
@@ -661,6 +662,45 @@ def test_first_funder_index_matches_a_block_scan(steps):
                 assert chain.first_funder(addr, height) == \
                     reference_first_funder(chain, addr, height), (addr.hex(), height)
     run_history(steps, check)
+
+
+def reference_pending_from(chain):
+    """Per sender, the pending transactions and the value plus fees they
+    commit, from a scan of the whole pending list."""
+    out = {}
+    for tx, sender in chain._pending:
+        count, committed = out.get(sender, (0, 0))
+        out[sender] = (count + 1, committed + tx.value + chain.tx_fee(tx))
+    return out
+
+
+pool_step = st.one_of(history_step,
+                      st.tuples(st.just("submit"), st.lists(submission, min_size=1, max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(pool_step, min_size=1, max_size=10))
+def test_pending_index_matches_a_list_scan(steps):
+    """The per-sender count and sum that `submit_tx` reads, kept by
+    `_promote`, `mine_block` and `reorg`, after every submission (a
+    reorg's own included) and every step."""
+    def check(chain):
+        assert chain._pending_from == reference_pending_from(chain)
+        for key in HISTORY_KEYS:
+            addr = addr_of(key)
+            assert chain.next_nonce(addr) == chain.account_nonce(addr) + \
+                reference_pending_from(chain).get(addr, (0, 0))[0]
+
+    real = SimChain.submit_tx
+
+    def submit_tx(chain, tx):
+        result = real(chain, tx)
+        check(chain)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimChain, "submit_tx", submit_tx)
+        run_history(steps, check)
 
 
 class CountingList(list):

@@ -41,6 +41,20 @@ def test_verify_log_reports_an_escrow_shown_before_disclosure(tmp_path, capsys):
     assert "confidentiality FAIL: escrow of %s leaked before disclosure" % escrow in out
 
 
+def test_verify_log_reports_an_escrow_inside_a_longer_hex_run(tmp_path, capsys):
+    log = run_logged("honest_4_bidders", tmp_path)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    escrow = next(r for r in records if r["event"] == "Resolved")["bidder_set"][1]
+    envelope = next(r for r in records if r["event"] == "BidderEnvelope")
+    envelope["ciphertext"] = "0x9e33%s%s" % (escrow[2:].upper(), envelope["ciphertext"][2:])
+    log.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                           + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["verify-log", str(log)]) == 1
+    out = capsys.readouterr().out
+    assert "confidentiality FAIL: escrow of %s leaked before disclosure" % escrow in out
+
+
 @pytest.mark.parametrize("case", ["bad_hex", "not_json", "no_code_hash"])
 def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     log = run_logged("honest_4_bidders", tmp_path)

@@ -93,3 +93,42 @@ def test_attestation_record_round_trip_verifies():
                               enclave.attestation_address)
     assert not verify_attestation(report, enclave.code_hash, b"other",
                                   enclave.attestation_address)
+
+
+def key_scan_enclave():
+    """An enclave with two escrow keys, and its private keys as hex."""
+    enclave = Enclave(mode="test", seed=7)
+    enclave.generate_keypair()
+    enclave.generate_keypair()
+    exported = enclave.compromise()
+    return enclave, {name: key.hex() for name, key in exported.items()}
+
+
+def test_key_scan_counts_each_private_key():
+    enclave, keys = key_scan_enclave()
+    assert len(keys) == 4  # two escrow keys, the attestation and the input key
+    for name, key in keys.items():
+        leaks, _ = enclave.scan_for_key_leaks('{"note":"0x%s"}' % key)
+        assert leaks == 1, name
+
+
+def test_key_scan_counts_each_text_and_case():
+    enclave, keys = key_scan_enclave()
+    attestation = keys["attestation"]
+    events = "0x%s\n%s" % (attestation.upper(), keys["input-encryption"])
+    audit = "ff%sff%s" % (attestation, attestation)
+    assert enclave.scan_for_key_leaks(events, audit) == (4, {})
+
+
+def test_key_scan_of_clean_text_is_zero():
+    enclave, keys = key_scan_enclave()
+    near = [key[:-1] + ("0" if key[-1] != "0" else "1") for key in keys.values()]
+    assert enclave.scan_for_key_leaks("", "\n".join(near), '{"event":"Open"}') == (0, {})
+
+
+def test_key_scan_returns_where_watched_hex_occurs_in_the_first_text():
+    enclave, _ = key_scan_enclave()
+    escrow = "ab" * 20
+    text = '{"a":"0x%s","b":"%s"}' % (escrow, escrow.upper())
+    leaks, watched = enclave.scan_for_key_leaks(text, text, watch=[escrow, "cd" * 20])
+    assert (leaks, watched) == (0, {escrow: [text.index(escrow), text.lower().rindex(escrow)]})

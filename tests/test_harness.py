@@ -1,14 +1,23 @@
 """The scenario runner's own checks and its report on an aborted run."""
 
 import json
+import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from sealedbid import crypto
-from sealedbid.events import canonical
-from sealedbid.harness import pre_disclosure_leaks, run_scenario, stated_numbers
+from sealedbid import crypto, events
+from sealedbid.enclave import Enclave
+from sealedbid.events import canonical, find_hex
+from sealedbid.harness import (
+    MIN_CHECKED_BID,
+    pre_disclosure_leaks,
+    run_scenario,
+    stated_numbers,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -21,7 +30,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
     {"values": [1, {"92000": None}]},
 ])
 def test_a_stated_bid_is_found(record):
-    assert 92000 in stated_numbers([record])
+    assert stated_numbers([record], [92000]) == {92000}
 
 
 @pytest.mark.parametrize("record", [
@@ -31,7 +40,7 @@ def test_a_stated_bid_is_found(record):
     {"amount": 920001},
 ])
 def test_digits_that_state_no_bid_are_not_found(record):
-    assert 92000 not in stated_numbers([record])
+    assert stated_numbers([record], [92000]) == set()
 
 
 def test_leaks_are_cut_at_the_first_disclosure_event():
@@ -50,6 +59,18 @@ def test_leaks_are_cut_at_the_first_disclosure_event():
                                 escrows, bids) == [
         "escrow of b5 leaked before disclosure",
         "bid value 92000 of b5 visible pre-resolution"]
+
+
+@pytest.mark.parametrize("prefix", ["x", "\u0130" * 3], ids=["ascii", "lengthened"])
+def test_an_escrow_that_ends_at_the_cut_leaks(prefix):
+    # raw lines, as verify-log reads them; the second ends with the escrow
+    escrow = bytes(range(20))
+    records = [{"event": "Open"}, {"event": "Open"}, {"event": "Resolved"}]
+    lines = ["a", prefix + escrow.hex(), escrow.hex()]
+    leak = ["escrow of b5 leaked before disclosure"]
+    assert pre_disclosure_leaks(records, lines, {"b5": escrow}) == leak
+    lines[1] = prefix + escrow.hex()[:-1]
+    assert pre_disclosure_leaks(records, lines, {"b5": escrow}) == []
 
 
 @pytest.mark.parametrize("seed", [179, 1055, 1513])
@@ -88,3 +109,158 @@ def test_the_report_names_its_crypto_backend(tmp_path):
     assert report.format_text().splitlines()[0] == \
         "scenario honest_1_bidder (seed %d, %s crypto): PASS" % (report.seed,
                                                                  crypto.IMPLEMENTATION)
+
+
+# -- the one-pass rules against the per-needle rules they replace ----------------
+
+def per_needle_stated_numbers(records):
+    """Every number the records state, collected whole."""
+    numbers = set()
+    stack = list(records)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, str):
+            if re.fullmatch(r"[0-9]+", value):
+                numbers.add(int(value))
+            elif re.fullmatch(r"0[xX][0-9a-fA-F]+", value):
+                numbers.add(int(value, 16))
+            else:
+                numbers.update(int(run) for run in re.findall(r"[0-9]+", value))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            numbers.add(value)
+    return numbers
+
+
+def per_needle_pre_disclosure_leaks(records, lines, escrows, bids):
+    """One `in` search of the text before the cut per escrow."""
+    boundary = next((i for i, r in enumerate(records)
+                     if r.get("event") in ("Resolved", "ProposalsOpened")),
+                    len(records))
+    pre_text = "\n".join(lines[:boundary]).lower()
+    problems = ["escrow of %s leaked before disclosure" % name
+                for name, escrow in escrows.items() if escrow.hex() in pre_text]
+    numbers = per_needle_stated_numbers(records[:boundary])
+    problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
+                    for name, amount in bids
+                    if amount >= MIN_CHECKED_BID and amount in numbers)
+    return problems
+
+
+def per_needle_key_leaks(keys, events_text, audit_text):
+    """One `str.count` pass over the joined, lowercased logs per key."""
+    haystack = (events_text + "\n" + audit_text).lower()
+    return sum(haystack.count(key) for key in keys)
+
+
+PERIODIC_KEY = "5a" * 32  # self-overlapping; no key generator would draw it
+
+
+@lru_cache(maxsize=None)
+def scanning_enclave():
+    """An enclave with one escrow key and a planted periodic key, and the
+    hex of all its private keys."""
+    enclave = Enclave(mode="test", seed=11)
+    enclave.generate_keypair()
+    enclave._keys["periodic"] = int(PERIODIC_KEY, 16)
+    keys = tuple(key.hex() for key in enclave.compromise().values())
+    return enclave, keys
+
+
+hex_run = st.text("0123456789abcdef", max_size=20)
+PLANTS = ("whole", "inside", "repeated", "overlapping", "upper", "near")
+
+
+@st.composite
+def planted(draw, needle):
+    """`needle` written into a log field in one of the ways it can hide."""
+    how = draw(st.sampled_from(PLANTS))
+    if how == "whole":
+        return "0x" + needle
+    if how == "inside":
+        return "0x%s%s%s" % (draw(hex_run), needle, draw(hex_run))
+    if how == "repeated":
+        return needle + draw(hex_run) + needle
+    if how == "overlapping":
+        return needle[:draw(st.integers(1, len(needle) - 1))] + needle
+    if how == "upper":
+        return "0X" + needle.upper()
+    return needle[:-1] + ("1" if needle[-1] == "0" else "0")  # a near miss
+
+
+escrow_bytes = st.one_of(st.binary(min_size=20, max_size=20),
+                         st.binary(min_size=2, max_size=2).map(lambda b: b * 10))
+
+
+@st.composite
+def bid_token(draw, amount):
+    """`amount` written as a token, or only as digits that state no number."""
+    return draw(st.sampled_from([
+        amount, str(amount), hex(amount), "0x000" + format(amount, "X"),
+        "pays %d at height 9" % amount, "ref %d1" % amount,
+        "0x9e%d0e" % amount, "%d" % (amount * 10 + 7),
+    ]))
+
+
+@st.composite
+def planted_logs(draw):
+    """Events with escrow hex, key hex and bid amounts planted on both
+    sides of the disclosure cut (or with no cut), and an audit text."""
+    _, keys = scanning_enclave()
+    escrows = {"b%d" % i: e for i, e in enumerate(
+        draw(st.lists(escrow_bytes, min_size=1, max_size=4)))}
+    bids = [(name, draw(st.integers(0, 3 * MIN_CHECKED_BID))) for name in escrows]
+    records = [{"event": "Open", "seq": i, "pad": draw(hex_run)}
+               for i in range(draw(st.integers(1, 6)))]
+    cut = draw(st.integers(0, len(records)))
+    if cut < len(records):
+        records[cut]["event"] = draw(st.sampled_from(["Resolved", "ProposalsOpened"]))
+    fields = [e.hex() for e in escrows.values()] + list(keys)
+    for needle in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=6)):
+        record = draw(st.sampled_from(records))
+        record.setdefault("notes", []).append(draw(planted(needle)))
+    for _, amount in bids:
+        for token in draw(st.lists(bid_token(amount), min_size=1, max_size=2)):
+            draw(st.sampled_from(records)).setdefault("tokens", []).append(token)
+    audit = [{"seq": i, "value": draw(planted(draw(st.sampled_from(fields))))}
+             for i in range(draw(st.integers(0, 3)))]
+    ascii_only = draw(st.booleans())
+    if not ascii_only:  # a raw log line may hold characters that lowering lengthens
+        records[0]["note"] = "\u0130" * 48 + "\u03a3\u212a"
+    return records, ascii_only, escrows, bids, audit
+
+
+def test_find_hex_finds_needles_across_window_edges():
+    escrow, key = "3c" * 20, "0123456789abcdef" * 4
+    for offset in range(events._WINDOW - 110, events._WINDOW + 20):
+        text = "q" * offset + escrow.upper() + key + "q"
+        assert find_hex(text, [escrow, key]) == {escrow: [offset], key: [offset + 40]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=planted_logs())
+def test_one_pass_rules_equal_the_per_needle_rules(log):
+    records, ascii_only, escrows, bids, audit = log
+    lines = [json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=ascii_only)
+             for r in records]
+    expected = per_needle_pre_disclosure_leaks(records, lines, escrows, bids)
+    # as verify-log calls it, reading the text before the cut
+    assert pre_disclosure_leaks(records, lines, escrows, bids) == expected
+    # as the harness calls it, with the escrows found in the whole text
+    events_text = "\n".join(lines)
+    audit_text = "".join(canonical(r) + "\n" for r in audit)
+    escrow_hex = [e.hex() for e in escrows.values()]
+    enclave, keys = scanning_enclave()
+    leaks, found = enclave.scan_for_key_leaks(events_text, audit_text, watch=escrow_hex)
+    assert found == find_hex(events_text, escrow_hex)
+    assert pre_disclosure_leaks(records, lines, escrows, bids, found) == expected
+    assert leaks == per_needle_key_leaks(keys, events_text, audit_text)
+    lowered = events_text.lower()
+    for needle in escrow_hex:  # the disclosure-completeness rule
+        assert (needle in found) == (needle in lowered)
+        assert found.get(needle, []) == [i for i in range(len(lowered))
+                                         if lowered.startswith(needle, i)]
