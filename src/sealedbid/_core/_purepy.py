@@ -1,10 +1,13 @@
-"""Pure-Python fallback for the hot kernels: keccak-256, secp256k1 group math
-and inverses mod N.
+"""Pure-Python fallback for the hot kernels: keccak-256, secp256k1 group math,
+inverses mod N and recoverable ECDSA with RFC 6979 nonces.
 
-Implements the five-call backend contract stated in `sealedbid.crypto`,
-as does the compiled `_speedups` extension, and is the reference the
-extension is tested against.
+Implements the backend contract stated in `sealedbid.crypto`, as does the
+compiled `_speedups` extension, and is the reference the extension is
+tested against.
 """
+
+import hashlib
+import hmac
 
 IMPLEMENTATION = "pure"
 
@@ -246,3 +249,66 @@ def lift_x(x: int, odd):
 def inverse_mod_n(k: int) -> int:
     """1/k mod N; ValueError when k = 0 (mod N)."""
     return pow(k, -1, N)
+
+
+# ---------------------------------------------------------------------------
+# Recoverable ECDSA
+
+HALF_N = N // 2
+
+
+def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    return hmac.new(key, msg, hashlib.sha256).digest()
+
+
+def _rfc6979_candidates(digest: bytes, private_key: int):
+    # hlen == qlen == 256 bits, so bits2int is the identity on the digest
+    x = private_key.to_bytes(32, "big")
+    h_reduced = (int.from_bytes(digest, "big") % N).to_bytes(32, "big")
+    v = b"\x01" * 32
+    k = b"\x00" * 32
+    k = _hmac_sha256(k, v + b"\x00" + x + h_reduced)
+    v = _hmac_sha256(k, v)
+    k = _hmac_sha256(k, v + b"\x01" + x + h_reduced)
+    v = _hmac_sha256(k, v)
+    while True:
+        v = _hmac_sha256(k, v)
+        candidate = int.from_bytes(v, "big")
+        if 1 <= candidate < N:
+            yield candidate
+        k = _hmac_sha256(k, v + b"\x00")
+        v = _hmac_sha256(k, v)
+
+
+def sign_recoverable(digest: bytes, private_key: int):
+    """(r, s, recovery_bit) for a 32-byte digest and a key in [1, N), with
+    s <= N/2; a nonce whose x(k*G) >= N, or that gives r or s = 0, is
+    skipped for the next."""
+    z = int.from_bytes(digest, "big")
+    for k in _rfc6979_candidates(digest, private_key):
+        x_r, y_r = scalar_mult_base(k)
+        if x_r >= N:  # would need recovery bit 2/3; draw the next nonce
+            continue
+        r = x_r
+        s = inverse_mod_n(k) * (z + r * private_key) % N
+        if r == 0 or s == 0:
+            continue
+        recovery_bit = y_r & 1
+        if s > HALF_N:
+            s = N - s
+            recovery_bit ^= 1
+        return r, s, recovery_bit
+
+
+def recover_public_key(digest: bytes, r: int, s: int, recovery_bit):
+    """The signer's public key for r, s in [1, N); ValueError when r names
+    no curve point of that parity or the key would be infinity."""
+    r_point = lift_x(r, recovery_bit)
+    if r_point is None:
+        raise ValueError("signature point is not on the curve")
+    z = int.from_bytes(digest, "big")
+    r_inv = inverse_mod_n(r)
+    point = double_mult_base((-z * r_inv) % N, (s * r_inv) % N, r_point)
+    if point is None:
+        raise ValueError("recovered the point at infinity")
+    return point

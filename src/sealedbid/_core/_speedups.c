@@ -1,15 +1,22 @@
-/* Compiled hot kernels: keccak-256, secp256k1 group math and inverses mod N.
+/* Compiled hot kernels: keccak-256, secp256k1 group math, inverses and
+ * recoverable ECDSA.
  *
- * Implements the five-call backend contract stated in `sealedbid.crypto`
- * (`keccak_256`, `scalar_mult_base`, `double_mult_base`, `lift_x`,
- * `inverse_mod_n`); results match the pure-Python reference `_purepy`
- * exactly.
+ * Implements the backend contract stated in `sealedbid.crypto`: the calls
+ * the package makes (`keccak_256`, `scalar_mult_base`, `sign_recoverable`,
+ * `recover_public_key`) and the building blocks the tests compare
+ * (`double_mult_base`, `lift_x`, `inverse_mod_n`); results match the
+ * pure-Python reference `_purepy` exactly. A signature is one call: the
+ * RFC 6979 nonce (HMAC-SHA256, in C here), k*G, s = (z + r*d)/k, low s and
+ * the recovery bit; a recovery is one call too.
  *
  * Field elements are four 64-bit limbs, least significant first, kept
  * reduced below p = 2^256 - 2^32 - 977; reductions use 2^256 = 0x1000003D1
  * (mod p). Scalars use the same four limbs, reduced below the group order
- * N. Bytes are read and written one at a time, so nothing depends on the
- * host's byte order. Needs a compiler with `unsigned __int128`.
+ * N. Inverses mod p and mod N are one variable-time safegcd routine
+ * (Bernstein-Yang), so their time depends on the input, as signing's does:
+ * the enclave is emulated, and no side-channel resistance is claimed. Bytes
+ * are read and written one at a time, so nothing depends on the host's
+ * byte order. Needs a compiler with `__int128`.
  *
  * Build: python setup.py build_ext --inplace
  *    or: gcc -shared -fPIC -O3 -I <python include dir> _speedups.c -o ...
@@ -21,6 +28,16 @@
 #include <string.h>
 
 typedef unsigned __int128 u128;
+
+/* Functions with several call sites, or called once per signature rather
+ * than once per field operation, are kept out of line: gcc -O3's build time
+ * grows with the code that inlining and cloning copy, and the copies do not
+ * speed the code. */
+#ifdef __clang__
+#define OUT_OF_LINE __attribute__((noinline)) /* clang has no noclone */
+#else
+#define OUT_OF_LINE __attribute__((noinline, noclone))
+#endif
 
 /* ------------------------------------------------------------------------
  * keccak-256 (original keccak 0x01 padding, not SHA-3 FIPS)
@@ -131,6 +148,19 @@ static const fe FE_P = {{0xFFFFFFFEFFFFFC2FULL, ~0ULL, ~0ULL, ~0ULL}};
 static const fe FE_ZERO = {{0, 0, 0, 0}};
 static const fe SEVEN = {{7, 0, 0, 0}}; /* the curve's b */
 
+/* 32 big-endian bytes <-> limbs */
+static OUT_OF_LINE void fe_from_be(fe *a, const uint8_t b[32])
+{
+    for (int i = 0; i < 4; i++)
+        a->l[i] = load64_be(b + 24 - 8 * i);
+}
+
+static OUT_OF_LINE void fe_to_be(uint8_t b[32], const fe *a)
+{
+    for (int i = 0; i < 32; i++)
+        b[31 - i] = (uint8_t)(a->l[i / 8] >> (8 * (i % 8)));
+}
+
 /* r = a + b mod 2^256; returns the carry out */
 static uint64_t limbs_add(fe *r, const fe *a, const fe *b)
 {
@@ -196,22 +226,19 @@ static void half_mod(fe *a, const fe *m)
     a->l[3] = a->l[3] >> 1 | top << 63;
 }
 
-/* noinline on fe_add, fe_sub, mul_wide, fe_mul, fe_sqr, jac_double and
- * jac_add: they have many call sites, and inlining them into each one slows
- * the build (by about a third with -O3) without speeding the code. */
-static __attribute__((noinline)) void fe_add(fe *r, const fe *a, const fe *b)
+static OUT_OF_LINE void fe_add(fe *r, const fe *a, const fe *b)
 {
     fe_fold(r, limbs_add(r, a, b));
 }
 
-static __attribute__((noinline)) void fe_sub(fe *r, const fe *a, const fe *b)
+static OUT_OF_LINE void fe_sub(fe *r, const fe *a, const fe *b)
 {
     if (limbs_sub(r, a, b))
         limbs_add(r, r, &FE_P); /* a - b + 2^256 + p, whose carry is dropped */
 }
 
 /* t = a * b, the full 512-bit product */
-static __attribute__((noinline)) void mul_wide(uint64_t t[8], const fe *a, const fe *b)
+static OUT_OF_LINE void mul_wide(uint64_t t[8], const fe *a, const fe *b)
 {
     u128 c;
     memset(t, 0, 8 * sizeof *t);
@@ -238,7 +265,7 @@ static void fe_reduce(fe *r, const uint64_t t[8])
     fe_fold(r, (uint64_t)c);
 }
 
-static __attribute__((noinline)) void fe_mul(fe *r, const fe *a, const fe *b)
+static OUT_OF_LINE void fe_mul(fe *r, const fe *a, const fe *b)
 {
     uint64_t t[8];
     mul_wide(t, a, b);
@@ -247,7 +274,7 @@ static __attribute__((noinline)) void fe_mul(fe *r, const fe *a, const fe *b)
 
 /* r = a^2: the six cross products a_i*a_j (i < j) once, doubled by a shift,
  * plus the four squares a_i^2; ten multiplications where fe_mul makes 16 */
-static __attribute__((noinline)) void fe_sqr(fe *r, const fe *a)
+static OUT_OF_LINE void fe_sqr(fe *r, const fe *a)
 {
     const uint64_t *x = a->l;
     uint64_t t[8];
@@ -283,50 +310,30 @@ static __attribute__((noinline)) void fe_sqr(fe *r, const fe *a)
     fe_reduce(r, t);
 }
 
-static void fe_sqr_n(fe *r, const fe *a, int n)
+static OUT_OF_LINE void fe_sqr_n(fe *r, const fe *a, int n)
 {
     *r = *a;
     while (n-- > 0)
         fe_sqr(r, r);
 }
 
-/* The runs of ones shared by the exponents of fe_inv and fe_sqrt, after
- * libsecp256k1: x_n = a^(2^n - 1) for n = 2, 22 and 223. */
-static void fe_pow_runs(fe *x2, fe *x22, fe *x223, const fe *a)
+/* r = a^((p+1)/4), a square root of a when a has one (p = 3 mod 4). After
+ * libsecp256k1: x_n = a^(2^n - 1) is built for n = 2, 22 and 223, the
+ * runs of ones in (p+1)/4. Returns whether r^2 == a. */
+static int fe_sqrt(fe *r, const fe *a)
 {
-    fe x3, x6, x9, x11, x44, x88, x176, x220, t;
-    fe_sqr(x2, a);            fe_mul(x2, x2, a);
-    fe_sqr(&x3, x2);          fe_mul(&x3, &x3, a);
+    fe x2, x3, x6, x9, x11, x22, x44, x88, x176, x220, x223, t;
+    fe_sqr(&x2, a);           fe_mul(&x2, &x2, a);
+    fe_sqr(&x3, &x2);         fe_mul(&x3, &x3, a);
     fe_sqr_n(&t, &x3, 3);     fe_mul(&x6, &t, &x3);
     fe_sqr_n(&t, &x6, 3);     fe_mul(&x9, &t, &x3);
-    fe_sqr_n(&t, &x9, 2);     fe_mul(&x11, &t, x2);
-    fe_sqr_n(&t, &x11, 11);   fe_mul(x22, &t, &x11);
-    fe_sqr_n(&t, x22, 22);    fe_mul(&x44, &t, x22);
+    fe_sqr_n(&t, &x9, 2);     fe_mul(&x11, &t, &x2);
+    fe_sqr_n(&t, &x11, 11);   fe_mul(&x22, &t, &x11);
+    fe_sqr_n(&t, &x22, 22);   fe_mul(&x44, &t, &x22);
     fe_sqr_n(&t, &x44, 44);   fe_mul(&x88, &t, &x44);
     fe_sqr_n(&t, &x88, 88);   fe_mul(&x176, &t, &x88);
     fe_sqr_n(&t, &x176, 44);  fe_mul(&x220, &t, &x44);
-    fe_sqr_n(&t, &x220, 3);   fe_mul(x223, &t, &x3);
-}
-
-/* r = a^(p-2) = 1/a: p - 2 has runs of ones of lengths 223, 22, 2 and 1
- * (twice). */
-static void fe_inv(fe *r, const fe *a)
-{
-    fe x2, x22, x223, t;
-    fe_pow_runs(&x2, &x22, &x223, a);
-    fe_sqr_n(&t, &x223, 23);  fe_mul(&t, &t, &x22);
-    fe_sqr_n(&t, &t, 5);      fe_mul(&t, &t, a);
-    fe_sqr_n(&t, &t, 3);      fe_mul(&t, &t, &x2);
-    fe_sqr_n(&t, &t, 2);      fe_mul(r, &t, a);
-}
-
-/* r = a^((p+1)/4), a square root of a when a has one (p = 3 mod 4);
- * (p+1)/4 has runs of ones of lengths 223, 22 and 2. Returns whether
- * r^2 == a. */
-static int fe_sqrt(fe *r, const fe *a)
-{
-    fe x2, x22, x223, t;
-    fe_pow_runs(&x2, &x22, &x223, a);
+    fe_sqr_n(&t, &x220, 3);   fe_mul(&x223, &t, &x3);
     fe_sqr_n(&t, &x223, 23);  fe_mul(&t, &t, &x22);
     fe_sqr_n(&t, &t, 6);      fe_mul(&t, &t, &x2);
     fe_sqr_n(r, &t, 2);
@@ -335,18 +342,181 @@ static int fe_sqrt(fe *r, const fe *a)
 }
 
 /* ------------------------------------------------------------------------
- * Scalars: inversion mod the group order N, and the GLV split
+ * Inverses mod p and mod N: Bernstein-Yang safegcd ("Fast constant-time gcd
+ * computation and modular inversion", TCHES 2019) in libsecp256k1's
+ * variable-time modinv64 form. Values are five signed 62-bit limbs; each
+ * round runs 62 divsteps on the low limbs alone (divsteps_62), then applies
+ * their 2x2 transition matrix to f, g and to the cofactors d, e
+ * (apply_steps). The time depends on the input, as
+ * the binary Euclid it replaces did: the enclave is emulated, and no
+ * side-channel claim is made.
+ */
+
+typedef __int128 i128;
+typedef struct { int64_t v[5]; } s62;
+typedef struct { int64_t u, v, q, r; } trans;
+typedef struct { s62 m; uint64_t inv62; } modulus; /* inv62 = 1/m mod 2^62 */
+
+#define M62 (UINT64_MAX >> 2)
+
+static const modulus MOD_P = {{{-0x1000003D1LL, 0, 0, 0, 256}}, 0x27C7F6E22DDACACFULL};
+static const modulus MOD_N = {{{0x3FD25E8CD0364141LL, 0x2ABB739ABD2280EELL, -0x15LL, 0, 256}},
+                              0x34F20099AA774EC1ULL};
+
+/* 62 divsteps on the low bits of f (odd) and g; returns the new eta (minus
+ * delta) and the matrix t with t * [f, g] = 2^62 * [f', g'] */
+static OUT_OF_LINE int64_t divsteps_62(int64_t eta, uint64_t f, uint64_t g,
+                                                     trans *t)
+{
+    uint64_t u = 1, v = 0, q = 0, r = 1, m, w, tmp;
+    int i = 62, limit, zeros;
+    for (;;) {
+        /* the zero bits of g, counted up to i, are divsteps that halve g */
+        zeros = __builtin_ctzll(g | (UINT64_MAX << i));
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= zeros;
+        i -= zeros;
+        if (i == 0)
+            break;
+        if (eta < 0) {
+            /* swap: (f, g) = (g, -f), and cancel up to 6 bits of g; never
+             * more than i bits, nor more than eta + 1, after which the sign
+             * of eta flips again */
+            eta = -eta;
+            limit = (int)eta + 1 > i ? i : (int)eta + 1;
+            tmp = f; f = g; g = -tmp;
+            tmp = u; u = q; q = -tmp;
+            tmp = v; v = r; r = -tmp;
+            m = (UINT64_MAX >> (64 - limit)) & 63;
+            w = (f * g * (f * f - 2)) & m;
+        } else {
+            /* cancel up to 4 bits of g */
+            limit = (int)eta + 1 > i ? i : (int)eta + 1;
+            m = (UINT64_MAX >> (64 - limit)) & 15;
+            w = f + (((f + 1) & 4) << 1);
+            w = (-w * g) & m;
+        }
+        g += f * w;
+        q += u * w;
+        r += v * w;
+    }
+    t->u = (int64_t)u;
+    t->v = (int64_t)v;
+    t->q = (int64_t)q;
+    t->r = (int64_t)r;
+    return eta;
+}
+
+/* [a, b] = (t * [a, b] + m * [ma, mb]) / 2^62 on the low len limbs: for the
+ * cofactors d and e, ma and mb are chosen so that the division is exact
+ * and d, e stay in (-2m, m); f and g divide exactly as they are, so they
+ * pass NO_MODULUS, which makes ma = mb = 0 */
+static const modulus NO_MODULUS = {{{0, 0, 0, 0, 0}}, 0};
+
+static OUT_OF_LINE void apply_steps(s62 *a, s62 *b, int len,
+                                                           const trans *t, const modulus *mod)
+{
+    const int64_t u = t->u, v = t->v, q = t->q, r = t->r;
+    int64_t ma = 0, mb = 0;
+    i128 ca = (i128)u * a->v[0] + (i128)v * b->v[0];
+    i128 cb = (i128)q * a->v[0] + (i128)r * b->v[0];
+    if (mod->inv62) {
+        int64_t sa = a->v[4] >> 63, sb = b->v[4] >> 63;
+        ma = (u & sa) + (v & sb);
+        mb = (q & sa) + (r & sb);
+        ma -= (int64_t)((mod->inv62 * (uint64_t)ca + (uint64_t)ma) & M62);
+        mb -= (int64_t)((mod->inv62 * (uint64_t)cb + (uint64_t)mb) & M62);
+    }
+    ca = (ca + (i128)mod->m.v[0] * ma) >> 62;
+    cb = (cb + (i128)mod->m.v[0] * mb) >> 62;
+    for (int i = 1; i < len; i++) {
+        ca += (i128)u * a->v[i] + (i128)v * b->v[i] + (i128)mod->m.v[i] * ma;
+        cb += (i128)q * a->v[i] + (i128)r * b->v[i] + (i128)mod->m.v[i] * mb;
+        a->v[i - 1] = (int64_t)((uint64_t)ca & M62);
+        b->v[i - 1] = (int64_t)((uint64_t)cb & M62);
+        ca >>= 62;
+        cb >>= 62;
+    }
+    a->v[len - 1] = (int64_t)ca;
+    b->v[len - 1] = (int64_t)cb;
+}
+
+/* carry so that limbs 0..3 are in [0, 2^62) and limb 4 holds the sign */
+static void s62_carry(s62 *x)
+{
+    for (int i = 0; i < 4; i++) {
+        x->v[i + 1] += x->v[i] >> 62;
+        x->v[i] &= (int64_t)M62;
+    }
+}
+
+/* carry, then x += m when x < 0 */
+static void s62_add_if_negative(s62 *x, const modulus *mod)
+{
+    s62_carry(x);
+    if (x->v[4] < 0) {
+        for (int i = 0; i < 5; i++)
+            x->v[i] += mod->m.v[i];
+        s62_carry(x);
+    }
+}
+
+/* r = 1/a (mod m) for a in [0, m); 0 has no inverse and gives 0 */
+static OUT_OF_LINE void mod_inverse(fe *r, const fe *a, const modulus *mod)
+{
+    const uint64_t *l = a->l;
+    s62 d = {{0, 0, 0, 0, 0}}, e = {{1, 0, 0, 0, 0}}, f = mod->m;
+    s62 g = {{(int64_t)(l[0] & M62), (int64_t)((l[0] >> 62 | l[1] << 2) & M62),
+              (int64_t)((l[1] >> 60 | l[2] << 4) & M62),
+              (int64_t)((l[2] >> 58 | l[3] << 6) & M62), (int64_t)(l[3] >> 56)}};
+    int64_t eta = -1, fn, gn, any;
+    int len = 5;
+    for (;;) {
+        trans t;
+        eta = divsteps_62(eta, (uint64_t)f.v[0], (uint64_t)g.v[0], &t);
+        apply_steps(&d, &e, 5, &t, mod);
+        apply_steps(&f, &g, len, &t, &NO_MODULUS);
+        if (g.v[0] == 0) {
+            any = 0;
+            for (int i = 1; i < len; i++)
+                any |= g.v[i];
+            if (any == 0)
+                break;
+        }
+        /* drop the top limb once it is 0 or -1 in both f and g */
+        fn = f.v[len - 1];
+        gn = g.v[len - 1];
+        if (len > 1 && (fn ^ (fn >> 63)) == 0 && (gn ^ (gn >> 63)) == 0) {
+            f.v[len - 2] = (int64_t)((uint64_t)f.v[len - 2] | (uint64_t)fn << 62);
+            g.v[len - 2] = (int64_t)((uint64_t)g.v[len - 2] | (uint64_t)gn << 62);
+            len--;
+        }
+    }
+    /* now f = +-1 (the gcd) and d = +-1/a: bring d to [0, m) */
+    s62_add_if_negative(&d, mod);
+    if (f.v[len - 1] < 0)
+        for (int i = 0; i < 5; i++)
+            d.v[i] = -d.v[i];
+    s62_add_if_negative(&d, mod);
+    r->l[0] = (uint64_t)d.v[0] | (uint64_t)d.v[1] << 62;
+    r->l[1] = (uint64_t)d.v[1] >> 2 | (uint64_t)d.v[2] << 60;
+    r->l[2] = (uint64_t)d.v[2] >> 4 | (uint64_t)d.v[3] << 58;
+    r->l[3] = (uint64_t)d.v[3] >> 6 | (uint64_t)d.v[4] << 56;
+}
+
+/* ------------------------------------------------------------------------
+ * Scalars mod the group order N, and the GLV split
  */
 
 static const fe SC_N = {{0xBFD25E8CD0364141ULL, 0xBAAEDCE6AF48A03BULL,
                          0xFFFFFFFFFFFFFFFEULL, 0xFFFFFFFFFFFFFFFFULL}};
+static const fe SC_HALF_N = {{0xDFE92F46681B20A0ULL, 0x5D576E7357A4501DULL,
+                              0xFFFFFFFFFFFFFFFFULL, 0x7FFFFFFFFFFFFFFFULL}};
+static const fe SC_NC = {{0x402DA1732FC9BEBFULL, 0x4551231950B75FC4ULL, 1, 0}}; /* 2^256 - N */
 
-static int is_one(const fe *a)
-{
-    return a->l[0] == 1 && (a->l[1] | a->l[2] | a->l[3]) == 0;
-}
-
-static int limbs_less(const fe *a, const fe *b)
+static OUT_OF_LINE int limbs_less(const fe *a, const fe *b)
 {
     for (int i = 3; i >= 0; i--)
         if (a->l[i] != b->l[i])
@@ -354,37 +524,37 @@ static int limbs_less(const fe *a, const fe *b)
     return 0;
 }
 
-/* The steps of sc_inv, kept out of line so that its loops stay small: u /= 2
- * for an even u with x /= 2 (mod N), and u -= v with x -= y (mod N). */
-static __attribute__((noinline)) void halve_step(fe *u, fe *x)
+/* a mod N for a < 2^256 < 2N */
+static OUT_OF_LINE void sc_reduce_once(fe *a)
 {
-    half_mod(u, &SC_N);
-    half_mod(x, &SC_N);
+    if (!limbs_less(a, &SC_N))
+        limbs_sub(a, a, &SC_N);
 }
 
-static __attribute__((noinline)) void subtract_step(fe *u, fe *x, const fe *v, const fe *y)
+/* r = a * b + c mod N for c < N: the high half of the 512-bit sum is folded
+ * down by 2^256 = 2^256 - N (mod N) until it is gone */
+static OUT_OF_LINE void sc_muladd(fe *r, const fe *a, const fe *b, const fe *c)
 {
-    limbs_sub(u, u, v);
-    if (limbs_sub(x, x, y))
-        limbs_add(x, x, &SC_N);
-}
-
-/* r = 1/a (mod N) for 0 < a < N, by the binary extended Euclidean
- * algorithm: x1*a = u and x2*a = v (mod N) hold throughout. */
-static void sc_inv(fe *r, const fe *a)
-{
-    fe u = *a, v = SC_N, x1 = {{1, 0, 0, 0}}, x2 = FE_ZERO;
-    while (!is_one(&u) && !is_one(&v)) {
-        while (!(u.l[0] & 1))
-            halve_step(&u, &x1);
-        while (!(v.l[0] & 1))
-            halve_step(&v, &x2);
-        if (limbs_less(&u, &v))
-            subtract_step(&v, &x2, &u, &x1);
-        else
-            subtract_step(&u, &x1, &v, &x2);
+    uint64_t t[8], f[8];
+    u128 carry = 0;
+    mul_wide(t, a, b);
+    for (int i = 0; i < 8; i++) {
+        carry += (u128)t[i] + (i < 4 ? c->l[i] : 0);
+        t[i] = (uint64_t)carry;
+        carry >>= 64;
     }
-    *r = is_one(&u) ? x1 : x2;
+    while (t[4] | t[5] | t[6] | t[7]) {
+        fe high = {{t[4], t[5], t[6], t[7]}};
+        mul_wide(f, &high, &SC_NC);
+        carry = 0;
+        for (int i = 0; i < 8; i++) {
+            carry += (u128)f[i] + (i < 4 ? t[i] : 0);
+            t[i] = (uint64_t)carry;
+            carry >>= 64;
+        }
+    }
+    memcpy(r->l, t, sizeof r->l);
+    sc_reduce_once(r);
 }
 
 /* GLV (Gallant-Lambert-Vanstone, CRYPTO 2001) for secp256k1: the map
@@ -460,7 +630,7 @@ static const jac INFINITY_JAC = {{{0, 0, 0, 0}}, {{1, 0, 0, 0}}, {{0, 0, 0, 0}}}
 /* libsecp256k1's doubling: L = 3/2 X^2, S = Y^2, T = -X S, X3 = L^2 + 2T,
  * Y3 = -(L (X3 + T) + S^2), Z3 = Y Z; r may be p, whose X and Y are read
  * before they are written */
-static __attribute__((noinline)) void jac_double(jac *r, const jac *p)
+static OUT_OF_LINE void jac_double(jac *r, const jac *p)
 {
     fe l, s, t;
     if (fe_is_zero(&p->z) || fe_is_zero(&p->y)) {
@@ -485,57 +655,9 @@ static __attribute__((noinline)) void jac_double(jac *r, const jac *p)
     fe_sub(&r->y, &FE_ZERO, &r->y);
 }
 
-static __attribute__((noinline)) void jac_add(jac *r, const jac *p1, const jac *p2)
-{
-    fe z1z1, z2z2, u1, u2, s1, s2, h, i, j, rr, v, t;
-    if (fe_is_zero(&p1->z)) {
-        *r = *p2;
-        return;
-    }
-    if (fe_is_zero(&p2->z)) {
-        *r = *p1;
-        return;
-    }
-    fe_sqr(&z1z1, &p1->z);
-    fe_sqr(&z2z2, &p2->z);
-    fe_mul(&u1, &p1->x, &z2z2);
-    fe_mul(&u2, &p2->x, &z1z1);
-    fe_mul(&s1, &p1->y, &p2->z);
-    fe_mul(&s1, &s1, &z2z2);
-    fe_mul(&s2, &p2->y, &p1->z);
-    fe_mul(&s2, &s2, &z1z1);
-    if (fe_equal(&u1, &u2)) {
-        if (fe_equal(&s1, &s2))
-            jac_double(r, p1);
-        else
-            *r = INFINITY_JAC;
-        return;
-    }
-    fe_sub(&h, &u2, &u1);      /* H = U2 - U1 */
-    fe_add(&i, &h, &h);
-    fe_sqr(&i, &i);            /* I = (2H)^2 */
-    fe_mul(&j, &h, &i);        /* J = H * I */
-    fe_sub(&rr, &s2, &s1);
-    fe_add(&rr, &rr, &rr);     /* r = 2(S2 - S1) */
-    fe_mul(&v, &u1, &i);       /* V = U1 * I */
-    fe_add(&t, &p1->z, &p2->z);
-    fe_sqr(&t, &t);
-    fe_sub(&t, &t, &z1z1);
-    fe_sub(&t, &t, &z2z2);
-    fe_mul(&r->z, &t, &h);     /* Z3 = ((Z1+Z2)^2 - Z1Z1 - Z2Z2) * H */
-    fe_sqr(&r->x, &rr);
-    fe_sub(&r->x, &r->x, &j);
-    fe_sub(&r->x, &r->x, &v);
-    fe_sub(&r->x, &r->x, &v);  /* X3 = r^2 - J - 2V */
-    fe_sub(&t, &v, &r->x);
-    fe_mul(&t, &rr, &t);
-    fe_mul(&s1, &s1, &j);
-    fe_add(&s1, &s1, &s1);
-    fe_sub(&r->y, &t, &s1);    /* Y3 = r(V - X3) - 2 S1 J */
-}
-
-/* r = p1 + p2 for an affine p2: jac_add with Z2 = 1, so U1 = X1 and
- * S1 = Y1 and the products with Z2 drop out. */
+/* r = p1 + p2 for an affine p2: the general Jacobian sum with Z2 = 1, so
+ * U1 = X1 and S1 = Y1 and the products with Z2 drop out. Left to be
+ * inlined: out of line, k*G takes about a fifth longer. */
 static void jac_add_affine(jac *r, const jac *p1, const affine *p2)
 {
     fe z1z1, u2, s2, h, i, j, rr, v, t;
@@ -612,7 +734,7 @@ static void batch_to_affine(affine *out, const jac *pts, fe *before, int count)
         before[n] = inv;
         fe_mul(&inv, &inv, &pts[n].z);
     }
-    fe_inv(&inv, &inv);
+    mod_inverse(&inv, &inv, &MOD_P);
     for (int n = count - 1; n >= 0; n--) {
         fe_mul(&zi, &inv, &before[n]); /* 1/Z_n */
         fe_mul(&inv, &inv, &pts[n].z);
@@ -621,6 +743,17 @@ static void batch_to_affine(affine *out, const jac *pts, fe *before, int count)
         fe_mul(&zi2, &zi2, &zi);
         fe_mul(&out[n].y, &pts[n].y, &zi2);
     }
+}
+
+/* a = p in affine form, for p not at infinity */
+static OUT_OF_LINE void jac_to_affine(affine *a, const jac *p)
+{
+    fe zi, zi2;
+    mod_inverse(&zi, &p->z, &MOD_P);
+    fe_sqr(&zi2, &zi);
+    fe_mul(&a->x, &p->x, &zi2);
+    fe_mul(&zi2, &zi2, &zi);
+    fe_mul(&a->y, &p->y, &zi2);
 }
 
 static int build_g_table(void)
@@ -633,13 +766,15 @@ static int build_g_table(void)
         PyErr_NoMemory();
         return -1;
     }
-    jac base = G_JAC;
+    affine base = {G_JAC.x, G_JAC.y}; /* 256^i * G */
+    jac next;
     for (int i = 0; i < COMB_WINDOWS; i++) {
-        row[0] = base;
+        row[0] = (jac){base.x, base.y, G_JAC.z};
         for (int d = 1; d < COMB_DIGITS; d++)
-            jac_add(&row[d], &row[d - 1], &base);
-        jac_add(&base, &base, &row[COMB_DIGITS - 1]); /* 256^(i+1) * G */
+            jac_add_affine(&row[d], &row[d - 1], &base);
         batch_to_affine(G_TABLE[i], row, before, COMB_DIGITS);
+        jac_add_affine(&next, &row[COMB_DIGITS - 1], &base);
+        jac_to_affine(&base, &next);
     }
     PyMem_Free(row);
     PyMem_Free(before);
@@ -651,7 +786,7 @@ static int build_g_table(void)
 }
 
 /* r = k*G: one table addition per nonzero window, no doublings */
-static void base_mult(jac *r, const fe *k)
+static OUT_OF_LINE void base_mult(jac *r, const fe *k)
 {
     *r = INFINITY_JAC;
     for (int i = 0; i < COMB_WINDOWS; i++) {
@@ -793,13 +928,245 @@ static void double_mult(jac *r, const fe *u1, const fe *u2, const jac *q)
 }
 
 /* ------------------------------------------------------------------------
+ * SHA-256 and HMAC-SHA256 (FIPS 180-4, RFC 2104), for RFC 6979 nonces
+ */
+
+static const uint32_t SHA256_K[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+};
+
+typedef struct { uint32_t h[8]; uint8_t buf[64]; uint64_t bytes; } sha256;
+
+static uint32_t ror32(uint32_t x, int n)
+{
+    return x >> n | x << (32 - n);
+}
+
+static uint32_t load32_be(const uint8_t *p)
+{
+    return (uint32_t)p[0] << 24 | (uint32_t)p[1] << 16 | (uint32_t)p[2] << 8 | p[3];
+}
+
+static OUT_OF_LINE void sha256_block(uint32_t h[8], const uint8_t *p)
+{
+    uint32_t w[64], a = h[0], b = h[1], c = h[2], d = h[3], e = h[4], f = h[5], g = h[6],
+             k = h[7], t1, t2;
+    for (int i = 0; i < 16; i++)
+        w[i] = load32_be(p + 4 * i);
+    for (int i = 16; i < 64; i++)
+        w[i] = w[i - 16] + w[i - 7]
+             + (ror32(w[i - 15], 7) ^ ror32(w[i - 15], 18) ^ w[i - 15] >> 3)
+             + (ror32(w[i - 2], 17) ^ ror32(w[i - 2], 19) ^ w[i - 2] >> 10);
+    for (int i = 0; i < 64; i++) {
+        t1 = k + (ror32(e, 6) ^ ror32(e, 11) ^ ror32(e, 25)) + ((e & f) ^ (~e & g))
+           + SHA256_K[i] + w[i];
+        t2 = (ror32(a, 2) ^ ror32(a, 13) ^ ror32(a, 22)) + ((a & b) ^ (a & c) ^ (b & c));
+        k = g; g = f; f = e; e = d + t1;
+        d = c; c = b; b = a; a = t1 + t2;
+    }
+    h[0] += a; h[1] += b; h[2] += c; h[3] += d;
+    h[4] += e; h[5] += f; h[6] += g; h[7] += k;
+}
+
+static void sha256_init(sha256 *c)
+{
+    static const uint32_t iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                   0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    memcpy(c->h, iv, sizeof iv);
+    c->bytes = 0;
+}
+
+static OUT_OF_LINE void sha256_update(sha256 *c, const uint8_t *p,
+                                                             size_t n)
+{
+    while (n > 0) {
+        size_t at = c->bytes % 64, take = 64 - at < n ? 64 - at : n;
+        memcpy(c->buf + at, p, take);
+        c->bytes += take;
+        p += take;
+        n -= take;
+        if (c->bytes % 64 == 0)
+            sha256_block(c->h, c->buf);
+    }
+}
+
+static OUT_OF_LINE void sha256_final(sha256 *c, uint8_t out[32])
+{
+    uint8_t pad = 0x80, len[8];
+    for (int i = 0; i < 8; i++)
+        len[i] = (uint8_t)(c->bytes * 8 >> (56 - 8 * i));
+    sha256_update(c, &pad, 1);
+    pad = 0;
+    while (c->bytes % 64 != 56)
+        sha256_update(c, &pad, 1);
+    sha256_update(c, len, 8);
+    for (int i = 0; i < 32; i++)
+        out[i] = (uint8_t)(c->h[i / 4] >> (24 - 8 * (i % 4)));
+}
+
+/* an HMAC-SHA256 key: the hash states after its inner and outer pad blocks */
+typedef struct { sha256 inner, outer; } hmac_key;
+
+static OUT_OF_LINE void hmac_set_key(hmac_key *h, const uint8_t key[32])
+{
+    uint8_t pad[64];
+    for (int i = 0; i < 64; i++)
+        pad[i] = (i < 32 ? key[i] : 0) ^ 0x36;
+    sha256_init(&h->inner);
+    sha256_update(&h->inner, pad, 64);
+    for (int i = 0; i < 64; i++)
+        pad[i] ^= 0x36 ^ 0x5c;
+    sha256_init(&h->outer);
+    sha256_update(&h->outer, pad, 64);
+}
+
+/* out = HMAC(key, v || tail); out may be v */
+static OUT_OF_LINE void hmac_v(uint8_t out[32], const hmac_key *key,
+                                                       const uint8_t v[32],
+                                                       const uint8_t *tail, size_t n)
+{
+    sha256 c = key->inner;
+    sha256_update(&c, v, 32);
+    sha256_update(&c, tail, n);
+    sha256_final(&c, out);
+    c = key->outer;
+    sha256_update(&c, out, 32);
+    sha256_final(&c, out);
+}
+
+/* ------------------------------------------------------------------------
+ * Recoverable ECDSA: RFC 6979 (deterministic nonces, HMAC-SHA256), signing
+ * with low s, and public-key recovery
+ */
+
+/* The generator of RFC 6979 section 3.2 for a key x and a digest h reduced
+ * mod N (qlen = hlen = 256 bits, so bits2octets is that reduction): after
+ * rfc6979_next, v holds the next candidate nonce. */
+typedef struct { hmac_key k; uint8_t v[32]; } rfc6979;
+
+static OUT_OF_LINE void rfc6979_init(rfc6979 *g, const uint8_t x[32], const uint8_t h[32])
+{
+    uint8_t k[32] = {0}, tail[65];
+    memcpy(tail + 1, x, 32);
+    memcpy(tail + 33, h, 32);
+    memset(g->v, 1, sizeof g->v);
+    hmac_set_key(&g->k, k);
+    for (int sep = 0; sep < 2; sep++) { /* K = HMAC_K(V || sep || x || h); V = HMAC_K(V) */
+        tail[0] = (uint8_t)sep;
+        hmac_v(k, &g->k, g->v, tail, sizeof tail);
+        hmac_set_key(&g->k, k);
+        hmac_v(g->v, &g->k, g->v, NULL, 0);
+    }
+}
+
+/* a rejected candidate first moves the state on: K = HMAC_K(V || 0), V = HMAC_K(V) */
+static void rfc6979_next(rfc6979 *g, int retry)
+{
+    if (retry) {
+        uint8_t k[32], zero = 0;
+        hmac_v(k, &g->k, g->v, &zero, 1);
+        hmac_set_key(&g->k, k);
+        hmac_v(g->v, &g->k, g->v, NULL, 0);
+    }
+    hmac_v(g->v, &g->k, g->v, NULL, 0);
+}
+
+/* Signs a digest with the private key d in [1, N): r = x(k*G), s = (z + r*d)/k
+ * with s <= N/2, and the parity of y(k*G), flipped with s. A nonce is
+ * skipped when it is not in [1, N), when x(k*G) >= N (which would need
+ * recovery bits 2 or 3), or when r or s is 0. */
+static OUT_OF_LINE void ecdsa_sign(fe *r, fe *s, int *bit, const uint8_t digest[32], const fe *d)
+{
+    uint8_t x[32], h[32];
+    fe z, k;
+    jac big_r;
+    affine point;
+    rfc6979 gen;
+    fe_from_be(&z, digest);
+    sc_reduce_once(&z);
+    fe_to_be(x, d);
+    fe_to_be(h, &z);
+    rfc6979_init(&gen, x, h);
+    for (int retry = 0;; retry = 1) {
+        rfc6979_next(&gen, retry);
+        fe_from_be(&k, gen.v);
+        if (fe_is_zero(&k) || !limbs_less(&k, &SC_N))
+            continue;
+        base_mult(&big_r, &k);
+        jac_to_affine(&point, &big_r);
+        if (!limbs_less(&point.x, &SC_N))
+            continue;
+        *r = point.x;
+        sc_muladd(s, r, d, &z);
+        mod_inverse(&k, &k, &MOD_N);
+        sc_muladd(s, s, &k, &FE_ZERO);
+        if (fe_is_zero(r) || fe_is_zero(s))
+            continue;
+        *bit = (int)(point.y.l[0] & 1);
+        if (limbs_less(&SC_HALF_N, s)) {
+            limbs_sub(s, &SC_N, s);
+            *bit ^= 1;
+        }
+        return;
+    }
+}
+
+/* y for the curve point (x, y) with y odd when odd is set and even
+ * otherwise; 0 when x^3 + 7 has no square root mod p */
+static OUT_OF_LINE int lift_y(fe *y, const fe *x, int odd)
+{
+    fe y2;
+    fe_sqr(&y2, x);
+    fe_mul(&y2, &y2, x);
+    fe_add(&y2, &y2, &SEVEN);
+    if (!fe_sqrt(y, &y2))
+        return 0;
+    if ((int)(y->l[0] & 1) != odd)
+        fe_sub(y, &FE_ZERO, y);
+    return 1;
+}
+
+enum { RECOVERED, OFF_CURVE, AT_INFINITY };
+
+/* q = (s*R - z*G)/r for the point R with x = r and y of parity odd */
+static OUT_OF_LINE int ecdsa_recover(affine *q, const uint8_t digest[32], const fe *r, const fe *s,
+                         int odd)
+{
+    fe z, rn = *r, u1, u2;
+    jac big_r = {*r, FE_ZERO, G_JAC.z}, sum;
+    fe_fold(&big_r.x, 0);
+    if (!lift_y(&big_r.y, &big_r.x, odd))
+        return OFF_CURVE;
+    fe_from_be(&z, digest);
+    sc_reduce_once(&z);
+    sc_reduce_once(&rn);
+    mod_inverse(&rn, &rn, &MOD_N);
+    sc_muladd(&u1, &z, &rn, &FE_ZERO);
+    if (!fe_is_zero(&u1))
+        limbs_sub(&u1, &SC_N, &u1);
+    sc_muladd(&u2, s, &rn, &FE_ZERO);
+    double_mult(&sum, &u1, &u2, &big_r);
+    if (fe_is_zero(&sum.z))
+        return AT_INFINITY;
+    jac_to_affine(q, &sum);
+    return RECOVERED;
+}
+
+/* ------------------------------------------------------------------------
  * Python-facing wrappers
  */
 
 static PyObject *N_INT; /* the group order, as a Python int */
 
 /* int v -> limbs; OverflowError unless 0 <= v < 2^256 */
-static int int_to_limbs(PyObject *v, fe *out)
+static OUT_OF_LINE int int_to_limbs(PyObject *v, fe *out)
 {
     if (!PyLong_Check(v)) {
         PyErr_Format(PyExc_TypeError, "expected an int, got %.200s",
@@ -809,15 +1176,13 @@ static int int_to_limbs(PyObject *v, fe *out)
     PyObject *b = PyObject_CallMethod(v, "to_bytes", "is", 32, "big");
     if (b == NULL)
         return -1;
-    const uint8_t *bytes = (const uint8_t *)PyBytes_AS_STRING(b);
-    for (int i = 0; i < 4; i++)
-        out->l[i] = load64_be(bytes + 24 - 8 * i);
+    fe_from_be(out, (const uint8_t *)PyBytes_AS_STRING(b));
     Py_DECREF(b);
     return 0;
 }
 
 /* int k -> k mod N as limbs */
-static int int_to_scalar(PyObject *k, fe *out)
+static OUT_OF_LINE int int_to_scalar(PyObject *k, fe *out)
 {
     PyObject *reduced = PyNumber_Remainder(k, N_INT);
     if (reduced == NULL)
@@ -827,7 +1192,7 @@ static int int_to_scalar(PyObject *k, fe *out)
     return rc;
 }
 
-static int int_to_fe(PyObject *v, fe *out)
+static OUT_OF_LINE int int_to_fe(PyObject *v, fe *out)
 {
     if (int_to_limbs(v, out) < 0)
         return -1;
@@ -835,34 +1200,34 @@ static int int_to_fe(PyObject *v, fe *out)
     return 0;
 }
 
-static PyObject *limbs_to_int(const fe *a)
+static OUT_OF_LINE PyObject *limbs_to_int(const fe *a)
 {
     uint8_t b[32];
-    for (int i = 0; i < 32; i++)
-        b[31 - i] = (uint8_t)(a->l[i / 8] >> (8 * (i % 8)));
+    fe_to_be(b, a);
     return PyObject_CallMethod((PyObject *)&PyLong_Type, "from_bytes", "y#s",
                                (const char *)b, (Py_ssize_t)32, "big");
 }
 
-static PyObject *to_affine(const jac *p)
+static PyObject *affine_to_point(const affine *a)
 {
-    fe zi, zi2, x, y;
-    if (fe_is_zero(&p->z))
-        Py_RETURN_NONE;
-    fe_inv(&zi, &p->z);
-    fe_sqr(&zi2, &zi);
-    fe_mul(&x, &p->x, &zi2);
-    fe_mul(&y, &p->y, &zi2);
-    fe_mul(&y, &y, &zi);
-    PyObject *px = limbs_to_int(&x), *py = px ? limbs_to_int(&y) : NULL;
+    PyObject *px = limbs_to_int(&a->x), *py = px ? limbs_to_int(&a->y) : NULL;
     PyObject *point = py ? PyTuple_Pack(2, px, py) : NULL;
     Py_XDECREF(px);
     Py_XDECREF(py);
     return point;
 }
 
+static PyObject *to_affine(const jac *p)
+{
+    affine a;
+    if (fe_is_zero(&p->z))
+        Py_RETURN_NONE;
+    jac_to_affine(&a, p);
+    return affine_to_point(&a);
+}
+
 /* point (x, y) or None -> Jacobian */
-static int point_to_jac(PyObject *point, jac *out)
+static OUT_OF_LINE int point_to_jac(PyObject *point, jac *out)
 {
     if (point == Py_None) {
         *out = INFINITY_JAC;
@@ -879,6 +1244,15 @@ static int point_to_jac(PyObject *point, jac *out)
     }
     out->z = G_JAC.z;
     return 0;
+}
+
+/* the digest argument, which must be 32 bytes */
+static int check_digest(Py_ssize_t len)
+{
+    if (len == 32)
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "digest must be 32 bytes");
+    return -1;
 }
 
 static PyObject *py_scalar_mult_base(PyObject *self, PyObject *k)
@@ -908,16 +1282,11 @@ static PyObject *py_lift_x(PyObject *self, PyObject *args)
 {
     PyObject *px, *py, *point;
     int odd;
-    fe x, y, y2;
+    fe x, y;
     if (!PyArg_ParseTuple(args, "Op:lift_x", &px, &odd) || int_to_fe(px, &x) < 0)
         return NULL;
-    fe_sqr(&y2, &x);
-    fe_mul(&y2, &y2, &x);
-    fe_add(&y2, &y2, &SEVEN);
-    if (!fe_sqrt(&y, &y2))
+    if (!lift_y(&y, &x, odd))
         Py_RETURN_NONE;
-    if ((int)(y.l[0] & 1) != odd)
-        fe_sub(&y, &FE_ZERO, &y);
     py = limbs_to_int(&y);
     if (py == NULL)
         return NULL;
@@ -928,15 +1297,61 @@ static PyObject *py_lift_x(PyObject *self, PyObject *args)
 
 static PyObject *py_inverse_mod_n(PyObject *self, PyObject *k)
 {
-    fe a, r;
+    fe a;
     if (int_to_scalar(k, &a) < 0)
         return NULL;
     if (fe_is_zero(&a)) {
         PyErr_SetString(PyExc_ValueError, "base is not invertible for the given modulus");
         return NULL;
     }
-    sc_inv(&r, &a);
-    return limbs_to_int(&r);
+    mod_inverse(&a, &a, &MOD_N);
+    return limbs_to_int(&a);
+}
+
+static PyObject *py_sign_recoverable(PyObject *self, PyObject *args)
+{
+    const char *digest;
+    Py_ssize_t len;
+    PyObject *key, *pr, *ps, *sig = NULL;
+    fe d, r, s;
+    int bit;
+    if (!PyArg_ParseTuple(args, "y#O:sign_recoverable", &digest, &len, &key)
+        || check_digest(len) < 0 || int_to_limbs(key, &d) < 0)
+        return NULL;
+    if (fe_is_zero(&d) || !limbs_less(&d, &SC_N)) {
+        PyErr_SetString(PyExc_ValueError, "private key out of range");
+        return NULL;
+    }
+    ecdsa_sign(&r, &s, &bit, (const uint8_t *)digest, &d);
+    pr = limbs_to_int(&r);
+    ps = pr ? limbs_to_int(&s) : NULL;
+    if (ps != NULL)
+        sig = Py_BuildValue("(OOi)", pr, ps, bit);
+    Py_XDECREF(pr);
+    Py_XDECREF(ps);
+    return sig;
+}
+
+static PyObject *py_recover_public_key(PyObject *self, PyObject *args)
+{
+    const char *digest;
+    Py_ssize_t len;
+    PyObject *pr, *ps;
+    fe r, s;
+    affine q;
+    int odd;
+    if (!PyArg_ParseTuple(args, "y#OOp:recover_public_key", &digest, &len, &pr, &ps, &odd)
+        || check_digest(len) < 0 || int_to_limbs(pr, &r) < 0 || int_to_limbs(ps, &s) < 0)
+        return NULL;
+    switch (ecdsa_recover(&q, (const uint8_t *)digest, &r, &s, odd)) {
+    case OFF_CURVE:
+        PyErr_SetString(PyExc_ValueError, "signature point is not on the curve");
+        return NULL;
+    case AT_INFINITY:
+        PyErr_SetString(PyExc_ValueError, "recovered the point at infinity");
+        return NULL;
+    }
+    return affine_to_point(&q);
 }
 
 static PyMethodDef methods[] = {
@@ -944,9 +1359,15 @@ static PyMethodDef methods[] = {
      "keccak_256(data) -> the 32-byte keccak-256 digest of a bytes-like object."},
     {"scalar_mult_base", py_scalar_mult_base, METH_O,
      "scalar_mult_base(k) -> k*G as (x, y), or None when k = 0 (mod N)."},
+    {"sign_recoverable", py_sign_recoverable, METH_VARARGS,
+     "sign_recoverable(digest, key) -> (r, s, recovery_bit): the RFC 6979 signature\n"
+     "of a 32-byte digest under a key in [1, N), with s <= N/2."},
+    {"recover_public_key", py_recover_public_key, METH_VARARGS,
+     "recover_public_key(digest, r, s, recovery_bit) -> the signer's public key\n"
+     "(x, y); ValueError when r names no curve point or the key is infinity."},
     {"double_mult_base", py_double_mult_base, METH_VARARGS,
      "double_mult_base(u1, u2, point) -> u1*G + u2*point as (x, y), or None\n"
-     "for infinity; point may be None. The inner loop of key recovery."},
+     "for infinity; point may be None."},
     {"lift_x", py_lift_x, METH_VARARGS,
      "lift_x(x, odd) -> the curve point (x, y) whose y is odd when odd is true\n"
      "and even otherwise, or None when x^3 + 7 has no square root mod p."},
@@ -958,7 +1379,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "sealedbid._core._speedups",
-    .m_doc = "Compiled keccak-256 and secp256k1 kernels; see sealedbid.crypto.",
+    .m_doc = "Compiled keccak-256, secp256k1 and ECDSA kernels; see sealedbid.crypto.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,14 +1,14 @@
 """Recoverable ECDSA over secp256k1 with deterministic (RFC 6979) nonces.
 
-The group math lives in the selected backend; this module owns the
-protocol layer: nonce derivation, low-s normalization, and public-key
-recovery. Signatures are `(r, s, recovery_bit)` triples; recovery bits
-are restricted to {0, 1} by re-deriving the nonce in the (negligible)
-r >= N case, so they always fit the settlement wire format.
+This module owns the protocol checks: key ranges, the 32-byte digest,
+low-s and the recovery bit. Each signature and each recovery is one call
+into the selected backend, which derives the nonce, signs and recovers
+(in C on the compiled backend). Signatures are `(r, s, recovery_bit)`
+triples; recovery bits are restricted to {0, 1} by re-deriving the nonce
+in the (negligible) r >= N case, so they always fit the settlement wire
+format.
 """
 
-import hashlib
-import hmac
 from typing import Callable, Tuple
 
 from sealedbid.crypto import backend
@@ -58,49 +58,13 @@ def point_from_bytes(data: bytes) -> Point:
     return point
 
 
-def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
-    return hmac.new(key, msg, hashlib.sha256).digest()
-
-
-def _rfc6979_candidates(digest: bytes, private_key: int):
-    # hlen == qlen == 256 bits, so bits2int is the identity on the digest
-    x = private_key.to_bytes(32, "big")
-    h_reduced = (int.from_bytes(digest, "big") % N).to_bytes(32, "big")
-    v = b"\x01" * 32
-    k = b"\x00" * 32
-    k = _hmac_sha256(k, v + b"\x00" + x + h_reduced)
-    v = _hmac_sha256(k, v)
-    k = _hmac_sha256(k, v + b"\x01" + x + h_reduced)
-    v = _hmac_sha256(k, v)
-    while True:
-        v = _hmac_sha256(k, v)
-        candidate = int.from_bytes(v, "big")
-        if 1 <= candidate < N:
-            yield candidate
-        k = _hmac_sha256(k, v + b"\x00")
-        v = _hmac_sha256(k, v)
-
-
 def sign_recoverable(digest: bytes, private_key: int) -> Tuple[int, int, int]:
     """Sign a 32-byte digest; returns (r, s, recovery_bit) with s <= N/2."""
     if len(digest) != 32:
         raise SignatureError("digest must be 32 bytes")
     if not 1 <= private_key < N:
         raise KeyMaterialError("private key out of range")
-    z = int.from_bytes(digest, "big")
-    for k in _rfc6979_candidates(digest, private_key):
-        x_r, y_r = backend.scalar_mult_base(k)
-        if x_r >= N:  # would need recovery bit 2/3; draw the next nonce
-            continue
-        r = x_r
-        s = backend.inverse_mod_n(k) * (z + r * private_key) % N
-        if r == 0 or s == 0:
-            continue
-        recovery_bit = y_r & 1
-        if s > HALF_N:
-            s = N - s
-            recovery_bit ^= 1
-        return r, s, recovery_bit
+    return backend.sign_recoverable(digest, private_key)
 
 
 def recover_public_key(digest: bytes, r: int, s: int, recovery_bit: int) -> Point:
@@ -121,14 +85,7 @@ def recover_public_key(digest: bytes, r: int, s: int, recovery_bit: int) -> Poin
         raise SignatureError("high-s signature rejected")
     if r >= P:
         raise SignatureError("r does not name a curve x-coordinate")
-    r_point = backend.lift_x(r, recovery_bit)
-    if r_point is None:
-        raise SignatureError("signature point is not on the curve")
-    z = int.from_bytes(digest, "big")
-    r_inv = backend.inverse_mod_n(r)
-    u1 = (-z * r_inv) % N
-    u2 = (s * r_inv) % N
-    point = backend.double_mult_base(u1, u2, r_point)
-    if point is None:
-        raise SignatureError("recovered the point at infinity")
-    return point
+    try:
+        return backend.recover_public_key(digest, r, s, recovery_bit)
+    except ValueError as exc:  # no curve point for r, or the point at infinity
+        raise SignatureError(str(exc)) from None

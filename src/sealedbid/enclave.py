@@ -37,7 +37,7 @@ from sealedbid.errors import (
     SealedStoreMissing,
     SealedStoreRollback,
 )
-from sealedbid.events import find_hex, unhx
+from sealedbid.events import HexNeedles, find_hex, unhx
 from sealedbid.transactions import (
     SignedTransaction,
     UnsignedTx,
@@ -284,16 +284,17 @@ class Enclave:
         many keys there are, and no text is copied whole. The `watch`
         strings are public hex; where they occur in the first text
         (`find_hex`'s result) comes back with the count, from the same
-        pass.
+        pass. The keys' word table is built once per scan.
         """
         with self._lock:
             material = [k.to_bytes(32, "big").hex() for k in self._keys.values()]
             material.append(self._attestation_key.to_bytes(32, "big").hex())
             material.append(self._input_key.private_bytes_raw().hex())
         watch = list(watch)
+        keys = HexNeedles(material)
         leaks, watched = 0, {}
         for index, text in enumerate(texts):
-            found = find_hex(text, material + watch if index == 0 else material)
+            found = find_hex(text, keys | HexNeedles(watch) if index == 0 and watch else keys)
             leaks += sum(_count_apart(found.get(key, ()), len(key)) for key in material)
             if index == 0:
                 watched = {w: found[w] for w in watch if w in found}

@@ -2,7 +2,8 @@
 
 Records are canonicalized (sorted keys, no whitespace) so that runs with
 the same seed produce byte-identical logs. `find_hex` searches a log's
-text for many hex strings in one pass.
+text for many hex strings in one pass; `HexNeedles` holds the strings'
+word table for searching several texts.
 """
 
 import json
@@ -33,56 +34,77 @@ def canonical(record: dict) -> str:
     return _CANONICAL.encode(record)
 
 
-def find_hex(text: str, needles: Iterable[str]) -> Dict[str, List[int]]:
+class HexNeedles:
+    """Needles for `find_hex` with their word table, built once so that
+    several texts can be searched for them. `a | b` searches for the
+    needles of both with the tables of each: no table is built or copied
+    again."""
+
+    def __init__(self, needles: Iterable[str] = ()):
+        wanted = set(needles)
+        anchored = {n for n in wanted if len(n) >= _HEAD and n.isascii()}
+        self.short = wanted - anchored
+        self.parts = []  # (needles, their word table, their lengths) per joined set
+        if anchored:
+            self.parts.append((anchored, _anchor_table(anchored),
+                               sorted({len(n) for n in anchored})))
+
+    def __or__(self, other: "HexNeedles") -> "HexNeedles":
+        union = HexNeedles()
+        union.short = self.short | other.short
+        union.parts = self.parts + other.parts
+        return union
+
+
+def find_hex(text: str, needles) -> Dict[str, List[int]]:
     """Where each needle occurs in `text.lower()`, from one pass over `text`.
 
-    Returns needle -> the ascending start offsets of all its occurrences,
-    overlapping ones included, for each needle that occurs at all; so
-    `needle in result` is `needle in text.lower()`. Needles are lowercase
-    hex, such as an address's or a key's `bytes.hex()`.
+    `needles` is an iterable of strings or a `HexNeedles`. Returns needle
+    -> the ascending start offsets of all its occurrences, overlapping ones
+    included, for each needle that occurs at all; so `needle in result` is
+    `needle in text.lower()`. Needles are lowercase hex, such as an
+    address's or a key's `bytes.hex()`.
 
     The text is read once, a window at a time, whatever the number of
-    needles; the table holds _STRIDE words per needle, and each word hit
+    needles; a table holds _STRIDE words per needle, and each word hit
     is checked against the text. A needle shorter than _HEAD characters
     or not ASCII, which no 20- or 32-byte value's hex is, costs one
     `str.find` pass of its own.
     """
-    wanted = set(needles)
+    if not isinstance(needles, HexNeedles):
+        needles = HexNeedles(needles)
     if not text.isascii():
         text = text.lower()  # lowering can change the length of non-ASCII text
     found: Dict[str, List[int]] = {}
-    anchored = {n for n in wanted if len(n) >= _HEAD and n.isascii()}
-    short = wanted - anchored
-    if short:
+    if needles.short:
         lowered = text.lower()
-        for needle in short:
+        for needle in needles.short:
             at = lowered.find(needle)
             while at >= 0:
                 found.setdefault(needle, []).append(at)
                 at = lowered.find(needle, at + 1)
-    if not anchored:
+    if not needles.parts:
         return found
-    anchors = _anchor_table(anchored)
-    lengths = sorted({len(n) for n in anchored})
     for start in range(0, len(text), _WINDOW):
         window = text[start:start + _WINDOW].lower().encode("ascii", "replace")
         whole = memoryview(window)[:len(window) - len(window) % _WORD]
         words = whole.cast("Q")[::_STRIDE // _WORD]
-        if anchors.keys().isdisjoint(words):
-            continue
-        for k, word in enumerate(words):
-            mask = anchors.get(word)
-            if mask is None:
+        for anchored, anchors, lengths in needles.parts:
+            if anchors.keys().isdisjoint(words):
                 continue
-            at = start + k * _STRIDE
-            for j in range(min(_STRIDE, at + 1)):
-                if mask >> j & 1:
-                    for length in lengths:
-                        candidate = text[at - j:at - j + length].lower()
-                        if candidate in anchored:
-                            found.setdefault(candidate, []).append(at - j)
-    for offsets in found.values():
-        offsets.sort()
+            for k, word in enumerate(words):
+                mask = anchors.get(word)
+                if mask is None:
+                    continue
+                at = start + k * _STRIDE
+                for j in range(min(_STRIDE, at + 1)):
+                    if mask >> j & 1:
+                        for length in lengths:
+                            candidate = text[at - j:at - j + length].lower()
+                            if candidate in anchored:
+                                found.setdefault(candidate, []).append(at - j)
+    for needle, offsets in found.items():
+        found[needle] = sorted(set(offsets))  # a needle of two parts is found twice
     return found
 
 
@@ -117,10 +139,6 @@ class JsonlLog:
 
     def text(self) -> str:
         return "\n".join(self.lines()) + ("\n" if self.records else "")
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
 
     def __len__(self) -> int:
         return len(self.records)

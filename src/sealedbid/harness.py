@@ -297,6 +297,9 @@ class ScenarioRunner:
         self._tx_schedule: Dict[int, List[Tuple[str, Callable]]] = {}
         self._action_schedule: Dict[int, List[Callable]] = {}
         self.reorg_results: List[dict] = []
+        # log name -> (records, text, final newline) as the confidentiality
+        # check rendered it, when out_dir is set
+        self._rendered: Dict[str, Tuple[int, str, str]] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -709,13 +712,18 @@ class ScenarioRunner:
         """
         lines = self.events.lines()
         events_text = "\n".join(lines)
+        # run() writes the texts rendered here; they are kept only for it
+        keep = self._rendered if self.out_dir is not None else {}
+        keep["events"] = (len(lines), events_text, "\n" if lines else "")
         escrow_hex = [escrow.hex() for escrow in self.escrows.values()]
         leaks = 0
         if self.flags.get("compromised"):
             found = find_hex(events_text, escrow_hex)
         else:
+            audit_text = self.audit.text()
+            keep["audit"] = (len(self.audit), audit_text, "")
             leaks, found = self.enclave.scan_for_key_leaks(
-                events_text, self.audit.text(), watch=escrow_hex)
+                events_text, audit_text, watch=escrow_hex)
         bids = [(b.name, amount) for b in self.scenario.bidders
                 for amount in (b.funding, b.topup) if amount]
         problems = pre_disclosure_leaks(self.events.records, lines,
@@ -745,6 +753,13 @@ class ScenarioRunner:
             "non_interactivity", calls_ok and transfers_ok,
             "register calls %d/%d; funding transfers %s"
             % (self.auction.register_call_count, expected, transfer_counts))
+
+    def _write_log(self, path: Path, name: str, log) -> None:
+        """Write `log.text()`, taken from what the confidentiality check
+        rendered when no record has been added since."""
+        count, *parts = self._rendered.get(name, (-1,))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts if count == len(log) else [log.text()])
 
     # -- entry point ----------------------------------------------------------------
 
@@ -781,8 +796,8 @@ class ScenarioRunner:
             audit_path = self.out_dir / "audit.jsonl"
             report_path = self.out_dir / "report.json"
             gas_path = self.out_dir / "gas.csv"
-            self.events.write(events_path)
-            self.audit.write(audit_path)
+            self._write_log(events_path, "events", self.events)
+            self._write_log(audit_path, "audit", self.audit)
             with open(gas_path, "w", encoding="utf-8") as fh:
                 fh.write("layer,operation,actor,gas\n")
                 for entry in self.gas.entries:

@@ -8,10 +8,13 @@ All integer fields use minimal big-endian encoding; decoding enforces it.
 A `SignedTransaction` is immutable, so its encodings and hashes are
 memoised: `raw()` encodes it once, `tx_hash()` hashes it once and
 `signing_digest()` is computed once (`sign_tx` stores the digest it
-signed, so recovering the signer re-encodes nothing). `from_raw` keeps its
-input bytes as the encoding, which strict decoding makes identical to a
-re-encoding. Concurrent first calls may both compute a value, but they
-store the same bytes, so no lock is needed.
+signed, so recovering the signer re-encodes nothing). `recover_signer`
+recovers each transaction's sender once, as go-ethereum's per-transaction
+sender cache does, so a transaction replayed by a reorg or submitted again
+is not recovered again; only a recovery sets it, never `sign_tx`.
+`from_raw` keeps its input bytes as the encoding, which strict decoding
+makes identical to a re-encoding. Concurrent first calls may both compute
+a value, but they store the same bytes, so no lock is needed.
 """
 
 from dataclasses import dataclass
@@ -195,9 +198,13 @@ def sign_tx(tx: UnsignedTx, private_key: int, chain_id: int) -> SignedTransactio
 
 
 def recover_signer(stx: SignedTransaction) -> bytes:
-    """Address whose key produced the signature; raises SignatureError."""
-    if stx.v < 35:
-        raise SignatureError("v=%d does not carry a chain id" % stx.v)
-    point = secp256k1.recover_public_key(stx.signing_digest(), stx.r, stx.s,
-                                         stx.recovery_bit)
-    return derive_address(point)
+    """Address whose key produced the signature, memoised on `stx`;
+    raises SignatureError (each time: a failure is not memoised)."""
+    sender = stx.__dict__.get("_sender")
+    if sender is None:
+        if stx.v < 35:
+            raise SignatureError("v=%d does not carry a chain id" % stx.v)
+        point = secp256k1.recover_public_key(stx.signing_digest(), stx.r, stx.s,
+                                             stx.recovery_bit)
+        sender = stx.__dict__["_sender"] = derive_address(point)
+    return sender

@@ -15,7 +15,13 @@ from sealedbid.chain import (
 )
 from sealedbid.crypto import keccak_256, secp256k1
 from sealedbid.errors import ChainQueryError, ConfigError
-from sealedbid.transactions import UnsignedTx, derive_address, recover_signer, sign_tx
+from sealedbid.transactions import (
+    SignedTransaction,
+    UnsignedTx,
+    derive_address,
+    recover_signer,
+    sign_tx,
+)
 
 CHAIN_ID = 1
 GAS = 21_000
@@ -421,6 +427,30 @@ def test_reorg_reincludes_replacements():
     assert chain.height_of(tx.tx_hash()) == 1
 
 
+def test_reorg_replay_recovers_no_sender_again(monkeypatch):
+    # sign_tx leaves the sender unset, so the first submission recovers it;
+    # a reorg that replays the same transactions recovers nothing
+    calls = []
+    real = secp256k1.recover_public_key
+    monkeypatch.setattr(secp256k1, "recover_public_key",
+                        lambda *args: calls.append(args) or real(*args))
+    chain = make_chain()
+    txs = [transfer(chain, KEY_A, C, 7, nonce=0), transfer(chain, KEY_A, C, 8, nonce=1),
+           transfer(chain, KEY_B, C, 9)]
+    assert all(chain.submit_tx(tx).accepted for tx in txs)
+    assert len(calls) == len(txs)
+    chain.mine_block()
+    chain.mine_block()
+    result = chain.reorg(2, replacement_txs=txs)
+    assert result.included == tuple(tx.tx_hash() for tx in txs)
+    assert len(calls) == len(txs)
+    assert chain.balance_at(C, 1) == 24
+    # a transaction decoded afresh is recovered, once
+    fresh = SignedTransaction.from_raw(txs[2].raw())
+    assert recover_signer(fresh) == recover_signer(fresh) == B
+    assert len(calls) == len(txs) + 1
+
+
 def test_finalized_history_immutable_under_permitted_reorgs():
     rng = random.Random(5)
     chain = make_chain(finality=3)
@@ -590,17 +620,6 @@ def pooled_tx(key, nonce, kind):
     return sign_tx(tx, key, CHAIN_ID)
 
 
-_SENDERS = {}
-
-
-def recover_once(tx):
-    """`recover_signer`, memoised over the pool, so the examples stay fast
-    on the pure-Python backend."""
-    if tx not in _SENDERS:
-        _SENDERS[tx] = recover_signer(tx)
-    return _SENDERS[tx]
-
-
 submission = st.tuples(st.sampled_from(HISTORY_KEYS), st.sampled_from(("pay", "zero", "move")),
                        st.sampled_from((0, 0, 0, 1)))
 history_step = st.one_of(
@@ -615,29 +634,29 @@ def run_history(steps, check):
     """Build a chain step by step and call `check(chain)` after each one:
     a block of submissions at the sender's next nonce (or one past it, so
     some wait queued), the same submissions left pending ("submit"), or a
-    reorg whose replacements come from the blocks it removes."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chain_module, "recover_signer", recover_once)
-        chain = make_chain(genesis={A: 10_000_000, B: 10_000_000, D: 50_000},
-                           assets={TOKEN: B})
+    reorg whose replacements come from the blocks it removes. The pool's
+    transactions are shared, and `recover_signer` recovers each sender
+    once, so the examples stay fast on the pure-Python backend."""
+    chain = make_chain(genesis={A: 10_000_000, B: 10_000_000, D: 50_000},
+                       assets={TOKEN: B})
+    check(chain)
+    for step in steps:
+        if step[0] in ("block", "submit"):
+            for key, kind, ahead in step[1]:
+                nonce = chain.next_nonce(addr_of(key)) + ahead
+                if nonce < HISTORY_NONCES:
+                    chain.submit_tx(pooled_tx(key, nonce, kind))
+            if step[0] == "block":
+                chain.mine_block()
+        else:
+            _, depth, picks = step
+            depth = min(depth, chain.head_height)
+            removed = [chain.block_at(chain.head_height - i).tx_list
+                       for i in range(depth)]
+            replacements = [removed[b][t] for b, t in picks
+                            if b < len(removed) and t < len(removed[b])]
+            chain.reorg(depth, replacements)
         check(chain)
-        for step in steps:
-            if step[0] in ("block", "submit"):
-                for key, kind, ahead in step[1]:
-                    nonce = chain.next_nonce(addr_of(key)) + ahead
-                    if nonce < HISTORY_NONCES:
-                        chain.submit_tx(pooled_tx(key, nonce, kind))
-                if step[0] == "block":
-                    chain.mine_block()
-            else:
-                _, depth, picks = step
-                depth = min(depth, chain.head_height)
-                removed = [chain.block_at(chain.head_height - i).tx_list
-                           for i in range(depth)]
-                replacements = [removed[b][t] for b, t in picks
-                                if b < len(removed) and t < len(removed[b])]
-                chain.reorg(depth, replacements)
-            check(chain)
 
 
 @settings(max_examples=40, deadline=None)

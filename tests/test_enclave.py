@@ -3,6 +3,7 @@
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
+from sealedbid import events
 from sealedbid.enclave import (
     AttestationReport,
     Enclave,
@@ -132,3 +133,23 @@ def test_key_scan_returns_where_watched_hex_occurs_in_the_first_text():
     text = '{"a":"0x%s","b":"%s"}' % (escrow, escrow.upper())
     leaks, watched = enclave.scan_for_key_leaks(text, text, watch=[escrow, "cd" * 20])
     assert (leaks, watched) == (0, {escrow: [text.index(escrow), text.lower().rindex(escrow)]})
+
+
+def test_key_scan_builds_the_keys_word_table_once(monkeypatch):
+    enclave, keys = key_scan_enclave()
+    escrow = "ab" * 20
+    events_text = '{"a":"0x%s","k":"%s"}' % (escrow, keys["attestation"])
+    audit_text = '{"q":"%s","r":"%s"}' % (keys["input-encryption"], escrow)
+    expected = enclave.scan_for_key_leaks(events_text, audit_text, watch=[escrow])
+    assert expected == (2, {escrow: [events_text.index(escrow)]})
+    built = []
+    real = events._anchor_table
+
+    def anchor_table(needles):
+        built.append(set(needles))
+        return real(needles)
+
+    monkeypatch.setattr(events, "_anchor_table", anchor_table)
+    assert enclave.scan_for_key_leaks(events_text, audit_text, watch=[escrow]) == expected
+    # the keys' table once, whatever the number of texts, and the watch's
+    assert built == [set(keys.values()), {escrow}]

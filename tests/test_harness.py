@@ -11,13 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from sealedbid import crypto, events
 from sealedbid.enclave import Enclave
-from sealedbid.events import canonical, find_hex
+from sealedbid.events import HexNeedles, canonical, find_hex
 from sealedbid.harness import (
     MIN_CHECKED_BID,
+    ScenarioRunner,
     pre_disclosure_leaks,
     run_scenario,
     stated_numbers,
 )
+from sealedbid.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -241,6 +243,18 @@ def test_find_hex_finds_needles_across_window_edges():
         assert find_hex(text, [escrow, key]) == {escrow: [offset], key: [offset + 40]}
 
 
+def test_joined_needles_find_what_one_table_finds():
+    # "01234567" is a word of both needles, at offsets 0 and 8
+    key, escrow = "0123456789abcdef" * 4, "89abcdef01234567" + "5e" * 12
+    text = "q%sq%s%s" % (key, escrow.upper(), key[:40])
+    expected = {key: [1], escrow: [66], "ef01": [15, 31, 47, 72, 120, 136]}
+    assert find_hex(text, [key, escrow, "ef01"]) == expected
+    assert find_hex(text, HexNeedles([key]) | HexNeedles([escrow, "ef01"])) == expected
+    # a needle in both parts is still found once per occurrence
+    assert find_hex(text, HexNeedles([key, escrow]) | HexNeedles([escrow])) == {
+        key: [1], escrow: [66]}
+
+
 @settings(max_examples=150, deadline=None)
 @given(log=planted_logs())
 def test_one_pass_rules_equal_the_per_needle_rules(log):
@@ -264,3 +278,21 @@ def test_one_pass_rules_equal_the_per_needle_rules(log):
         assert (needle in found) == (needle in lowered)
         assert found.get(needle, []) == [i for i in range(len(lowered))
                                          if lowered.startswith(needle, i)]
+
+
+def test_writing_the_logs_renders_no_record_again(monkeypatch, tmp_path):
+    # run() writes the text the confidentiality check rendered
+    rendered = []
+    real = events.canonical
+    monkeypatch.setattr(events, "canonical",
+                        lambda record: rendered.append(record) or real(record))
+    scenario = load_scenario(SCENARIOS / "honest_4_bidders.yaml")
+    counts = {}
+    for out_dir in (None, tmp_path):
+        rendered.clear()
+        runner = ScenarioRunner(scenario, out_dir=out_dir)
+        assert runner.run().passed
+        counts[out_dir] = len(rendered)
+    assert counts[tmp_path] == counts[None] > 0
+    assert (tmp_path / "events.jsonl").read_text(encoding="utf-8") == runner.events.text()
+    assert (tmp_path / "audit.jsonl").read_text(encoding="utf-8") == runner.audit.text()

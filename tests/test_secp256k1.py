@@ -4,14 +4,19 @@ Both backends are tested through the calls of the backend contract (see
 `sealedbid.crypto`): `scalar_mult_base` and `double_mult_base` give point
 addition as `double_mult_base(a, 1, Q) = a*G + Q` and point multiplication
 as `double_mult_base(0, b, Q) = b*Q`, `lift_x` gives the points of a given
-x, and `inverse_mod_n` inverts scalars.
+x, `inverse_mod_n` inverts scalars, and `sign_recoverable` and
+`recover_public_key` sign and recover in one call each.
 """
 
+import hashlib
 import random
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from sealedbid import crypto
 from sealedbid._core import _purepy
 from sealedbid.crypto import secp256k1
 from sealedbid.errors import KeyMaterialError, SignatureError
@@ -303,3 +308,181 @@ def test_inverse_mod_n_rejects_zero(backend, k):
     with pytest.raises(ValueError):
         backend.inverse_mod_n(k)
 
+
+
+# -- the backend contract
+
+def contract_calls():
+    """The calls `sealedbid.crypto` documents: those the package makes, then
+    the building blocks both backends keep for these tests."""
+    made, blocks = crypto.__doc__.split("building blocks")
+    return (re.findall(r"^- `(\w+)\(", made, re.M),
+            re.findall(r"^- `(\w+)\(", blocks, re.M))
+
+
+def test_backend_exports_exactly_the_documented_calls(backend):
+    made, blocks = contract_calls()
+    assert made == ["keccak_256", "scalar_mult_base", "sign_recoverable", "recover_public_key"]
+    assert blocks == ["double_mult_base", "lift_x", "inverse_mod_n"]
+    exported = {name for name in dir(backend)
+                if not name.startswith("_") and callable(getattr(backend, name))}
+    assert exported == set(made + blocks)
+    assert backend.IMPLEMENTATION in ("compiled", "pure")
+
+
+def test_the_package_makes_only_the_documented_calls():
+    package = Path(crypto.__file__).resolve().parent.parent
+    used = set()
+    for path in package.rglob("*.py"):
+        used.update(re.findall(r"\bbackend\.(\w+)", path.read_text(encoding="utf-8")))
+    assert used - {"IMPLEMENTATION"} == set(contract_calls()[0])
+
+
+# -- signing and recovery in one backend call each
+
+# (key, digest) -> (r, s, recovery bit), pinned from the pure-Python
+# reference's signing loop, so both backends answer to fixed values
+SIGNATURE_KEYS = {"1": 1, "N-1": N - 1, "0xc0ffee": 0xC0FFEE, "2^255+19": 2 ** 255 + 19}
+SIGNATURE_DIGESTS = {
+    "0": bytes(32), "ff": b"\xff" * 32, "N": N.to_bytes(32, "big"),
+    "N+1": (N + 1).to_bytes(32, "big"),
+    "keccak(abc)": bytes.fromhex(
+        "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45"),
+}
+PINNED_SIGNATURES = [
+    ('1', '0', 0xA0B37F8FBA683CC68F6574CD43B39F0343A50008BF6CCEA9D13231D9E7E2E1E4,
+     0x11EDC8D307254296264AEBFC3DC76CD8B668373A072FD64665B50000E9FCCE52, 1),
+    ('1', 'ff', 0x7CB38CC5712E9E11A767615F6080DBC111C9CDD613EB98999FD92A86BAFD4540,
+     0x7923CA1F4D03471D2866F776EF8A6D3CAC099B427331AEB245AA9DAFEDDCF115, 0),
+    ('1', 'N', 0xA0B37F8FBA683CC68F6574CD43B39F0343A50008BF6CCEA9D13231D9E7E2E1E4,
+     0x11EDC8D307254296264AEBFC3DC76CD8B668373A072FD64665B50000E9FCCE52, 1),
+    ('1', 'N+1', 0x6673FFAD2147741F04772B6F921F0BA6AF0C1E77FC439E65C36DEDF4092E8898,
+     0x4C1A971652E0ADA880120EF8025E709FFF2080C4A39AAE068D12EED009B68C89, 1),
+    ('1', 'keccak(abc)', 0xE6CBD687D6CDA3D7CF8E37214D3128A54196B42400AA1C246952A68346238856,
+     0x1EEE2EC3D64CB26E0EDD6F86B19784552A39A351EA1779CDAD6717E820093242, 1),
+    ('N-1', '0', 0x919026F3E239EA52CF530EB6D345DC2B56EF0928F1E9AD20D8F360284DC65048,
+     0x14395E7137E2204F15B69239010F3C34FBB3C858A29B0D106B1FA65BC0047263, 0),
+    ('N-1', 'ff', 0xA7F83B5963EAF5332C633327CC967BE8F4166D3F1E0B77F9761D8F4E42211E9A,
+     0x58AAE31BE1EB1E496923BBE8CA5E843CFB89F4D986D61D4EDFD7D6FC3C9CF62C, 0),
+    ('N-1', 'N', 0x919026F3E239EA52CF530EB6D345DC2B56EF0928F1E9AD20D8F360284DC65048,
+     0x14395E7137E2204F15B69239010F3C34FBB3C858A29B0D106B1FA65BC0047263, 0),
+    ('N-1', 'N+1', 0xEAA03E6C5CC815DD7CEE2E11460DF51A04BFD9B3169AA63F735C95DCF623C95D,
+     0x192BF170E5284EFEFDB0D8CE148759A48ADA553BD929D3DEDA5451DECFA5C70E, 1),
+    ('N-1', 'keccak(abc)', 0x85DE2D5E92B4E9030E5D9D1EFBF9E717CB411294A26061F15147905ED4F8369E,
+     0x511CCE3678EBE4FD6B50CEDD9B905FD4BB3D1E633B9EED8E91B678255BE821D5, 1),
+    ('0xc0ffee', '0', 0x5F7C39F262F9A1DDC12FB80F4723F0094250E88E75437D776E2A53F235229825,
+     0x7349B23FA2443A2222DF70E05276D7ED0220BE10FF521729B232586781793A71, 1),
+    ('0xc0ffee', 'ff', 0xF20CEC374232269F30F2B19068A42566592CA380544736AF276495C7862480BF,
+     0x27928FB385ABB7B7335246E4065C8EBC2AF8CC7E2CF2554DA5B03286D7821835, 1),
+    ('0xc0ffee', 'N', 0x5F7C39F262F9A1DDC12FB80F4723F0094250E88E75437D776E2A53F235229825,
+     0x7349B23FA2443A2222DF70E05276D7ED0220BE10FF521729B232586781793A71, 1),
+    ('0xc0ffee', 'N+1', 0xDA0AD62BC482E066A1913426DDB0F09AD84DE3AA01047BB1B5B5B0364C8DB390,
+     0x068EEDB5394996F803F5FD5CE5198161334A11B067DEFEBE692C22E4F50D66CD, 0),
+    ('0xc0ffee', 'keccak(abc)', 0xC0BB09C17614B89EE8931371EBBB48C9F9893A551FE87409CFC770B30A859FDF,
+     0x37FC113A9634B3CE527AA74B87F1F5D99BFFC562A9C7BB108FA352C29AEE4D00, 1),
+    ('2^255+19', '0', 0x0C63BB52BF2F76390B7658CB889713C9F2FB1CCE367592ADCCF72A2476A343EA,
+     0x24D0955D472A60AAB272E01BB790C739A52F91DDD39EC61D256FE5FF7B793D9F, 1),
+    ('2^255+19', 'ff', 0x72669E89074592B4D513A10551D0D4FB914E325DD1D534FE9CAB9F15070CCE43,
+     0x1015F39D10E01074DB12FA2B7554A9EC550D1688BF67CE3B493CD130963A9671, 1),
+    ('2^255+19', 'N', 0x0C63BB52BF2F76390B7658CB889713C9F2FB1CCE367592ADCCF72A2476A343EA,
+     0x24D0955D472A60AAB272E01BB790C739A52F91DDD39EC61D256FE5FF7B793D9F, 1),
+    ('2^255+19', 'N+1', 0xDBDB20FB0310BD1E1B43CDD4C474ED2CA580C1D9F5EA05C9DFE4A07D7DA44132,
+     0x0C455E3E2CC925D3A2CECEC6082928F581CEA8F0124B7ECF171568FC1C173697, 0),
+    ('2^255+19', 'keccak(abc)', 0xB4F5493BC2F6FC2012F74B0076B062BA6F2AC89C0D7D705EA29668B58F35DD61,
+     0x6376310212FDDC7D205E240C4B27407DB5152A115F9AA3D5813126405C27B68A, 0),
+]
+
+
+@pytest.mark.parametrize("key, digest, r, s, bit", PINNED_SIGNATURES,
+                         ids=["%s-%s" % row[:2] for row in PINNED_SIGNATURES])
+def test_pinned_signatures(backend, monkeypatch, key, digest, r, s, bit):
+    key, digest = SIGNATURE_KEYS[key], SIGNATURE_DIGESTS[digest]
+    assert backend.sign_recoverable(digest, key) == (r, s, bit)
+    assert backend.recover_public_key(digest, r, s, bit) == backend.scalar_mult_base(key)
+    monkeypatch.setattr(secp256k1, "backend", backend)
+    assert secp256k1.sign_recoverable(digest, key) == (r, s, bit)
+
+
+def test_the_published_rfc6979_vector(backend):
+    # the secp256k1 vector Bitcoin libraries publish: key 1, SHA-256 of
+    # "Satoshi Nakamoto"
+    digest = hashlib.sha256(b"Satoshi Nakamoto").digest()
+    assert backend.sign_recoverable(digest, 1) == (
+        0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
+        0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.one_of(st.integers(min_value=1, max_value=N - 1),
+                     st.sampled_from([1, 2, N - 2, N - 1])),
+       digest=st.binary(min_size=32, max_size=32))
+def test_sign_recoverable_matches_the_reference(compiled_kernel, key, digest):
+    signature = compiled_kernel.sign_recoverable(digest, key)
+    assert signature == _purepy.sign_recoverable(digest, key)
+    assert compiled_kernel.recover_public_key(digest, *signature) == \
+        _purepy.scalar_mult_base(key)
+
+
+def recovery_outcome(backend, args):
+    """The recovered point, or the message of the backend's ValueError."""
+    try:
+        return backend.recover_public_key(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def recovery_inputs(draw):
+    """(digest, r, s, bit) in the ranges `secp256k1` admits: arbitrary ones,
+    for about half of which r has no curve point, or a signature whose key
+    is the point at infinity (R = k*G and z = s*k make s*R - z*G zero)."""
+    s = draw(st.integers(min_value=1, max_value=N // 2))
+    if draw(st.booleans()):
+        return (draw(st.binary(min_size=32, max_size=32)),
+                draw(st.integers(min_value=1, max_value=N - 1)), s,
+                draw(st.integers(min_value=0, max_value=1)))
+    k = draw(st.integers(min_value=1, max_value=N - 1))
+    x, y = _purepy.scalar_mult_base(k)
+    assume(x < N)
+    return (s * k % N).to_bytes(32, "big"), x, s, y & 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=recovery_inputs())
+def test_recover_public_key_matches_the_reference(compiled_kernel, args):
+    outcome = recovery_outcome(compiled_kernel, args)
+    assert outcome == recovery_outcome(_purepy, args)
+    assert outcome in ("signature point is not on the curve",
+                       "recovered the point at infinity") or secp256k1.is_on_curve(outcome)
+
+
+def test_recovery_rejects_the_point_at_infinity(backend, monkeypatch):
+    monkeypatch.setattr(secp256k1, "backend", backend)
+    k, s = 0xC0FFEE, 12345
+    x, y = backend.scalar_mult_base(k)
+    with pytest.raises(SignatureError, match="recovered the point at infinity"):
+        secp256k1.recover_public_key((s * k % N).to_bytes(32, "big"), x, s, y & 1)
+
+
+def structured_scalars():
+    """Scalars whose bit patterns stress the divsteps of an inversion: powers
+    of two and their neighbours, N - 2^k, and long runs of zeros and ones."""
+    values = set()
+    for k in range(256):
+        values.update((1 << k, (1 << k) - 1, N - (1 << k)))
+    for width in (32, 64, 128, 192, 255):
+        for shift in (0, 1, 31, 64, 255 - width):
+            values.add(((1 << width) - 1) << shift)
+    values.update(int(pattern * 32, 16) for pattern in ("55", "aa", "f0", "0f", "ff00", "00ff"))
+    return sorted(v % N for v in values if v % N)
+
+
+def test_inverse_mod_n_on_structured_scalars(backend):
+    for k in structured_scalars():
+        assert backend.inverse_mod_n(k) == pow(k, -1, N), hex(k)
+
+
+def test_scalar_mult_base_on_structured_scalars(compiled_kernel):
+    # each result passes through an inversion mod p of the sum's Z
+    for k in structured_scalars():
+        assert compiled_kernel.scalar_mult_base(k) == _purepy.scalar_mult_base(k), hex(k)
