@@ -8,10 +8,9 @@ the Python headers. To build it in place for a source checkout:
 
 The package works without the extension (a pure-Python backend is selected
 at import time), so a failed compile downgrades to a warning instead of
-aborting the install. Set SEALEDBID_NO_EXT=1 to skip the build entirely.
+aborting the install.
 """
 
-import os
 import sys
 
 from setuptools import Extension, setup
@@ -40,14 +39,9 @@ class optional_build_ext(build_ext):
         )
 
 
-ext_modules = []
-if not os.environ.get("SEALEDBID_NO_EXT"):
-    ext_modules = [
-        Extension(
-            "sealedbid._core._speedups",
-            ["src/sealedbid/_core/_speedups.c"],
-            extra_compile_args=["-O3"],
-        )
-    ]
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("sealedbid._core._speedups",
+                           ["src/sealedbid/_core/_speedups.c"],
+                           extra_compile_args=["-O3"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

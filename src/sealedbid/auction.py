@@ -46,7 +46,6 @@ from sealedbid.gas import (
     OP_DEPLOY,
     OP_END,
     OP_START,
-    default_pricing,
 )
 from sealedbid.quorum import QuorumClient
 from sealedbid.transactions import SignedTransaction, UnsignedTx
@@ -92,6 +91,8 @@ class AuctionConfig:
             raise ConfigError("unknown resolution mode %r" % self.resolution_mode)
         if self.kappa < 0 or self.gas_price < 0 or self.proposal_window < 1:
             raise ConfigError("kappa/gas_price/proposal_window out of range")
+        if self.token_id < 0 or self.chain_id < 0:
+            raise ConfigError("token_id and chain_id must be non-negative")
 
     @property
     def settlement_fee(self) -> int:
@@ -179,13 +180,11 @@ class AuctionInstance:
     """One auction; all operations run inside the owning enclave."""
 
     def __init__(self, enclave: Enclave, config: AuctionConfig,
-                 events: Optional[EventLog] = None,
-                 gas: Optional[GasLedger] = None):
+                 events: EventLog, gas: GasLedger):
         self.enclave = enclave
         self.config = config
-        self.events = events if events is not None else EventLog()
-        self.gas = gas if gas is not None else GasLedger(
-            default_pricing(config.resolution_mode))
+        self.events = events
+        self.gas = gas
         self.state = AuctionState.INIT
         self.transitions: List[Tuple[AuctionState, AuctionState]] = []
         self.resolution: Optional[ResolutionResult] = None
@@ -251,8 +250,8 @@ class AuctionInstance:
 
     @classmethod
     def deploy(cls, enclave: Enclave, config: AuctionConfig,
-               quorum: QuorumClient, events: Optional[EventLog] = None,
-               gas: Optional[GasLedger] = None) -> "AuctionInstance":
+               quorum: QuorumClient, events: EventLog,
+               gas: GasLedger) -> "AuctionInstance":
         instance = cls(enclave, config, events, gas)
         head = quorum.query_height()
         if config.deadline_height <= head:

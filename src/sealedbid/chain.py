@@ -168,20 +168,18 @@ class _State:
 
 
 class SimChain:
-    def __init__(self, genesis, chain_id: int, finality_depth: int,
+    def __init__(self, genesis: Dict[bytes, int], chain_id: int, finality_depth: int,
                  genesis_assets=None, tx_gas: int = 21_000):
         if finality_depth < 1:
             raise ConfigError("finality_depth must be >= 1")
         if tx_gas < 0:
             raise ConfigError("tx_gas must be non-negative")
         state = _State()
-        for addr, balance in self._iter_genesis(genesis):
+        for addr, balance in genesis.items():
             if len(addr) != 20:
                 raise ConfigError("genesis address must be 20 bytes")
             if balance < 0:
                 raise ConfigError("genesis balance must be non-negative")
-            if addr in state.balances:
-                raise ConfigError("duplicate genesis address 0x%s" % addr.hex())
             state.balances[addr] = balance
         for token_id, owner in (genesis_assets or {}).items():
             if len(owner) != 20:
@@ -202,12 +200,6 @@ class SimChain:
         self._tx_index: Dict[bytes, int] = {}  # tx_hash -> inclusion height
         # address -> (height, sender) of its first value inflow
         self._first_inflow: Dict[bytes, Tuple[int, bytes]] = {}
-
-    @staticmethod
-    def _iter_genesis(genesis):
-        if hasattr(genesis, "items"):
-            return list(genesis.items())
-        return list(genesis)
 
     # -- queries ------------------------------------------------------------
 

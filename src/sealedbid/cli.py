@@ -2,7 +2,7 @@
 
     sealedbid run <scenario.yaml> [--seed N] [--out-dir DIR]
     sealedbid oracle <scenario.yaml>
-    sealedbid plot --out plot.csv [--modes ...] [--pricing ...] [--bidders A:B]
+    sealedbid plot --out plot.csv
     sealedbid verify-log <events.jsonl>
 
 Exit codes: 0 success, 1 invariant/verification failure, 2 configuration
@@ -11,16 +11,15 @@ or usage error.
 
 import argparse
 import json
-import re
 import sys
 
 from sealedbid.enclave import AttestationReport, verify_attestation
 from sealedbid.errors import ConfigError, SealedBidError
-from sealedbid.events import canonical, unhx
+from sealedbid.events import canonical, find_hex, unhx
 from sealedbid.gas import write_plot_csv
 from sealedbid.harness import ScenarioRunner, oracle_resolve, pre_disclosure_leaks
 from sealedbid.scenario import load_scenario
-from sealedbid.transactions import SignedTransaction, recover_signer
+from sealedbid.transactions import ADDRESS_LENGTH, SignedTransaction, recover_signer
 
 
 def _cmd_run(args) -> int:
@@ -48,26 +47,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _parse_range(spec: str):
-    match = re.fullmatch(r"(\d+):(\d+)", spec)
-    if match:
-        low, high = int(match.group(1)), int(match.group(2))
-        if low > high:
-            raise ConfigError("empty bidder range %s" % spec)
-        return list(range(low, high + 1))
-    try:
-        return [int(part) for part in spec.split(",") if part]
-    except ValueError:
-        raise ConfigError("cannot parse bidder range %r" % spec)
-
-
 def _cmd_plot(args) -> int:
-    rows = write_plot_csv(
-        args.out,
-        modes=args.modes.split(",") if args.modes else None,
-        pricings=args.pricing.split(",") if args.pricing else None,
-        bidders=_parse_range(args.bidders) if args.bidders is not None else None,
-    )
+    rows = write_plot_csv(args.out)
     print("wrote %d data rows to %s" % (rows, args.out))
     return 0
 
@@ -137,6 +118,10 @@ def _cmd_verify_log(args) -> int:
             known = bidder_set | {r["address"].lower() for r in records
                                   if r.get("event") == "AssetEscrowAddress"}
             escrows = {addr: unhx(addr) for addr in sorted(bidder_set)}
+            for addr, escrow in escrows.items():
+                if len(escrow) != ADDRESS_LENGTH:
+                    raise ValueError("bidder_set entry %s is not a %d-byte address"
+                                     % (addr, ADDRESS_LENGTH))
             payloads = [(p.get("role"), p.get("raw"))
                         for p in resolved.get("payloads", [])]
         except MALFORMED as exc:
@@ -152,7 +137,8 @@ def _cmd_verify_log(args) -> int:
             print("payload %-15s signer=%s %s" % (role, signer, "ok" if ok else "FAIL"))
             failures += 0 if ok else 1
         # confidentiality replay: no disclosed escrow before disclosure
-        for problem in pre_disclosure_leaks(records, lines, escrows):
+        found = find_hex("\n".join(lines), [e.hex() for e in escrows.values()])
+        for problem in pre_disclosure_leaks(records, lines, escrows, found):
             print("confidentiality FAIL: %s" % problem)
             failures += 1
 
@@ -183,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="emit gas-scaling CSV data")
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--modes", default=None,
-                        help="comma-separated: exhaustive,proposer")
-    p_plot.add_argument("--pricing", default=None,
-                        help="comma-separated: default,adjusted")
-    p_plot.add_argument("--bidders", default=None,
-                        help="range A:B or comma-separated list")
     p_plot.set_defaults(func=_cmd_plot)
 
     p_verify = sub.add_parser("verify-log",

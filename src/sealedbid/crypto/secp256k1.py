@@ -49,15 +49,6 @@ def public_key_bytes(point: Point) -> bytes:
     return point[0].to_bytes(32, "big") + point[1].to_bytes(32, "big")
 
 
-def point_from_bytes(data: bytes) -> Point:
-    if len(data) != 64:
-        raise KeyMaterialError("public key must be 64 bytes, got %d" % len(data))
-    point = (int.from_bytes(data[:32], "big"), int.from_bytes(data[32:], "big"))
-    if not is_on_curve(point):
-        raise KeyMaterialError("point is not on the curve")
-    return point
-
-
 def sign_recoverable(digest: bytes, private_key: int) -> Tuple[int, int, int]:
     """Sign a 32-byte digest; returns (r, s, recovery_bit) with s <= N/2."""
     if len(digest) != 32:

@@ -45,7 +45,8 @@ from sealedbid.transactions import (
     sign_tx,
 )
 
-DEFAULT_CODE_HASH = keccak_256(b"sealedbid/auction-logic/v1")
+# the code identity every attestation binds
+CODE_HASH = keccak_256(b"sealedbid/auction-logic/v1")
 
 _ENVELOPE_INFO = b"sealedbid/envelope/v1"
 
@@ -131,14 +132,11 @@ class _SealedEntry:
 class Enclave:
     """All operations on one instance are serialized; keys never leave."""
 
-    def __init__(self, mode: str = "test", seed: int = 0,
-                 code_hash: bytes = DEFAULT_CODE_HASH):
+    def __init__(self, mode: str = "test", seed: int = 0):
         if mode not in ("test", "production"):
             raise ConfigError("enclave mode must be 'test' or 'production'")
-        if len(code_hash) != 32:
-            raise ConfigError("code_hash must be a 32-byte digest")
         self.mode = mode
-        self.code_hash = code_hash
+        self.code_hash = CODE_HASH
         self.compromised = False
         self._lock = threading.RLock()
         if mode == "test":
@@ -238,12 +236,8 @@ class Enclave:
                 or len(recipient_public_key) != 32:
             raise KeyMaterialError("recipient key must be 32 bytes")
         with self._lock:
-            ephemeral = X25519PrivateKey.from_private_bytes(self._stream(32))
-        recipient = X25519PublicKey.from_public_bytes(bytes(recipient_public_key))
-        ephemeral_pub = ephemeral.public_key().public_bytes_raw()
-        ciphertext = _seal_box(ephemeral, recipient, ephemeral_pub,
-                               bytes(recipient_public_key), bytes(plaintext))
-        return Envelope(bytes(recipient_public_key), ephemeral_pub, ciphertext)
+            ephemeral_private_bytes = self._stream(32)
+        return _seal_envelope(recipient_public_key, plaintext, ephemeral_private_bytes)
 
     def decrypt_input(self, envelope: Envelope) -> bytes:
         """Open an envelope addressed to the enclave's input key."""
@@ -315,15 +309,20 @@ def _count_apart(offsets: Iterable[int], length: int) -> int:
     return count
 
 
-def _seal_box(ephemeral: X25519PrivateKey, recipient: X25519PublicKey,
-              ephemeral_pub: bytes, recipient_pub: bytes,
-              plaintext: bytes) -> bytes:
-    shared = ephemeral.exchange(recipient)
+def _seal_envelope(recipient_public_key: bytes, plaintext: bytes,
+                   ephemeral_private_bytes: bytes) -> Envelope:
+    """Encrypt `plaintext` to a recipient's X25519 key under the ephemeral
+    key whose 32 private bytes are given."""
+    recipient_pub = bytes(recipient_public_key)
+    ephemeral = X25519PrivateKey.from_private_bytes(bytes(ephemeral_private_bytes))
+    ephemeral_pub = ephemeral.public_key().public_bytes_raw()
+    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_pub))
     key = HKDF(algorithm=SHA256(), length=32,
                salt=ephemeral_pub + recipient_pub,
                info=_ENVELOPE_INFO).derive(shared)
-    return ChaCha20Poly1305(key).encrypt(b"\x00" * 12, plaintext,
-                                         ephemeral_pub + recipient_pub)
+    ciphertext = ChaCha20Poly1305(key).encrypt(b"\x00" * 12, bytes(plaintext),
+                                               ephemeral_pub + recipient_pub)
+    return Envelope(recipient_pub, ephemeral_pub, ciphertext)
 
 
 def _open_box(private_key: X25519PrivateKey, envelope: Envelope) -> bytes:
@@ -348,12 +347,7 @@ def encrypt_to_key(recipient_public_key: bytes, plaintext: bytes,
         raise KeyMaterialError("recipient key must be 32 bytes")
     if len(ephemeral_private_bytes) != 32:
         raise KeyMaterialError("ephemeral key must be 32 bytes")
-    ephemeral = X25519PrivateKey.from_private_bytes(bytes(ephemeral_private_bytes))
-    recipient = X25519PublicKey.from_public_bytes(bytes(recipient_public_key))
-    ephemeral_pub = ephemeral.public_key().public_bytes_raw()
-    ciphertext = _seal_box(ephemeral, recipient, ephemeral_pub,
-                           bytes(recipient_public_key), bytes(plaintext))
-    return Envelope(bytes(recipient_public_key), ephemeral_pub, ciphertext)
+    return _seal_envelope(recipient_public_key, plaintext, ephemeral_private_bytes)
 
 
 def decrypt_envelope(private_key, envelope: Envelope) -> bytes:

@@ -36,22 +36,25 @@ def canonical(record: dict) -> str:
 
 class HexNeedles:
     """Needles for `find_hex` with their word table, built once so that
-    several texts can be searched for them. `a | b` searches for the
-    needles of both with the tables of each: no table is built or copied
-    again."""
+    several texts can be searched for them. A needle is lowercase hex of
+    at least _HEAD (24) characters, such as a 20-byte address's or a
+    32-byte key's `bytes.hex()`; one that is shorter or not ASCII raises
+    ValueError. `a | b` searches for the needles of both with the tables
+    of each: no table is built or copied again."""
 
     def __init__(self, needles: Iterable[str] = ()):
         wanted = set(needles)
-        anchored = {n for n in wanted if len(n) >= _HEAD and n.isascii()}
-        self.short = wanted - anchored
+        for needle in wanted:
+            if len(needle) < _HEAD or not needle.isascii():
+                raise ValueError("hex needle %r is not ASCII of at least %d characters"
+                                 % (needle, _HEAD))
         self.parts = []  # (needles, their word table, their lengths) per joined set
-        if anchored:
-            self.parts.append((anchored, _anchor_table(anchored),
-                               sorted({len(n) for n in anchored})))
+        if wanted:
+            self.parts.append((wanted, _anchor_table(wanted),
+                               sorted({len(n) for n in wanted})))
 
     def __or__(self, other: "HexNeedles") -> "HexNeedles":
         union = HexNeedles()
-        union.short = self.short | other.short
         union.parts = self.parts + other.parts
         return union
 
@@ -59,30 +62,20 @@ class HexNeedles:
 def find_hex(text: str, needles) -> Dict[str, List[int]]:
     """Where each needle occurs in `text.lower()`, from one pass over `text`.
 
-    `needles` is an iterable of strings or a `HexNeedles`. Returns needle
-    -> the ascending start offsets of all its occurrences, overlapping ones
-    included, for each needle that occurs at all; so `needle in result` is
-    `needle in text.lower()`. Needles are lowercase hex, such as an
-    address's or a key's `bytes.hex()`.
+    `needles` is an iterable of strings or a `HexNeedles`, whose rules
+    each needle must meet. Returns needle -> the ascending start offsets
+    of all its occurrences, overlapping ones included, for each needle
+    that occurs at all; so `needle in result` is `needle in text.lower()`.
 
     The text is read once, a window at a time, whatever the number of
     needles; a table holds _STRIDE words per needle, and each word hit
-    is checked against the text. A needle shorter than _HEAD characters
-    or not ASCII, which no 20- or 32-byte value's hex is, costs one
-    `str.find` pass of its own.
+    is checked against the text.
     """
     if not isinstance(needles, HexNeedles):
         needles = HexNeedles(needles)
     if not text.isascii():
         text = text.lower()  # lowering can change the length of non-ASCII text
     found: Dict[str, List[int]] = {}
-    if needles.short:
-        lowered = text.lower()
-        for needle in needles.short:
-            at = lowered.find(needle)
-            while at >= 0:
-                found.setdefault(needle, []).append(at)
-                at = lowered.find(needle, at + 1)
     if not needles.parts:
         return found
     for start in range(0, len(text), _WINDOW):

@@ -41,7 +41,6 @@ ADJUSTED_HTTP_REQUEST_COST = 100_000
 @dataclass(frozen=True)
 class GasPricing:
     mode: str
-    label: str = "default"
     http_request_cost: int = DEFAULT_HTTP_REQUEST_COST
     deploy: int = 0
     start_auction: int = 0
@@ -70,9 +69,6 @@ class GasPricing:
     def register_winner(self) -> int:
         return self.register_winner_overhead + self.http_request_cost
 
-    def with_http_cost(self, cost: int, label: str = "adjusted") -> "GasPricing":
-        return dataclasses.replace(self, http_request_cost=cost, label=label)
-
 
 def default_pricing(mode: str) -> GasPricing:
     if mode == MODE_EXHAUSTIVE:
@@ -98,7 +94,8 @@ def default_pricing(mode: str) -> GasPricing:
 
 
 def adjusted_pricing(mode: str) -> GasPricing:
-    return default_pricing(mode).with_http_cost(ADJUSTED_HTTP_REQUEST_COST)
+    return dataclasses.replace(default_pricing(mode),
+                               http_request_cost=ADJUSTED_HTTP_REQUEST_COST)
 
 
 @dataclass(frozen=True)
@@ -227,21 +224,17 @@ def scaling_curve(pricing: GasPricing, n_range) -> List[Tuple[int, int]]:
     return [(n, pricing.end_auction(n)) for n in ns]
 
 
-def write_plot_csv(path, modes=None, pricings=None, bidders=None) -> int:
-    """CSV of end-phase gas series for figure reproduction; returns row count."""
-    modes = list(modes or (MODE_EXHAUSTIVE, MODE_PROPOSER))
-    pricing_labels = list(pricings or ("default", "adjusted"))
-    bidder_counts = list(bidders if bidders is not None else range(1, 21))
+def write_plot_csv(path) -> int:
+    """CSV of the end-phase gas of 1..20 bidders in both modes under both
+    pricings, for figure reproduction; returns the row count."""
     rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "pricing", "bidders", "operation", "layer", "gas"])
-        for mode in modes:
-            for label in pricing_labels:
-                pricing = (default_pricing(mode) if label == "default"
-                           else adjusted_pricing(mode))
-                for n, gas in (scaling_curve(pricing, bidder_counts)
-                               if bidder_counts else []):
+        for mode in (MODE_EXHAUSTIVE, MODE_PROPOSER):
+            for label, pricing in (("default", default_pricing(mode)),
+                                   ("adjusted", adjusted_pricing(mode))):
+                for n, gas in scaling_curve(pricing, range(1, 21)):
                     writer.writerow([mode, label, n, OP_END, LAYER_EXECUTION, gas])
                     rows += 1
     return rows

@@ -22,7 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from sealedbid import crypto
 from sealedbid.auction import (
-    AuctionConfig,
     AuctionInstance,
     AuctionState,
     LEGAL_TRANSITIONS,
@@ -162,23 +161,22 @@ def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
 
 def pre_disclosure_leaks(records: List[dict], lines: List[str],
                          escrows: Dict[str, bytes],
-                         bids: Iterable[Tuple[str, int]] = (),
-                         found: Optional[Dict[str, List[int]]] = None) -> List[str]:
+                         found: Dict[str, List[int]],
+                         bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
     """Escrow addresses and bid values that an event stream shows before
     disclosure begins, at its first `Resolved` or `ProposalsOpened` event.
 
     `lines[i]` is the text of `records[i]`, and the stream's text is the
     lines joined by "\n"; the cut is where the disclosing line starts.
+    `found` is `find_hex(text, escrow hex)` for that whole text.
     - An escrow leaks if its hex occurs in the lowercased text before the
       cut, also inside a longer hex run.
     - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
       records before the cut state the amount as a number (see
       `stated_numbers`).
 
-    `found` is `find_hex(text, escrow hex)` for the whole text, when the
-    caller has read it already; otherwise the text before the cut is read
-    here. Either way each rule makes one pass: one scan of the text and
-    one walk of the records.
+    Neither rule reads the text again: one looks up `found`, the other
+    walks the records once.
     """
     boundary = next((i for i, r in enumerate(records)
                      if r.get("event") in ("Resolved", "ProposalsOpened")),
@@ -188,8 +186,6 @@ def pre_disclosure_leaks(records: List[dict], lines: List[str],
         cut = sum(map(len, before)) + max(len(before) - 1, 0)
     else:  # lowering can change the length of non-ASCII text
         cut = len("\n".join(before).lower())
-    if found is None:
-        found = find_hex("\n".join(before), [e.hex() for e in escrows.values()])
     problems = []
     for name, escrow in escrows.items():
         needle = escrow.hex()
@@ -497,19 +493,9 @@ class ScenarioRunner:
 
     def _lifecycle(self) -> None:
         scn = self.scenario
-        config = AuctionConfig(
-            deadline_height=scn.auction.deadline_height,
-            auctioneer_address=self.auctioneer.address,
-            token_id=scn.auction.token_id,
-            gas_price=scn.auction.gas_price,
-            kappa=scn.auction.kappa,
-            resolution_mode=scn.auction.resolution_mode,
-            proposal_window=scn.auction.proposal_window,
-            settlement_tx_gas=scn.chain.tx_gas,
-            chain_id=scn.chain.chain_id,
-        )
-        self.auction = AuctionInstance.deploy(self.enclave, config, self.client,
-                                              self.events, self.gas)
+        self.auction = AuctionInstance.deploy(
+            self.enclave, scn.auction_config(self.auctioneer.address), self.client,
+            self.events, self.gas)
         self.auction.setup()
         if scn.auctioneer.escrow_asset:
             self._escrow_asset()
@@ -727,7 +713,7 @@ class ScenarioRunner:
         bids = [(b.name, amount) for b in self.scenario.bidders
                 for amount in (b.funding, b.topup) if amount]
         problems = pre_disclosure_leaks(self.events.records, lines,
-                                        self.escrows, bids, found)
+                                        self.escrows, found, bids)
         if leaks:
             problems.append("%d private-key leak(s) in public logs" % leaks)
         if self.auction is not None and self.auction.resolution is not None:

@@ -14,10 +14,11 @@ strictly precede their funding heights.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union, get_args, get_origin
 
 import yaml
 
+from sealedbid.auction import AuctionConfig
 from sealedbid.errors import ConfigError
 from sealedbid.gas import MODE_EXHAUSTIVE, MODE_PROPOSER
 from sealedbid.quorum import BEHAVIOR_KINDS, EndpointSpec
@@ -126,6 +127,20 @@ class Scenario:
         """Head height at which closing and resolution proceed."""
         return self.last_transfer_height() + self.auction.kappa
 
+    def auction_config(self, auctioneer_address: bytes) -> AuctionConfig:
+        """The engine's configuration of this scenario's auction."""
+        return AuctionConfig(
+            deadline_height=self.auction.deadline_height,
+            auctioneer_address=auctioneer_address,
+            token_id=self.auction.token_id,
+            gas_price=self.auction.gas_price,
+            kappa=self.auction.kappa,
+            resolution_mode=self.auction.resolution_mode,
+            proposal_window=self.auction.proposal_window,
+            settlement_tx_gas=self.chain.tx_gas,
+            chain_id=self.chain.chain_id,
+        )
+
     def default_wallet_balance(self, bidder: BidderScript) -> int:
         fee = self.chain.tx_gas * self.auction.gas_price
         return bidder.funding + (bidder.topup or 0) + 4 * fee + 1_000
@@ -137,15 +152,41 @@ class Scenario:
         raise ConfigError("unknown bidder %r" % name)
 
 
+def _matches(value, declared) -> bool:
+    """Whether a document value has the type a field declares: a bool is
+    not an int, and a float field takes an int."""
+    if type(value) is declared:
+        return True
+    origin = get_origin(declared)
+    if origin is Union:
+        return any(_matches(value, arg) for arg in get_args(declared))
+    if origin is list:
+        return isinstance(value, list) and all(
+            _matches(item, get_args(declared)[0]) for item in value)
+    if isinstance(value, bool):
+        return declared is bool
+    return isinstance(value, (int, float) if declared is float else declared)
+
+
+def _checked(value, declared, context):
+    if not _matches(value, declared):
+        name = (declared.__name__ if isinstance(declared, type)
+                else str(declared).replace("typing.", ""))
+        raise ConfigError("%s: expected %s, got %r" % (context, name, value))
+    return value
+
+
 def _build(cls, data, context):
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("%s: expected a mapping, got %r" % (context, type(data).__name__))
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = set(data) - fields
+    fields = cls.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError("%s: unknown keys %s" % (context, sorted(unknown)))
+    for key, value in data.items():
+        _checked(value, fields[key].type, "%s.%s" % (context, key))
     try:
         return cls(**data)
     except (TypeError, ConfigError) as exc:
@@ -158,9 +199,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "name" not in data:
         raise ConfigError("scenario: missing required key 'name'")
     scn = Scenario(
-        name=data["name"],
-        seed=int(data.get("seed", 0)),
-        description=data.get("description", ""),
+        name=_checked(data["name"], str, "name"),
+        seed=_checked(data.get("seed", 0), int, "seed"),
+        description=_checked(data.get("description", ""), str, "description"),
         chain=_build(ChainParams, data.get("chain"), "chain"),
         auction=_build(AuctionParams, data.get("auction"), "auction"),
         auctioneer=_build(AuctioneerParams, data.get("auctioneer"), "auctioneer"),
@@ -185,15 +226,21 @@ def _build_faults(data) -> FaultPlan:
         raise ConfigError("faults: expected a mapping")
     reorgs = [_build(ReorgFault, r, "faults.reorgs[%d]" % i)
               for i, r in enumerate(data.get("reorgs") or [])]
-    return FaultPlan(
-        reorgs=reorgs,
-        compromise_enclave=bool(data.get("compromise_enclave", False)),
-        tamper_sealed=bool(data.get("tamper_sealed", False)),
-    )
+    return _build(FaultPlan, dict(data, reorgs=reorgs), "faults")
 
 
 def validate_scenario(scn: Scenario) -> None:
     ctx = "scenario %r" % scn.name
+    try:
+        scn.auction_config(bytes(20))
+    except ConfigError as exc:
+        raise ConfigError("%s: auction: %s" % (ctx, exc))
+    if scn.chain.finality_depth < 1:
+        raise ConfigError("%s: chain.finality_depth must be >= 1" % ctx)
+    if scn.chain.tx_gas < 0:
+        raise ConfigError("%s: chain.tx_gas must be non-negative" % ctx)
+    if scn.auctioneer.balance < 0:
+        raise ConfigError("%s: auctioneer.balance must be non-negative" % ctx)
     if not scn.endpoints:
         raise ConfigError("%s: declares no endpoints" % ctx)
     if not 1 <= scn.quorum.sample_size <= len(scn.endpoints):
@@ -231,7 +278,7 @@ def validate_scenario(scn: Scenario) -> None:
         if b.topup_height is not None and b.topup_height <= b.funding_height:
             raise ConfigError("%s: topup height %d must follow funding %d"
                               % (bctx, b.topup_height, b.funding_height))
-        if b.funding < 0 or (b.topup or 0) < 0:
+        if b.funding < 0 or (b.topup or 0) < 0 or (b.balance or 0) < 0:
             raise ConfigError("%s: negative amounts" % bctx)
     if scn.proposals and scn.auction.resolution_mode != MODE_PROPOSER:
         raise ConfigError("%s: proposals require proposer mode" % ctx)

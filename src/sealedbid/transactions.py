@@ -26,14 +26,12 @@ from sealedbid.errors import CodecError, ConfigError, KeyMaterialError, Signatur
 ADDRESS_LENGTH = 20
 
 
-def derive_address(public_key) -> bytes:
-    """Last 20 bytes of keccak-256 over the 64-byte uncompressed point."""
-    if isinstance(public_key, (bytes, bytearray)):
-        point = secp256k1.point_from_bytes(bytes(public_key))
-    else:
-        point = public_key
-        if not secp256k1.is_on_curve(point):
-            raise KeyMaterialError("point is not on the curve")
+def derive_address(point: secp256k1.Point) -> bytes:
+    """Last 20 bytes of keccak-256 over the 64-byte uncompressed encoding
+    of a public key, given as its (x, y) point; raises KeyMaterialError
+    for a point off the curve."""
+    if not secp256k1.is_on_curve(point):
+        raise KeyMaterialError("point is not on the curve")
     return keccak_256(secp256k1.public_key_bytes(point))[-ADDRESS_LENGTH:]
 
 

@@ -69,11 +69,6 @@ def test_two_account_supply_matches_sum():
     assert chain.total_supply() == 350
 
 
-def test_duplicate_genesis_address_rejected():
-    with pytest.raises(ConfigError):
-        SimChain([(A, 5), (A, 6)], chain_id=1, finality_depth=6)
-
-
 def test_genesis_validation():
     with pytest.raises(ConfigError):
         SimChain({A: -1}, chain_id=1, finality_depth=6)

@@ -1,12 +1,16 @@
 """The command-line interface, through `main`."""
 
+import argparse
+import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from sealedbid.cli import main
+from sealedbid import cli
+from sealedbid.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -55,12 +59,17 @@ def test_verify_log_reports_an_escrow_inside_a_longer_hex_run(tmp_path, capsys):
     assert "confidentiality FAIL: escrow of %s leaked before disclosure" % escrow in out
 
 
-@pytest.mark.parametrize("case", ["bad_hex", "not_json", "no_code_hash"])
+@pytest.mark.parametrize("case", ["bad_hex", "not_json", "no_code_hash", "short_escrow"])
 def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     log = run_logged("honest_4_bidders", tmp_path)
     lines = log.read_text().splitlines()
     header = json.loads(lines[0])
-    if case == "bad_hex":
+    if case == "short_escrow":  # "12" occurs before disclosure, but is no address
+        at = next(i for i, line in enumerate(lines) if '"event":"Resolved"' in line)
+        resolved = json.loads(lines[at])
+        resolved["bidder_set"].append("0x12")
+        lines[at], named = json.dumps(resolved), "event Resolved"
+    elif case == "bad_hex":
         header["code_hash"] = "0xzz"
         lines[0], named = json.dumps(header), "event Deployed"
     elif case == "no_code_hash":
@@ -73,7 +82,9 @@ def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-log", str(log)]) == 1
     out = capsys.readouterr().out
-    assert any(line.startswith(named) and "FAIL" in line for line in out.splitlines()), out
+    assert any(line.startswith(named) and ("FAIL (malformed" in line or "FAIL (not JSON" in line)
+               for line in out.splitlines()), out
+    assert "leaked" not in out
 
 
 @pytest.mark.parametrize("where", ["endpoint", "fallback"])
@@ -102,3 +113,93 @@ def test_oracle_rejects_an_impossible_quorum(quorum, message, tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def scenario_with(tmp_path, key, value):
+    """honest_4_bidders with the value at `key` (dotted; a number indexes a
+    list) replaced, written to a file."""
+    doc = yaml.safe_load((SCENARIOS / "honest_4_bidders.yaml").read_text())
+    *outer, last = [int(part) if part.isdigit() else part for part in key.split(".")]
+    holder = doc
+    for part in outer:
+        holder = holder[part]
+    holder[last] = value
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+REJECTED = [
+    ("auction.resolution_mode", "bogus", "unknown resolution mode 'bogus'"),
+    ("auction.kappa", -1, "kappa/gas_price/proposal_window out of range"),
+    ("auction.gas_price", -1, "kappa/gas_price/proposal_window out of range"),
+    ("auction.proposal_window", 0, "kappa/gas_price/proposal_window out of range"),
+    ("auction.token_id", -1, "token_id and chain_id must be non-negative"),
+    ("chain.chain_id", -1, "token_id and chain_id must be non-negative"),
+    ("chain.finality_depth", 0, "chain.finality_depth must be >= 1"),
+    ("chain.tx_gas", -1, "chain.tx_gas must be non-negative"),
+    ("auctioneer.balance", -5, "auctioneer.balance must be non-negative"),
+    ("bidders.0.balance", -5, "negative amounts"),
+    ("bidders.0.registration_height", "8",
+     "bidders[0].registration_height: expected int, got '8'"),
+    ("auction.deadline_height", "x", "auction.deadline_height: expected int, got 'x'"),
+    ("seed", "abc", "seed: expected int, got 'abc'"),
+    ("bidders.0.funding", 1.5, "bidders[0].funding: expected int, got 1.5"),
+    ("endpoints.0.probability", "p", "endpoints[0].probability: expected float, got 'p'"),
+    ("auction.kappa", True, "auction.kappa: expected int, got True"),
+    ("faults", {"compromise_enclave": "yes"},
+     "faults.compromise_enclave: expected bool, got 'yes'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", REJECTED,
+                         ids=["%s=%s" % (key, value) for key, value, _ in REJECTED])
+def test_oracle_and_run_reject_what_the_engine_rejects(key, value, message, tmp_path,
+                                                        capsys):
+    path = scenario_with(tmp_path, key, value)
+    for command in ("oracle", "run"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, err
+
+
+def test_a_float_field_takes_an_int(tmp_path, capsys):
+    path = scenario_with(tmp_path, "endpoints.0.probability", 1)
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "winner: carol"
+
+
+def test_the_usage_block_names_every_subcommand_and_flag():
+    """Each `sealedbid <command>` line of the module docstring names the
+    command's flags and positional arguments, and no others."""
+    documented = {}
+    for line in cli.__doc__.splitlines():
+        match = re.fullmatch(r"    sealedbid (\S+)(.*)", line)
+        if match:
+            command, rest = match.groups()
+            documented[command] = (set(re.findall(r"--[a-z][a-z-]*", rest)),
+                                   len(re.findall(r"<[^>]+>", rest)))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    accepted = {
+        command: ({flag for action in parser._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"},
+                  sum(1 for action in parser._actions if not action.option_strings))
+        for command, parser in subparsers.choices.items()}
+    assert documented == accepted
+
+
+def test_plot_writes_the_gas_grid(tmp_path, capsys):
+    out = tmp_path / "plot.csv"
+    assert main(["plot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "wrote 80 data rows to %s\n" % out
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["mode", "pricing", "bidders", "operation", "layer", "gas"]
+    assert [(mode, pricing) for mode, pricing, *_ in rows[1::20]] == [
+        ("exhaustive", "default"), ("exhaustive", "adjusted"),
+        ("proposer", "default"), ("proposer", "adjusted")]
+    assert [int(row[2]) for row in rows[1:21]] == list(range(1, 21))
+    assert rows[1] == ["exhaustive", "default", "1", "end_auction", "execution", "651800"]
+    assert rows[40] == ["exhaustive", "adjusted", "20", "end_auction", "execution", "3600800"]
+    assert {row[5] for row in rows[41:]} == {"398827"}

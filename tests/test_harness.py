@@ -45,6 +45,13 @@ def test_digits_that_state_no_bid_are_not_found(record):
     assert stated_numbers([record], [92000]) == set()
 
 
+def leaks_in(records, lines, escrows, bids=()):
+    """`pre_disclosure_leaks` as verify-log and the harness call it, with
+    the escrows found in the whole text."""
+    found = find_hex("\n".join(lines), [e.hex() for e in escrows.values()])
+    return pre_disclosure_leaks(records, lines, escrows, found, bids)
+
+
 def test_leaks_are_cut_at_the_first_disclosure_event():
     escrow = bytes(range(20))
     records = [
@@ -54,11 +61,9 @@ def test_leaks_are_cut_at_the_first_disclosure_event():
          "amount": 92000},
     ]
     escrows, bids = {"b5": escrow}, [("b5", 92000)]
-    assert pre_disclosure_leaks(records, [canonical(r) for r in records],
-                                escrows, bids) == []
+    assert leaks_in(records, [canonical(r) for r in records], escrows, bids) == []
     records[0].update(ciphertext="0x77%s77" % escrow.hex(), amount=92000)
-    assert pre_disclosure_leaks(records, [canonical(r) for r in records],
-                                escrows, bids) == [
+    assert leaks_in(records, [canonical(r) for r in records], escrows, bids) == [
         "escrow of b5 leaked before disclosure",
         "bid value 92000 of b5 visible pre-resolution"]
 
@@ -70,9 +75,9 @@ def test_an_escrow_that_ends_at_the_cut_leaks(prefix):
     records = [{"event": "Open"}, {"event": "Open"}, {"event": "Resolved"}]
     lines = ["a", prefix + escrow.hex(), escrow.hex()]
     leak = ["escrow of b5 leaked before disclosure"]
-    assert pre_disclosure_leaks(records, lines, {"b5": escrow}) == leak
+    assert leaks_in(records, lines, {"b5": escrow}) == leak
     lines[1] = prefix + escrow.hex()[:-1]
-    assert pre_disclosure_leaks(records, lines, {"b5": escrow}) == []
+    assert leaks_in(records, lines, {"b5": escrow}) == []
 
 
 @pytest.mark.parametrize("seed", [179, 1055, 1513])
@@ -247,12 +252,19 @@ def test_joined_needles_find_what_one_table_finds():
     # "01234567" is a word of both needles, at offsets 0 and 8
     key, escrow = "0123456789abcdef" * 4, "89abcdef01234567" + "5e" * 12
     text = "q%sq%s%s" % (key, escrow.upper(), key[:40])
-    expected = {key: [1], escrow: [66], "ef01": [15, 31, 47, 72, 120, 136]}
-    assert find_hex(text, [key, escrow, "ef01"]) == expected
-    assert find_hex(text, HexNeedles([key]) | HexNeedles([escrow, "ef01"])) == expected
+    expected = {key: [1], escrow: [66]}
+    assert find_hex(text, [key, escrow]) == expected
+    assert find_hex(text, HexNeedles([key]) | HexNeedles([escrow])) == expected
     # a needle in both parts is still found once per occurrence
-    assert find_hex(text, HexNeedles([key, escrow]) | HexNeedles([escrow])) == {
-        key: [1], escrow: [66]}
+    assert find_hex(text, HexNeedles([key, escrow]) | HexNeedles([escrow])) == expected
+
+
+@pytest.mark.parametrize("needle", ["ef01", "5e" * 11 + "f", "\u0130" * 24])
+def test_a_short_or_non_ascii_needle_is_rejected(needle):
+    with pytest.raises(ValueError):
+        HexNeedles(["5e" * 20, needle])
+    with pytest.raises(ValueError):
+        find_hex("5e" * 40, [needle])
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,16 +274,14 @@ def test_one_pass_rules_equal_the_per_needle_rules(log):
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=ascii_only)
              for r in records]
     expected = per_needle_pre_disclosure_leaks(records, lines, escrows, bids)
-    # as verify-log calls it, reading the text before the cut
-    assert pre_disclosure_leaks(records, lines, escrows, bids) == expected
-    # as the harness calls it, with the escrows found in the whole text
+    # with the escrows found in the whole text, as verify-log and the harness find them
     events_text = "\n".join(lines)
     audit_text = "".join(canonical(r) + "\n" for r in audit)
     escrow_hex = [e.hex() for e in escrows.values()]
     enclave, keys = scanning_enclave()
     leaks, found = enclave.scan_for_key_leaks(events_text, audit_text, watch=escrow_hex)
     assert found == find_hex(events_text, escrow_hex)
-    assert pre_disclosure_leaks(records, lines, escrows, bids, found) == expected
+    assert pre_disclosure_leaks(records, lines, escrows, found, bids) == expected
     assert leaks == per_needle_key_leaks(keys, events_text, audit_text)
     lowered = events_text.lower()
     for needle in escrow_hex:  # the disclosure-completeness rule

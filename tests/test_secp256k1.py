@@ -197,18 +197,6 @@ def test_private_key_range_checks():
         secp256k1.sign_recoverable(b"\x00" * 32, N + 5)
 
 
-def test_point_from_bytes_rejects_off_curve():
-    good = secp256k1.public_key(7)
-    round_tripped = secp256k1.point_from_bytes(secp256k1.public_key_bytes(good))
-    assert round_tripped == good
-    bad = bytearray(secp256k1.public_key_bytes(good))
-    bad[-1] ^= 1
-    with pytest.raises(KeyMaterialError):
-        secp256k1.point_from_bytes(bytes(bad))
-    with pytest.raises(KeyMaterialError):
-        secp256k1.point_from_bytes(b"\x01" * 63)
-
-
 def test_generate_private_key_retries_out_of_range():
     draws = [N.to_bytes(32, "big"), (0).to_bytes(32, "big"),
              (42).to_bytes(32, "big")]
