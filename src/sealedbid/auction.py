@@ -409,7 +409,7 @@ class AuctionInstance:
             data=data,
             chain_id=self.config.chain_id,
         )
-        return self.enclave.sign_with(handle, tx, self.config.chain_id)
+        return self.enclave.sign_with(handle, tx)
 
     def settlement_for(self, winner: Optional[RegistryEntry], winner_amount: int,
                        quorum: QuorumClient) -> ResolutionResult:

@@ -15,9 +15,9 @@ import sys
 
 from sealedbid.enclave import AttestationReport, verify_attestation
 from sealedbid.errors import ConfigError, SealedBidError
-from sealedbid.events import canonical, find_hex, unhx
+from sealedbid.events import canonical, unhx
 from sealedbid.gas import write_plot_csv
-from sealedbid.harness import ScenarioRunner, oracle_resolve, pre_disclosure_leaks
+from sealedbid.harness import ScenarioRunner, disclosure_problems, oracle_resolve
 from sealedbid.scenario import load_scenario
 from sealedbid.transactions import ADDRESS_LENGTH, SignedTransaction, recover_signer
 
@@ -136,9 +136,8 @@ def _cmd_verify_log(args) -> int:
                 signer, ok = "<unrecoverable>", False
             print("payload %-15s signer=%s %s" % (role, signer, "ok" if ok else "FAIL"))
             failures += 0 if ok else 1
-        # confidentiality replay: no disclosed escrow before disclosure
-        found = find_hex("\n".join(lines), [e.hex() for e in escrows.values()])
-        for problem in pre_disclosure_leaks(records, lines, escrows, found):
+        # confidentiality replay: the harness's rules for the disclosed escrows
+        for problem in disclosure_problems(records, lines, escrows):
             print("confidentiality FAIL: %s" % problem)
             failures += 1
 

@@ -16,7 +16,7 @@ import hmac
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -176,12 +176,11 @@ class Enclave:
             address = derive_address(secp256k1.public_key(private_key))
             return handle, address
 
-    def sign_with(self, handle: str, tx: UnsignedTx,
-                  chain_id: int) -> SignedTransaction:
+    def sign_with(self, handle: str, tx: UnsignedTx) -> SignedTransaction:
         with self._lock:
             if handle not in self._keys:
                 raise KeyMaterialError("unknown key handle %r" % handle)
-            return sign_tx(tx, self._keys[handle], chain_id)
+            return sign_tx(tx, self._keys[handle])
 
     # -- sealed store ----------------------------------------------------------
 
@@ -267,32 +266,26 @@ class Enclave:
             exported["input-encryption"] = self._input_key.private_bytes_raw()
             return exported
 
-    def scan_for_key_leaks(self, *texts: str,
-                           watch: Iterable[str] = ()) -> Tuple[int, Dict[str, List[int]]]:
+    def scan_for_key_leaks(self, *texts: str) -> int:
         """Count the enclave's private keys, as hex, in public texts.
 
         The count is the sum over keys and texts of
         `text.lower().count(key_hex)`: non-overlapping occurrences, taken
         from the left. It runs inside the trust boundary, so no key
-        material crosses it. Each text is read once (`find_hex`), however
-        many keys there are, and no text is copied whole. The `watch`
-        strings are public hex; where they occur in the first text
-        (`find_hex`'s result) comes back with the count, from the same
-        pass. The keys' word table is built once per scan.
+        material crosses it, and only the count comes out. Each text is
+        read once (`find_hex`), however many keys there are, and no text
+        is copied whole. The keys' word table is built once per scan.
         """
         with self._lock:
             material = [k.to_bytes(32, "big").hex() for k in self._keys.values()]
             material.append(self._attestation_key.to_bytes(32, "big").hex())
             material.append(self._input_key.private_bytes_raw().hex())
-        watch = list(watch)
         keys = HexNeedles(material)
-        leaks, watched = 0, {}
-        for index, text in enumerate(texts):
-            found = find_hex(text, keys | HexNeedles(watch) if index == 0 and watch else keys)
+        leaks = 0
+        for text in texts:
+            found = find_hex(text, keys)
             leaks += sum(_count_apart(found.get(key, ()), len(key)) for key in material)
-            if index == 0:
-                watched = {w: found[w] for w in watch if w in found}
-        return leaks, watched
+        return leaks
 
     def _require_test_mode(self, op: str) -> None:
         if self.mode != "test":
@@ -350,15 +343,8 @@ def encrypt_to_key(recipient_public_key: bytes, plaintext: bytes,
     return _seal_envelope(recipient_public_key, plaintext, ephemeral_private_bytes)
 
 
-def decrypt_envelope(private_key, envelope: Envelope) -> bytes:
-    """Recipient-side decryption (bidders run this outside the enclave).
-
-    `private_key` is an X25519PrivateKey, or its 32 raw bytes.
-    """
-    if not isinstance(private_key, X25519PrivateKey):
-        if len(private_key) != 32:
-            raise KeyMaterialError("private key must be 32 bytes")
-        private_key = X25519PrivateKey.from_private_bytes(bytes(private_key))
+def decrypt_envelope(private_key: X25519PrivateKey, envelope: Envelope) -> bytes:
+    """Recipient-side decryption (bidders run this outside the enclave)."""
     expected_pub = private_key.public_key().public_bytes_raw()
     if expected_pub != envelope.recipient_public_key:
         raise EnvelopeAuthError("envelope is addressed to a different key")

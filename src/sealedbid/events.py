@@ -1,9 +1,10 @@
 """Line-delimited JSON logs: the public event stream and the query audit trail.
 
 Records are canonicalized (sorted keys, no whitespace) so that runs with
-the same seed produce byte-identical logs. `find_hex` searches a log's
-text for many hex strings in one pass; `HexNeedles` holds the strings'
-word table for searching several texts.
+the same seed produce byte-identical logs. A log renders each record once,
+when it is appended, and keeps the line. `find_hex` searches a text for
+many hex strings in one pass; `HexNeedles` holds the strings' word table
+for searching several texts.
 """
 
 import json
@@ -39,24 +40,16 @@ class HexNeedles:
     several texts can be searched for them. A needle is lowercase hex of
     at least _HEAD (24) characters, such as a 20-byte address's or a
     32-byte key's `bytes.hex()`; one that is shorter or not ASCII raises
-    ValueError. `a | b` searches for the needles of both with the tables
-    of each: no table is built or copied again."""
+    ValueError."""
 
-    def __init__(self, needles: Iterable[str] = ()):
-        wanted = set(needles)
-        for needle in wanted:
+    def __init__(self, needles: Iterable[str]):
+        self.needles = set(needles)
+        for needle in self.needles:
             if len(needle) < _HEAD or not needle.isascii():
                 raise ValueError("hex needle %r is not ASCII of at least %d characters"
                                  % (needle, _HEAD))
-        self.parts = []  # (needles, their word table, their lengths) per joined set
-        if wanted:
-            self.parts.append((wanted, _anchor_table(wanted),
-                               sorted({len(n) for n in wanted})))
-
-    def __or__(self, other: "HexNeedles") -> "HexNeedles":
-        union = HexNeedles()
-        union.parts = self.parts + other.parts
-        return union
+        self.table = _anchor_table(self.needles) if self.needles else {}
+        self.lengths = sorted({len(n) for n in self.needles})
 
 
 def find_hex(text: str, needles) -> Dict[str, List[int]]:
@@ -68,36 +61,36 @@ def find_hex(text: str, needles) -> Dict[str, List[int]]:
     that occurs at all; so `needle in result` is `needle in text.lower()`.
 
     The text is read once, a window at a time, whatever the number of
-    needles; a table holds _STRIDE words per needle, and each word hit
-    is checked against the text.
+    needles; one table holds _STRIDE words per needle, and each word hit
+    is checked against the text. Each occurrence is found from exactly
+    one word, and the offsets that one word finds are tried from the
+    lowest up, so no result is sorted.
     """
     if not isinstance(needles, HexNeedles):
         needles = HexNeedles(needles)
     if not text.isascii():
         text = text.lower()  # lowering can change the length of non-ASCII text
     found: Dict[str, List[int]] = {}
-    if not needles.parts:
+    anchors = needles.table
+    if not anchors:
         return found
     for start in range(0, len(text), _WINDOW):
         window = text[start:start + _WINDOW].lower().encode("ascii", "replace")
         whole = memoryview(window)[:len(window) - len(window) % _WORD]
         words = whole.cast("Q")[::_STRIDE // _WORD]
-        for anchored, anchors, lengths in needles.parts:
-            if anchors.keys().isdisjoint(words):
+        if anchors.keys().isdisjoint(words):
+            continue
+        for k, word in enumerate(words):
+            mask = anchors.get(word)
+            if mask is None:
                 continue
-            for k, word in enumerate(words):
-                mask = anchors.get(word)
-                if mask is None:
-                    continue
-                at = start + k * _STRIDE
-                for j in range(min(_STRIDE, at + 1)):
-                    if mask >> j & 1:
-                        for length in lengths:
-                            candidate = text[at - j:at - j + length].lower()
-                            if candidate in anchored:
-                                found.setdefault(candidate, []).append(at - j)
-    for needle, offsets in found.items():
-        found[needle] = sorted(set(offsets))  # a needle of two parts is found twice
+            at = start + k * _STRIDE
+            for j in reversed(range(min(_STRIDE, at + 1))):
+                if mask >> j & 1:
+                    for length in needles.lengths:
+                        candidate = text[at - j:at - j + length].lower()
+                        if candidate in needles.needles:
+                            found.setdefault(candidate, []).append(at - j)
     return found
 
 
@@ -118,20 +111,22 @@ def _anchor_table(needles) -> Dict[int, int]:
 
 
 class JsonlLog:
+    """Records and their canonical lines, each line rendered once, when
+    its record is appended; a record is not changed after that."""
+
     def __init__(self):
         self.records: List[dict] = []
+        self.lines: List[str] = []
 
     def append(self, record: dict) -> dict:
         record = dict(record)
         record["seq"] = len(self.records)
         self.records.append(record)
+        self.lines.append(canonical(record))
         return record
 
-    def lines(self) -> List[str]:
-        return [canonical(r) for r in self.records]
-
     def text(self) -> str:
-        return "\n".join(self.lines()) + ("\n" if self.records else "")
+        return "\n".join(self.lines) + ("\n" if self.lines else "")
 
     def __len__(self) -> int:
         return len(self.records)

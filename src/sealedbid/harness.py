@@ -6,6 +6,11 @@ a deterministic schedule derived from scripted block heights, then runs
 an invariant suite (oracle agreement, conservation, confidentiality,
 audit completeness, non-interactivity) and assembles a RunReport.
 
+`disclosure_problems` holds the disclosure rules of the confidentiality
+check; `sealedbid verify-log` applies the same function to a saved event
+stream. The logs are rendered as their records are appended, so the
+check and the written files use the same lines.
+
 `oracle_resolve` is the independent verifier: it recomputes the winner
 from the scripted funding plan alone, bypassing the enclave, the chain,
 and the quorum client.
@@ -159,25 +164,28 @@ def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
     return stated
 
 
-def pre_disclosure_leaks(records: List[dict], lines: List[str],
-                         escrows: Dict[str, bytes],
-                         found: Dict[str, List[int]],
-                         bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
-    """Escrow addresses and bid values that an event stream shows before
-    disclosure begins, at its first `Resolved` or `ProposalsOpened` event.
+def disclosure_problems(records: List[dict], lines: List[str],
+                        escrows: Dict[str, bytes],
+                        bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
+    """What an event stream shows too early or never: escrow addresses
+    and bid values before disclosure begins, at its first `Resolved` or
+    `ProposalsOpened` event, and, once it holds a `Resolved` event, an
+    escrow that it never shows.
 
     `lines[i]` is the text of `records[i]`, and the stream's text is the
     lines joined by "\n"; the cut is where the disclosing line starts.
-    `found` is `find_hex(text, escrow hex)` for that whole text.
     - An escrow leaks if its hex occurs in the lowercased text before the
       cut, also inside a longer hex run.
     - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
       records before the cut state the amount as a number (see
       `stated_numbers`).
+    - An escrow is missing from disclosure if the stream holds a
+      `Resolved` event and the escrow's hex occurs nowhere in the text.
 
-    Neither rule reads the text again: one looks up `found`, the other
-    walks the records once.
+    The text is read once for every escrow (`find_hex`), and the records
+    before the cut are walked once for every bid.
     """
+    found = find_hex("\n".join(lines), [escrow.hex() for escrow in escrows.values()])
     boundary = next((i for i, r in enumerate(records)
                      if r.get("event") in ("Resolved", "ProposalsOpened")),
                     len(records))
@@ -197,6 +205,10 @@ def pre_disclosure_leaks(records: List[dict], lines: List[str],
                             (amount for _, amount in bids if amount >= MIN_CHECKED_BID))
     problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
                     for name, amount in bids if amount in stated)
+    if any(r.get("event") == "Resolved" for r in records[boundary:]):
+        problems.extend("escrow of %s missing from disclosure" % name
+                        for name, escrow in escrows.items()
+                        if escrow.hex() not in found)
     return problems
 
 
@@ -293,9 +305,6 @@ class ScenarioRunner:
         self._tx_schedule: Dict[int, List[Tuple[str, Callable]]] = {}
         self._action_schedule: Dict[int, List[Callable]] = {}
         self.reorg_results: List[dict] = []
-        # log name -> (records, text, final newline) as the confidentiality
-        # check rendered it, when out_dir is set
-        self._rendered: Dict[str, Tuple[int, str, str]] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -417,7 +426,7 @@ class ScenarioRunner:
             data=data,
             chain_id=scn.chain.chain_id,
         )
-        return sign_tx(tx, key, scn.chain.chain_id)
+        return sign_tx(tx, key)
 
     def _schedule_funding(self, script, wallet, escrow: bytes) -> None:
         def make_builder(amount):
@@ -467,9 +476,9 @@ class ScenarioRunner:
         for script in sorted(scn.proposals, key=lambda p: p.after_open):
             self._advance_to(opened_at + script.after_open)
             candidate = self.escrows[script.candidate]
-            submit_proposal(phase, candidate, self.client)
+            submit_proposal(self.auction, candidate, self.client)
         self._advance_to(phase.window_end_height)
-        finalize_proposals(phase, self.client)
+        finalize_proposals(self.auction, self.client)
 
     def _settle(self) -> None:
         scn = self.scenario
@@ -691,35 +700,19 @@ class ScenarioRunner:
 
     def _confidentiality_check(self) -> CheckResult:
         """No escrow address or bid value in plaintext before disclosure
-        begins; no private key material anywhere, ever.
-
-        Each log is read once: the events text for every escrow and key
-        together, the audit text for every key (`find_hex`).
+        begins, every escrow disclosed once the auction resolves
+        (`disclosure_problems`), and no private key material anywhere,
+        ever (`Enclave.scan_for_key_leaks`, skipped once the enclave is
+        compromised and its keys are public anyway).
         """
-        lines = self.events.lines()
-        events_text = "\n".join(lines)
-        # run() writes the texts rendered here; they are kept only for it
-        keep = self._rendered if self.out_dir is not None else {}
-        keep["events"] = (len(lines), events_text, "\n" if lines else "")
-        escrow_hex = [escrow.hex() for escrow in self.escrows.values()]
-        leaks = 0
-        if self.flags.get("compromised"):
-            found = find_hex(events_text, escrow_hex)
-        else:
-            audit_text = self.audit.text()
-            keep["audit"] = (len(self.audit), audit_text, "")
-            leaks, found = self.enclave.scan_for_key_leaks(
-                events_text, audit_text, watch=escrow_hex)
         bids = [(b.name, amount) for b in self.scenario.bidders
                 for amount in (b.funding, b.topup) if amount]
-        problems = pre_disclosure_leaks(self.events.records, lines,
-                                        self.escrows, found, bids)
-        if leaks:
-            problems.append("%d private-key leak(s) in public logs" % leaks)
-        if self.auction is not None and self.auction.resolution is not None:
-            problems.extend("escrow of %s missing from disclosure" % name
-                            for name, escrow in self.escrows.items()
-                            if escrow.hex() not in found)
+        problems = disclosure_problems(self.events.records, self.events.lines,
+                                       self.escrows, bids)
+        if not self.flags.get("compromised"):
+            leaks = self.enclave.scan_for_key_leaks(self.events.text(), self.audit.text())
+            if leaks:
+                problems.append("%d private-key leak(s) in public logs" % leaks)
         return CheckResult("confidentiality", not problems,
                            "; ".join(problems) if problems else
                            "no plaintext leaks before disclosure")
@@ -739,13 +732,6 @@ class ScenarioRunner:
             "non_interactivity", calls_ok and transfers_ok,
             "register calls %d/%d; funding transfers %s"
             % (self.auction.register_call_count, expected, transfer_counts))
-
-    def _write_log(self, path: Path, name: str, log) -> None:
-        """Write `log.text()`, taken from what the confidentiality check
-        rendered when no record has been added since."""
-        count, *parts = self._rendered.get(name, (-1,))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(parts if count == len(log) else [log.text()])
 
     # -- entry point ----------------------------------------------------------------
 
@@ -782,8 +768,8 @@ class ScenarioRunner:
             audit_path = self.out_dir / "audit.jsonl"
             report_path = self.out_dir / "report.json"
             gas_path = self.out_dir / "gas.csv"
-            self._write_log(events_path, "events", self.events)
-            self._write_log(audit_path, "audit", self.audit)
+            events_path.write_text(self.events.text(), encoding="utf-8")
+            audit_path.write_text(self.audit.text(), encoding="utf-8")
             with open(gas_path, "w", encoding="utf-8") as fh:
                 fh.write("layer,operation,actor,gas\n")
                 for entry in self.gas.entries:

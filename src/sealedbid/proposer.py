@@ -16,7 +16,6 @@ resolution, through `AuctionInstance.settlement_for` and then
 the auction Closed and the phase open, so finalization can be retried.
 """
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -43,23 +42,14 @@ REJECT_WINDOW_EXPIRED = "window_expired"
 
 @dataclass
 class ProposalPhase:
-    """The proposal window of one auction.
-
-    The auction owns its phase (`AuctionInstance.proposal_phase`) and the
-    phase refers back to it weakly. So the pair forms no reference cycle,
-    and an auction's state is freed as soon as its last user drops it,
-    not at the next full cyclic garbage collection.
-    """
-    _auction: "weakref.ref[AuctionInstance]" = field(repr=False)
+    """The proposal window of one auction, held as
+    `AuctionInstance.proposal_phase`. It does not refer back to the
+    auction, so the pair forms no reference cycle."""
     window_end_height: int
     status: str = STATUS_OPEN
     current_leader: Optional[Tuple[RegistryEntry, int]] = None
     proposal_count: int = 0
     _leader_rank: Optional[tuple] = field(default=None, repr=False)
-
-    @property
-    def auction(self) -> AuctionInstance:
-        return self._auction()
 
 
 def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPhase:
@@ -71,19 +61,16 @@ def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPh
     if auction.proposal_phase is not None:
         raise StateError("proposal phase is already open")
     head = quorum.query_height()
-    phase = ProposalPhase(weakref.ref(auction),
-                          window_end_height=head + auction.config.proposal_window)
+    phase = ProposalPhase(window_end_height=head + auction.config.proposal_window)
     auction.proposal_phase = phase
     auction.emit("ProposalsOpened", window_end_height=phase.window_end_height)
     return phase
 
 
-def submit_proposal(phase: ProposalPhase, candidate_escrow: bytes,
+def submit_proposal(auction: AuctionInstance, candidate_escrow: bytes,
                     quorum: QuorumClient):
     """Verify one candidate with one balance query; returns (accepted, reason)."""
-    if phase.status != STATUS_OPEN:
-        raise StateError("proposal phase is %s" % phase.status)
-    auction = phase.auction
+    phase = _open_phase(auction)
     phase.proposal_count += 1
     head = quorum.query_height()
     if head >= phase.window_end_height:
@@ -115,12 +102,10 @@ def submit_proposal(phase: ProposalPhase, candidate_escrow: bytes,
     return True, None
 
 
-def finalize_proposals(phase: ProposalPhase,
+def finalize_proposals(auction: AuctionInstance,
                        quorum: QuorumClient) -> ResolutionResult:
     """Settle with the leading proposal, or fall back to exhaustive."""
-    if phase.status != STATUS_OPEN:
-        raise StateError("proposal phase is %s" % phase.status)
-    auction = phase.auction
+    phase = _open_phase(auction)
     head = quorum.query_height()
     if head < phase.window_end_height:
         raise StateError("challenge window is open until height %d"
@@ -138,6 +123,15 @@ def finalize_proposals(phase: ProposalPhase,
                  proposal_count=phase.proposal_count)
     auction.commit(result, actor="finalizer")
     return result
+
+
+def _open_phase(auction: AuctionInstance) -> ProposalPhase:
+    phase = auction.proposal_phase
+    if phase is None:
+        raise StateError("no proposal phase is open")
+    if phase.status != STATUS_OPEN:
+        raise StateError("proposal phase is %s" % phase.status)
+    return phase
 
 
 def _reject(auction: AuctionInstance, reason: str):

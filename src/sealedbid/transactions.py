@@ -173,11 +173,8 @@ class SignedTransaction:
         return tx
 
 
-def sign_tx(tx: UnsignedTx, private_key: int, chain_id: int) -> SignedTransaction:
-    if tx.chain_id != chain_id:
-        raise ConfigError(
-            "transaction targets chain %d but was signed for %d" % (tx.chain_id, chain_id)
-        )
+def sign_tx(tx: UnsignedTx, private_key: int) -> SignedTransaction:
+    """Sign `tx` for its own chain id (EIP-155)."""
     digest = tx.signing_digest()
     r, s, recovery_bit = secp256k1.sign_recoverable(digest, private_key)
     signed = SignedTransaction(
@@ -187,7 +184,7 @@ def sign_tx(tx: UnsignedTx, private_key: int, chain_id: int) -> SignedTransactio
         to=tx.to,
         value=tx.value,
         data=tx.data,
-        v=chain_id * 2 + 35 + recovery_bit,
+        v=tx.chain_id * 2 + 35 + recovery_bit,
         r=r,
         s=s,
     )

@@ -314,15 +314,19 @@ def test_first_funder_reads_no_blocks(make_runner, monkeypatch, n):
 def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mode, n):
     runner = make_runner(**auction_doc(n, mode))
     assert runner.run().passed
+    escrows = {escrow.hex() for escrow in runner.escrows.values()}
     scanned = []
     real = events.find_hex
 
     def find_hex(text, needles):
-        scanned.append(len(text))
+        wanted = needles.needles if isinstance(needles, events.HexNeedles) else set(needles)
+        scanned.append((text.rstrip("\n"), "escrows" if wanted == escrows else "keys"))
         return real(text, needles)
 
     monkeypatch.setattr(harness, "find_hex", find_hex)
     monkeypatch.setattr(enclave_module, "find_hex", find_hex)
     assert runner._confidentiality_check().passed
-    # the events text, then the audit text: each once, whatever n is
-    assert scanned == [len("\n".join(runner.events.lines())), len(runner.audit.text())]
+    # the events text for the escrows, the events text for the keys, then
+    # the audit text: each once, whatever n is
+    events_text, audit_text = "\n".join(runner.events.lines), runner.audit.text().rstrip("\n")
+    assert scanned == [(events_text, "escrows"), (events_text, "keys"), (audit_text, "keys")]

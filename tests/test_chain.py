@@ -48,7 +48,7 @@ def transfer(chain, key, to, value, nonce=None, gas_price=1, chain_id=CHAIN_ID,
         nonce=chain.next_nonce(sender) if nonce is None else nonce,
         gas_price=gas_price, gas_limit=GAS, to=to, value=value,
         data=data, chain_id=chain_id)
-    return sign_tx(tx, key, chain_id)
+    return sign_tx(tx, key)
 
 
 # -- creation -----------------------------------------------------------------
@@ -612,7 +612,7 @@ def pooled_tx(key, nonce, kind):
     }[kind]
     tx = UnsignedTx(nonce=nonce, gas_price=1, gas_limit=GAS, to=to, value=value,
                     data=data, chain_id=CHAIN_ID)
-    return sign_tx(tx, key, CHAIN_ID)
+    return sign_tx(tx, key)
 
 
 submission = st.tuples(st.sampled_from(HISTORY_KEYS), st.sampled_from(("pay", "zero", "move")),

@@ -21,7 +21,7 @@ def run_logged(name, out_dir):
     return out_dir / "events.jsonl"
 
 
-@pytest.mark.parametrize("name", ["honest_4_bidders", "proposer_4_bidders"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
 def test_verify_log_accepts_a_clean_log(name, tmp_path, capsys):
     log = run_logged(name, tmp_path)
     capsys.readouterr()

@@ -15,7 +15,7 @@ from sealedbid.events import HexNeedles, canonical, find_hex
 from sealedbid.harness import (
     MIN_CHECKED_BID,
     ScenarioRunner,
-    pre_disclosure_leaks,
+    disclosure_problems,
     run_scenario,
     stated_numbers,
 )
@@ -45,13 +45,6 @@ def test_digits_that_state_no_bid_are_not_found(record):
     assert stated_numbers([record], [92000]) == set()
 
 
-def leaks_in(records, lines, escrows, bids=()):
-    """`pre_disclosure_leaks` as verify-log and the harness call it, with
-    the escrows found in the whole text."""
-    found = find_hex("\n".join(lines), [e.hex() for e in escrows.values()])
-    return pre_disclosure_leaks(records, lines, escrows, found, bids)
-
-
 def test_leaks_are_cut_at_the_first_disclosure_event():
     escrow = bytes(range(20))
     records = [
@@ -61,9 +54,9 @@ def test_leaks_are_cut_at_the_first_disclosure_event():
          "amount": 92000},
     ]
     escrows, bids = {"b5": escrow}, [("b5", 92000)]
-    assert leaks_in(records, [canonical(r) for r in records], escrows, bids) == []
+    assert disclosure_problems(records, [canonical(r) for r in records], escrows, bids) == []
     records[0].update(ciphertext="0x77%s77" % escrow.hex(), amount=92000)
-    assert leaks_in(records, [canonical(r) for r in records], escrows, bids) == [
+    assert disclosure_problems(records, [canonical(r) for r in records], escrows, bids) == [
         "escrow of b5 leaked before disclosure",
         "bid value 92000 of b5 visible pre-resolution"]
 
@@ -75,9 +68,26 @@ def test_an_escrow_that_ends_at_the_cut_leaks(prefix):
     records = [{"event": "Open"}, {"event": "Open"}, {"event": "Resolved"}]
     lines = ["a", prefix + escrow.hex(), escrow.hex()]
     leak = ["escrow of b5 leaked before disclosure"]
-    assert leaks_in(records, lines, {"b5": escrow}) == leak
+    assert disclosure_problems(records, lines, {"b5": escrow}) == leak
     lines[1] = prefix + escrow.hex()[:-1]
-    assert leaks_in(records, lines, {"b5": escrow}) == []
+    assert disclosure_problems(records, lines, {"b5": escrow}) == []
+
+
+def test_a_resolved_stream_that_omits_an_escrow_reports_it():
+    shown, hidden = bytes(range(20)), bytes(range(20, 40))
+    records = [{"event": "Open"},
+               {"event": "Resolved", "bidder_set": ["0x" + shown.hex()]}]
+    escrows = {"b1": shown, "b2": hidden}
+    assert disclosure_problems(records, [canonical(r) for r in records], escrows) == [
+        "escrow of b2 missing from disclosure"]
+    records[1]["bidder_set"].append("0x" + hidden.hex().upper())
+    assert disclosure_problems(records, [canonical(r) for r in records], escrows) == []
+
+
+def test_a_stream_with_only_proposals_opened_is_not_checked_for_completeness():
+    records = [{"event": "Open"}, {"event": "ProposalsOpened", "window_end_height": 20}]
+    lines = [canonical(r) for r in records]
+    assert disclosure_problems(records, lines, {"b1": bytes(range(20))}) == []
 
 
 @pytest.mark.parametrize("seed", [179, 1055, 1513])
@@ -143,8 +153,9 @@ def per_needle_stated_numbers(records):
     return numbers
 
 
-def per_needle_pre_disclosure_leaks(records, lines, escrows, bids):
-    """One `in` search of the text before the cut per escrow."""
+def per_needle_disclosure_problems(records, lines, escrows, bids):
+    """One `in` search of the text before the cut per escrow, and one of
+    the whole text per escrow once a `Resolved` event is in the stream."""
     boundary = next((i for i, r in enumerate(records)
                      if r.get("event") in ("Resolved", "ProposalsOpened")),
                     len(records))
@@ -155,6 +166,10 @@ def per_needle_pre_disclosure_leaks(records, lines, escrows, bids):
     problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
                     for name, amount in bids
                     if amount >= MIN_CHECKED_BID and amount in numbers)
+    if any(r.get("event") == "Resolved" for r in records):
+        text = "\n".join(lines).lower()
+        problems.extend("escrow of %s missing from disclosure" % name
+                        for name, escrow in escrows.items() if escrow.hex() not in text)
     return problems
 
 
@@ -248,15 +263,13 @@ def test_find_hex_finds_needles_across_window_edges():
         assert find_hex(text, [escrow, key]) == {escrow: [offset], key: [offset + 40]}
 
 
-def test_joined_needles_find_what_one_table_finds():
+def test_needles_that_share_a_word_are_each_found():
     # "01234567" is a word of both needles, at offsets 0 and 8
     key, escrow = "0123456789abcdef" * 4, "89abcdef01234567" + "5e" * 12
     text = "q%sq%s%s" % (key, escrow.upper(), key[:40])
     expected = {key: [1], escrow: [66]}
     assert find_hex(text, [key, escrow]) == expected
-    assert find_hex(text, HexNeedles([key]) | HexNeedles([escrow])) == expected
-    # a needle in both parts is still found once per occurrence
-    assert find_hex(text, HexNeedles([key, escrow]) | HexNeedles([escrow])) == expected
+    assert find_hex(text, HexNeedles([escrow, key])) == expected
 
 
 @pytest.mark.parametrize("needle", ["ef01", "5e" * 11 + "f", "\u0130" * 24])
@@ -273,19 +286,17 @@ def test_one_pass_rules_equal_the_per_needle_rules(log):
     records, ascii_only, escrows, bids, audit = log
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=ascii_only)
              for r in records]
-    expected = per_needle_pre_disclosure_leaks(records, lines, escrows, bids)
-    # with the escrows found in the whole text, as verify-log and the harness find them
     events_text = "\n".join(lines)
     audit_text = "".join(canonical(r) + "\n" for r in audit)
-    escrow_hex = [e.hex() for e in escrows.values()]
+    assert disclosure_problems(records, lines, escrows, bids) == \
+        per_needle_disclosure_problems(records, lines, escrows, bids)
     enclave, keys = scanning_enclave()
-    leaks, found = enclave.scan_for_key_leaks(events_text, audit_text, watch=escrow_hex)
-    assert found == find_hex(events_text, escrow_hex)
-    assert pre_disclosure_leaks(records, lines, escrows, found, bids) == expected
-    assert leaks == per_needle_key_leaks(keys, events_text, audit_text)
+    assert enclave.scan_for_key_leaks(events_text, audit_text) == \
+        per_needle_key_leaks(keys, events_text, audit_text)
+    escrow_hex = [e.hex() for e in escrows.values()]
+    found = find_hex(events_text, escrow_hex)
     lowered = events_text.lower()
-    for needle in escrow_hex:  # the disclosure-completeness rule
-        assert (needle in found) == (needle in lowered)
+    for needle in escrow_hex:  # every occurrence, overlapping ones included, in order
         assert found.get(needle, []) == [i for i in range(len(lowered))
                                          if lowered.startswith(needle, i)]
 

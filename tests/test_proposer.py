@@ -9,7 +9,7 @@ import yaml
 
 from sealedbid import harness
 from sealedbid.auction import AuctionState
-from sealedbid.errors import QuorumFailure
+from sealedbid.errors import QuorumFailure, StateError
 from sealedbid.proposer import (
     REJECT_NOT_HIGHER,
     REJECT_UNKNOWN_ESCROW,
@@ -30,7 +30,7 @@ def test_failed_settlement_query_leaves_finalization_retryable(make_runner,
     runner = make_runner(**doc)
     first_attempt = {}
 
-    def finalize_after_one_failure(phase, quorum):
+    def finalize_after_one_failure(auction, quorum):
         real_query = quorum.query_funding_source
 
         def failing_query(*args, **kwargs):
@@ -39,10 +39,10 @@ def test_failed_settlement_query_leaves_finalization_retryable(make_runner,
 
         quorum.query_funding_source = failing_query
         with pytest.raises(QuorumFailure):
-            finalize_proposals(phase, quorum)
-        first_attempt["state"] = phase.auction.state
-        first_attempt["status"] = phase.status
-        return finalize_proposals(phase, quorum)
+            finalize_proposals(auction, quorum)
+        first_attempt["state"] = auction.state
+        first_attempt["status"] = auction.proposal_phase.status
+        return finalize_proposals(auction, quorum)
 
     monkeypatch.setattr(harness, "finalize_proposals", finalize_after_one_failure)
     report = runner.run()
@@ -53,7 +53,7 @@ def test_failed_settlement_query_leaves_finalization_retryable(make_runner,
 
 
 def test_a_finished_auction_is_freed_without_the_cycle_collector(make_runner):
-    # the phase refers back to its auction weakly, so dropping the runner
+    # the phase does not refer back to its auction, so dropping the runner
     # frees the auction, its enclave and its logs at once
     doc = yaml.safe_load((SCENARIOS / "proposer_4_bidders.yaml").read_text())
     runner = make_runner(**doc)
@@ -65,6 +65,20 @@ def test_a_finished_auction_is_freed_without_the_cycle_collector(make_runner):
         assert auction() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("honest_4_bidders", "no proposal phase is open"),
+    ("proposer_4_bidders", "proposal phase is finalized"),
+])
+def test_proposals_need_an_open_phase(make_runner, name, message):
+    runner = make_runner(**yaml.safe_load((SCENARIOS / ("%s.yaml" % name)).read_text()))
+    assert runner.run().passed
+    escrow = next(iter(runner.escrows.values()))
+    with pytest.raises(StateError, match=message):
+        submit_proposal(runner.auction, escrow, runner.client)
+    with pytest.raises(StateError, match=message):
+        finalize_proposals(runner.auction, runner.client)
 
 
 def drive_proposals(runner, proposals):
@@ -80,10 +94,10 @@ def drive_proposals(runner, proposals):
         for after_open, candidate in proposals:
             runner._advance_to(opened_at + after_open)
             escrow = runner.escrows.get(candidate, candidate)
-            seen["outcomes"].append(submit_proposal(phase, escrow, runner.client))
+            seen["outcomes"].append(submit_proposal(runner.auction, escrow, runner.client))
         runner._advance_to(phase.window_end_height)
         seen["leader"] = phase.current_leader
-        finalize_proposals(phase, runner.client)
+        finalize_proposals(runner.auction, runner.client)
 
     runner._run_proposals = run_proposals
     return runner.run(), seen["outcomes"], seen["leader"]

@@ -38,7 +38,7 @@ def test_known_signing_digest():
 
 
 def test_known_signed_payload_is_bit_exact():
-    stx = sign_tx(KNOWN_TX, KNOWN_KEY, 1)
+    stx = sign_tx(KNOWN_TX, KNOWN_KEY)
     assert stx.raw().hex() == KNOWN_RAW
     assert stx.v == 37  # chain_id 1 -> 37/38
 
@@ -87,27 +87,22 @@ def test_sign_recover_identity_random():
                         value=rng.randrange(0, 10 ** 18),
                         data=rng.randbytes(rng.randrange(0, 40)),
                         chain_id=rng.randrange(1, 1000))
-        stx = sign_tx(tx, key, tx.chain_id)
+        stx = sign_tx(tx, key)
         assert recover_signer(stx) == derive_address(secp256k1.public_key(key))
         assert SignedTransaction.from_raw(stx.raw()) == stx
-
-
-def test_chain_id_mismatch_refused_at_signing():
-    with pytest.raises(ConfigError):
-        sign_tx(KNOWN_TX, KNOWN_KEY, 2)
 
 
 def test_same_tx_distinct_chains_distinct_signatures():
     tx1 = UnsignedTx(0, 1, 21_000, b"\x01" * 20, 5, b"", chain_id=1)
     tx2 = UnsignedTx(0, 1, 21_000, b"\x01" * 20, 5, b"", chain_id=2)
-    s1 = sign_tx(tx1, 777, 1)
-    s2 = sign_tx(tx2, 777, 2)
+    s1 = sign_tx(tx1, 777)
+    s2 = sign_tx(tx2, 777)
     assert (s1.r, s1.s) != (s2.r, s2.s)
     assert s1.chain_id == 1 and s2.chain_id == 2
 
 
 def test_tampered_value_changes_recovered_signer():
-    stx = sign_tx(KNOWN_TX, KNOWN_KEY, 1)
+    stx = sign_tx(KNOWN_TX, KNOWN_KEY)
     tampered = SignedTransaction(
         nonce=stx.nonce, gas_price=stx.gas_price, gas_limit=stx.gas_limit,
         to=stx.to, value=stx.value + 1, data=stx.data,
@@ -119,7 +114,7 @@ def test_tampered_value_changes_recovered_signer():
 
 
 def test_high_s_rejected_on_recovery():
-    stx = sign_tx(KNOWN_TX, KNOWN_KEY, 1)
+    stx = sign_tx(KNOWN_TX, KNOWN_KEY)
     mangled = SignedTransaction(
         nonce=stx.nonce, gas_price=stx.gas_price, gas_limit=stx.gas_limit,
         to=stx.to, value=stx.value, data=stx.data,
@@ -129,7 +124,7 @@ def test_high_s_rejected_on_recovery():
 
 
 def test_pre_replay_protection_v_rejected():
-    stx = sign_tx(KNOWN_TX, KNOWN_KEY, 1)
+    stx = sign_tx(KNOWN_TX, KNOWN_KEY)
     legacy = SignedTransaction(
         nonce=stx.nonce, gas_price=stx.gas_price, gas_limit=stx.gas_limit,
         to=stx.to, value=stx.value, data=stx.data,
@@ -141,7 +136,7 @@ def test_pre_replay_protection_v_rejected():
 def test_from_raw_validates_structure():
     with pytest.raises(CodecError):
         SignedTransaction.from_raw(b"\xc2\x05\x80")  # wrong arity
-    stx = sign_tx(KNOWN_TX, KNOWN_KEY, 1)
+    stx = sign_tx(KNOWN_TX, KNOWN_KEY)
     raw = bytearray(stx.raw())
     with pytest.raises(CodecError):
         SignedTransaction.from_raw(bytes(raw[:-2]))  # truncated
@@ -157,7 +152,7 @@ def test_unsigned_tx_field_validation():
 
 
 def test_integer_fields_encode_minimally():
-    stx = sign_tx(UnsignedTx(0, 0, 21_000, b"\x09" * 20, 0, b"", 1), 5, 1)
+    stx = sign_tx(UnsignedTx(0, 0, 21_000, b"\x09" * 20, 0, b"", 1), 5)
     raw = stx.raw()
     # nonce/gas_price/value are zero: each must appear as an empty string
     decoded = SignedTransaction.from_raw(raw)
