@@ -1,9 +1,11 @@
 """Sealed-bid auction lifecycle running inside the enclave.
 
-States advance Init -> Deployed -> Open -> Closed -> Resolved -> Claimed;
-failed checks leave the state unchanged (verification retries, early
-closes, aborted resolutions), so the transition relation is exactly the
-forward edges plus self-loops.
+States advance Init -> Deployed -> Open -> Closed -> Resolved -> Claimed.
+Each step checks its source state before it changes anything and
+raises StateError from any other (`finalize` also takes Claimed, as a
+no-op); failed checks leave the state unchanged (verification
+retries, early closes, aborted resolutions), so the transition relation
+is exactly the forward edges plus self-loops.
 
 Bids are escrow balances frozen at the deadline height. Resolution
 queries each registered escrow once at the cutoff for winner selection,
@@ -58,16 +60,6 @@ class AuctionState(enum.Enum):
     CLOSED = "Closed"
     RESOLVED = "Resolved"
     CLAIMED = "Claimed"
-
-
-# the lifecycle edge set; anything else observed is a bug
-LEGAL_TRANSITIONS = frozenset([
-    (AuctionState.INIT, AuctionState.DEPLOYED),
-    (AuctionState.DEPLOYED, AuctionState.OPEN),
-    (AuctionState.OPEN, AuctionState.CLOSED),
-    (AuctionState.CLOSED, AuctionState.RESOLVED),
-    (AuctionState.RESOLVED, AuctionState.CLAIMED),
-])
 
 
 @dataclass(frozen=True)
@@ -186,7 +178,6 @@ class AuctionInstance:
         self.events = events
         self.gas = gas
         self.state = AuctionState.INIT
-        self.transitions: List[Tuple[AuctionState, AuctionState]] = []
         self.resolution: Optional[ResolutionResult] = None
         self.auction_id: Optional[str] = None
         self._asset_handle: Optional[str] = None
@@ -199,10 +190,6 @@ class AuctionInstance:
         self._escrow_index: Dict[bytes, int] = {}
 
     # -- lifecycle helpers -----------------------------------------------------
-
-    def _set_state(self, new_state: AuctionState) -> None:
-        self.transitions.append((self.state, new_state))
-        self.state = new_state
 
     def _require_state(self, expected: AuctionState, op: str) -> None:
         if self.state is not expected:
@@ -259,7 +246,7 @@ class AuctionInstance:
                               % (config.deadline_height, head))
         instance.auction_id = enclave.random(4).hex()
         instance.enclave.seal_put(instance.registry_label, b"0")
-        instance._set_state(AuctionState.DEPLOYED)
+        instance.state = AuctionState.DEPLOYED
         instance.emit(
             "Deployed",
             auction_id=instance.auction_id,
@@ -299,7 +286,7 @@ class AuctionInstance:
         owner = quorum.query_asset_owner(self.config.token_id, observed)
         if owner != self.asset_escrow_address:
             return False
-        self._set_state(AuctionState.OPEN)
+        self.state = AuctionState.OPEN
         self.emit("Open", verified_height=observed,
                   token_id=self.config.token_id)
         return True
@@ -350,7 +337,7 @@ class AuctionInstance:
         if not quorum.confirm_deadline(self.config.deadline_height):
             return False
         count = self._registry_count()
-        self._set_state(AuctionState.CLOSED)
+        self.state = AuctionState.CLOSED
         self.emit("Closed", bidder_count=count,
                   deadline_height=self.config.deadline_height)
         return True
@@ -482,7 +469,7 @@ class AuctionInstance:
         """Closed -> Resolved: publish the settlement and charge end_auction."""
         self._require_state(AuctionState.CLOSED, "commit")
         self.resolution = result
-        self._set_state(AuctionState.RESOLVED)
+        self.state = AuctionState.RESOLVED
         self.emit(
             "Resolved",
             winner_escrow=hx(result.winner_escrow) if result.has_winner else None,
@@ -518,7 +505,7 @@ class AuctionInstance:
             if not chain.is_confirmed(tx_hash, kappa):
                 return self.state
             heights[stx.to_record()["raw"]] = chain.height_of(tx_hash)
-        self._set_state(AuctionState.CLAIMED)
+        self.state = AuctionState.CLAIMED
         self.emit("Claimed", inclusion_heights=heights)
         return self.state
 

@@ -61,6 +61,25 @@ def _name(record: dict) -> str:
     return "event %-18s seq=%-3s" % (record.get("event"), record.get("seq", -1))
 
 
+def _count_problems(records, bidder_set) -> list:
+    """Where the public counts of a resolved stream disagree: the `Closed`
+    event's `bidder_count`, the `BidderEnvelope` events and the distinct
+    escrows of `bidder_set` must be equal, and the envelopes'
+    `registration_index` values must run 0..n-1 in stream order."""
+    closed = next((r for r in records if r.get("event") == "Closed"), {})
+    indices = [r.get("registration_index") for r in records
+               if r.get("event") == "BidderEnvelope"]
+    counts = (closed.get("bidder_count"), len(indices), len(bidder_set))
+    problems = []
+    if not counts[0] == counts[1] == counts[2]:
+        problems.append("Closed.bidder_count %r, %d BidderEnvelope event(s), "
+                        "%d escrow(s) in bidder_set" % counts)
+    if indices != list(range(len(indices))):
+        problems.append("registration_index values %r do not run 0..%d"
+                        % (indices, len(indices) - 1))
+    return problems
+
+
 def _cmd_verify_log(args) -> int:
     """Offline re-verification of a public event stream."""
     with open(args.log, "r", encoding="utf-8") as fh:
@@ -139,6 +158,11 @@ def _cmd_verify_log(args) -> int:
         # confidentiality replay: the harness's rules for the disclosed escrows
         for problem in disclosure_problems(records, lines, escrows):
             print("confidentiality FAIL: %s" % problem)
+            failures += 1
+        # completeness from the public counts alone: `bidder_set` cannot
+        # vouch for itself
+        for problem in _count_problems(records, bidder_set):
+            print("completeness FAIL: %s" % problem)
             failures += 1
 
     print("verify-log: %s (%d event(s), %d failure(s))"

@@ -1,9 +1,9 @@
 """Deterministic emulation of the confidential execution environment.
 
 An Enclave owns signing keys (never exported), a tamper-evident sealed
-store with rollback protection, a deterministic or OS-entropy randomness
-stream, recipient-keyed output envelopes, and a software attestation stub
-that binds a code identity to each emitted payload.
+store with rollback protection, a randomness stream seeded per run,
+recipient-keyed output envelopes, and a software attestation stub that
+binds a code identity to each emitted payload.
 
 Envelope suite (build-time constant): X25519 ephemeral key agreement,
 HKDF-SHA256, ChaCha20-Poly1305 with the key pair hashes as AAD. A fresh
@@ -13,7 +13,6 @@ zero nonce is single-use.
 
 import hashlib
 import hmac
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Tuple
@@ -30,7 +29,6 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from sealedbid.crypto import keccak_256, secp256k1
 from sealedbid.errors import (
     ConfigError,
-    EnclaveModeError,
     EnvelopeAuthError,
     KeyMaterialError,
     SealedStoreIntegrity,
@@ -52,7 +50,7 @@ _ENVELOPE_INFO = b"sealedbid/envelope/v1"
 
 
 class DeterministicStream:
-    """SHA-256 counter stream: reproducible bytes for test-mode enclaves."""
+    """SHA-256 counter stream: reproducible bytes for a seeded enclave."""
 
     def __init__(self, seed):
         if isinstance(seed, int):
@@ -132,17 +130,11 @@ class _SealedEntry:
 class Enclave:
     """All operations on one instance are serialized; keys never leave."""
 
-    def __init__(self, mode: str = "test", seed: int = 0):
-        if mode not in ("test", "production"):
-            raise ConfigError("enclave mode must be 'test' or 'production'")
-        self.mode = mode
+    def __init__(self, seed: int = 0):
         self.code_hash = CODE_HASH
         self.compromised = False
         self._lock = threading.RLock()
-        if mode == "test":
-            self._stream: Callable[[int], bytes] = DeterministicStream(seed).read
-        else:
-            self._stream = os.urandom
+        self._stream: Callable[[int], bytes] = DeterministicStream(seed).read
         self._seal_key = self._stream(32)
         self._sealed: Dict[str, _SealedEntry] = {}
         self._versions: Dict[str, int] = {}  # trusted monotonic counters
@@ -212,19 +204,16 @@ class Enclave:
     # fault-injection hooks (the "host" mutating storage behind the enclave)
 
     def tamper_sealed_entry(self, label: str, new_value: bytes) -> None:
-        self._require_test_mode("tamper_sealed_entry")
         with self._lock:
             entry = self._sealed[label]
             self._sealed[label] = _SealedEntry(entry.version, bytes(new_value),
                                                entry.mac)
 
     def snapshot_sealed_entry(self, label: str) -> _SealedEntry:
-        self._require_test_mode("snapshot_sealed_entry")
         with self._lock:
             return self._sealed[label]
 
     def inject_sealed_entry(self, label: str, snapshot: _SealedEntry) -> None:
-        self._require_test_mode("inject_sealed_entry")
         with self._lock:
             self._sealed[label] = snapshot
 
@@ -258,7 +247,6 @@ class Enclave:
 
     def compromise(self) -> Dict[str, bytes]:
         """Full TEE breach for threat scenarios: exports every private key."""
-        self._require_test_mode("compromise")
         with self._lock:
             self.compromised = True
             exported = {h: k.to_bytes(32, "big") for h, k in self._keys.items()}
@@ -286,10 +274,6 @@ class Enclave:
             found = find_hex(text, keys)
             leaks += sum(_count_apart(found.get(key, ()), len(key)) for key in material)
         return leaks
-
-    def _require_test_mode(self, op: str) -> None:
-        if self.mode != "test":
-            raise EnclaveModeError("%s is refused in production mode" % op)
 
 
 def _count_apart(offsets: Iterable[int], length: int) -> int:

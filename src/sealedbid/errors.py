@@ -57,9 +57,5 @@ class EnvelopeAuthError(SealedBidError):
     """Envelope decryption failed authentication (wrong key or tampering)."""
 
 
-class EnclaveModeError(SealedBidError):
-    """A test-only operation was attempted on a production-mode enclave."""
-
-
 class RegistrationError(SealedBidError):
     """Bidder registration rejected (deadline passed, malformed payload)."""

@@ -145,12 +145,6 @@ class Scenario:
         fee = self.chain.tx_gas * self.auction.gas_price
         return bidder.funding + (bidder.topup or 0) + 4 * fee + 1_000
 
-    def bidder(self, name: str) -> BidderScript:
-        for b in self.bidders:
-            if b.name == name:
-                return b
-        raise ConfigError("unknown bidder %r" % name)
-
 
 def _matches(value, declared) -> bool:
     """Whether a document value has the type a field declares: a bool is

@@ -1,6 +1,6 @@
-"""The sealed bidder registry: rollback and tamper detection, lookup, and
-per-bidder sealed-store, history and log-scan costs that stay flat as n
-grows."""
+"""The auction's steps refuse a state they do not accept; the sealed
+bidder registry: rollback and tamper detection, lookup, and per-bidder
+sealed-store, history and log-scan costs that stay flat as n grows."""
 
 from collections import Counter
 
@@ -8,10 +8,12 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from sealedbid import enclave as enclave_module, events, harness, rlp, transactions
-from sealedbid.auction import AuctionInstance
+from sealedbid.auction import AuctionInstance, AuctionState
 from sealedbid.chain import SimChain
 from sealedbid.crypto import secp256k1
 from sealedbid.enclave import Enclave
+from sealedbid.errors import StateError
+from sealedbid.proposer import open_proposals
 from sealedbid.transactions import SignedTransaction
 
 
@@ -29,6 +31,58 @@ def auction_doc(n, mode="exhaustive", **extra):
                             for i in range(n)]
     doc.update(extra)
     return doc
+
+
+# each public step, called with whatever arguments: the state is checked first
+STEPS = {
+    "setup": lambda runner: runner.auction.setup(),
+    "verify_asset_escrow": lambda runner: runner.auction.verify_asset_escrow(runner.client),
+    "register_bidder": lambda runner: runner.auction.register_bidder(runner.client, None),
+    "close": lambda runner: runner.auction.close(runner.client),
+    "resolve": lambda runner: runner.auction.resolve(runner.client),
+    "commit": lambda runner: runner.auction.commit(None, "test"),
+    "finalize": lambda runner: runner.auction.finalize(runner.chain),
+    "open_proposals": lambda runner: open_proposals(runner.auction, runner.client),
+}
+ACCEPTS = {
+    "setup": {AuctionState.DEPLOYED},
+    "verify_asset_escrow": {AuctionState.DEPLOYED},
+    "register_bidder": {AuctionState.OPEN},
+    "close": {AuctionState.OPEN},
+    "resolve": {AuctionState.CLOSED},
+    "commit": {AuctionState.CLOSED},
+    "finalize": {AuctionState.RESOLVED, AuctionState.CLAIMED},  # Claimed: a no-op
+    "open_proposals": {AuctionState.CLOSED},
+}
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+def test_a_step_from_a_state_it_does_not_accept_changes_nothing(make_runner, step):
+    # a proposer-mode auction waits for blocks in every state from Deployed on
+    runner = make_runner(**auction_doc(2, "proposer"))
+    refused = []
+
+    def call_from_here():
+        state, events_before = runner.auction.state, len(runner.events)
+        queries = runner.client.query_count
+        if state in ACCEPTS[step] or state in refused:
+            return
+        with pytest.raises(StateError):
+            STEPS[step](runner)
+        assert (runner.auction.state, len(runner.events), runner.client.query_count) \
+            == (state, events_before, queries)
+        refused.append(state)
+
+    real = runner._advance_to
+
+    def advance_to(target):
+        call_from_here()
+        real(target)
+
+    runner._advance_to = advance_to
+    assert runner.run().passed
+    call_from_here()
+    assert set(refused) == set(AuctionState) - {AuctionState.INIT} - ACCEPTS[step]
 
 
 def host_replays_registry(runner, snapshot_height, inject_height):

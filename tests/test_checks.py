@@ -1,0 +1,310 @@
+"""The invariant suite fails on a fault, and only on a fault.
+
+Each check name the runner's suite can emit maps to a scripted fault or
+an in-test mutation of the engine that makes that check fail. A census
+keeps the table whole: the names emitted over the table's runs and the
+bundled scenarios must be its keys, so a check added without a fault
+that trips it fails here. The other direction is held by runs with no
+fault in them: each must pass every check.
+"""
+
+from pathlib import Path
+
+import pytest
+import yaml
+
+from sealedbid import auction as auction_module
+from sealedbid.auction import AuctionInstance
+from sealedbid.chain import SimChain
+from sealedbid.events import hx
+from sealedbid.harness import ScenarioRunner, run_scenario
+from sealedbid.scenario import scenario_from_dict
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def bundled(name):
+    return yaml.safe_load((SCENARIOS / ("%s.yaml" % name)).read_text())
+
+
+def runner_of(doc):
+    return ScenarioRunner(scenario_from_dict(doc))
+
+
+# -- one fault per check: each takes a MonkeyPatch and returns a runner -------
+
+def withholding_majority(monkeypatch):
+    """Two of three endpoints time out half the time: a query fails."""
+    doc = bundled("misreporting_minority")
+    doc["endpoints"] = [
+        {"id": "honest"},
+        {"id": "withhold-a", "behavior": "withhold", "probability": 0.5},
+        {"id": "withhold-b", "behavior": "withhold", "probability": 0.5},
+    ]
+    return runner_of(doc)
+
+
+def asset_never_escrowed(monkeypatch):
+    """The auctioneer never escrows the asset, so the auction never opens."""
+    doc = bundled("honest_4_bidders")
+    doc["auctioneer"]["escrow_asset"] = False
+    return runner_of(doc)
+
+
+def top_bid_never_proposed(monkeypatch):
+    """Nobody proposes carol, the top bidder."""
+    doc = bundled("proposer_4_bidders")
+    doc["proposals"] = [p for p in doc["proposals"] if p["candidate"] != "carol"]
+    return runner_of(doc)
+
+
+def colluding_quorum_unflagged(monkeypatch):
+    """Two of three endpoints inflate balances alike; the scenario does
+    not declare the divergence it causes."""
+    doc = bundled("colluding_quorum")
+    del doc["expect"]["oracle_divergence"]
+    return runner_of(doc)
+
+
+def expected_collusion_absent(monkeypatch):
+    """The scenario declares a divergence, but every endpoint is honest."""
+    doc = bundled("colluding_quorum")
+    doc["endpoints"] = [{"id": e["id"]} for e in doc["endpoints"]]
+    return runner_of(doc)
+
+
+def cutoff_answer_one_high(monkeypatch):
+    """Every nonzero cutoff balance comes back one unit high, so the
+    winner's payment exceeds its escrow."""
+    real = AuctionInstance.cutoff_balance
+
+    def cutoff_balance(auction, quorum, escrow):
+        balance = real(auction, quorum, escrow)
+        return balance + 1 if balance else 0
+
+    monkeypatch.setattr(AuctionInstance, "cutoff_balance", cutoff_balance)
+    return runner_of(bundled("honest_4_bidders"))
+
+
+def chain_burns_fees(monkeypatch):
+    """The chain charges each fee but does not collect it."""
+    real = SimChain._apply
+
+    def apply(chain, state, tx, sender):
+        applied = real(chain, state, tx, sender)
+        if applied:
+            state.fees_collected -= chain.tx_fee(tx)
+        return applied
+
+    monkeypatch.setattr(SimChain, "_apply", apply)
+    return runner_of(bundled("honest_4_bidders"))
+
+
+def refund_payload_dropped(monkeypatch):
+    """The enclave publishes the settlement without its first refund."""
+    real = AuctionInstance.settlement_for
+
+    def settlement_for(auction, winner, amount, quorum):
+        result = real(auction, winner, amount, quorum)
+        refund = next(stx for stx in result.settlement_txs if stx.role == "refund")
+        result.settlement_txs.remove(refund)
+        return result
+
+    monkeypatch.setattr(AuctionInstance, "settlement_for", settlement_for)
+    return runner_of(bundled("honest_4_bidders"))
+
+
+def signed_one_unit_short(to_auctioneer):
+    """An `_sign_transfer` that signs each plain transfer to the
+    auctioneer, or else each one to anyone else, one unit short."""
+    real = AuctionInstance._sign_transfer
+
+    def sign_transfer(auction, handle, nonce, to, value, data=b""):
+        if not data and (to == auction.config.auctioneer_address) == to_auctioneer:
+            value -= 1
+        return real(auction, handle, nonce, to, value, data)
+
+    return sign_transfer
+
+
+def refund_one_unit_short(monkeypatch):
+    """Each refund (and excess return) is signed one unit short."""
+    monkeypatch.setattr(AuctionInstance, "_sign_transfer", signed_one_unit_short(False))
+    return runner_of(bundled("honest_4_bidders"))
+
+
+def payment_one_unit_short(monkeypatch):
+    """The winner's payment to the auctioneer is signed one unit short."""
+    monkeypatch.setattr(AuctionInstance, "_sign_transfer", signed_one_unit_short(True))
+    return runner_of(bundled("honest_4_bidders"))
+
+
+def asset_sent_to_auctioneer(monkeypatch):
+    """The asset claim names the auctioneer instead of the winner."""
+    runner = runner_of(bundled("honest_4_bidders"))
+    real = auction_module.asset_transfer_data
+    monkeypatch.setattr(auction_module, "asset_transfer_data",
+                        lambda token_id, _: real(token_id, runner.auctioneer.address))
+    return runner
+
+
+def escrow_in_closed_event(monkeypatch):
+    """The `Closed` event, before disclosure, names the first escrow."""
+    runner = runner_of(bundled("honest_4_bidders"))
+    real = AuctionInstance.emit
+
+    def emit(auction, event, **fields):
+        if event == "Closed":
+            fields["note"] = hx(next(iter(runner.escrows.values())))
+        return real(auction, event, **fields)
+
+    monkeypatch.setattr(AuctionInstance, "emit", emit)
+    return runner
+
+
+def bid_paid_in_two_transfers(monkeypatch):
+    """Each bidder pays one unit of its bid in a transfer of its own,
+    in the same block as the rest."""
+    real = ScenarioRunner._transfer
+
+    def transfer(runner, sender, key, to, value, data=b""):
+        if to in runner.escrows.values() and value > 1:
+            runner.chain.submit_tx(real(runner, sender, key, to, 1))
+            value -= 1
+        return real(runner, sender, key, to, value, data)
+
+    monkeypatch.setattr(ScenarioRunner, "_transfer", transfer)
+    return runner_of(bundled("honest_4_bidders"))
+
+
+FAULTS = {
+    "liveness": withholding_majority,
+    "final_state": asset_never_escrowed,
+    "expected_winner": top_bid_never_proposed,
+    "oracle_agreement": colluding_quorum_unflagged,
+    "oracle_divergence_flagged": expected_collusion_absent,
+    "conservation_ledger": cutoff_answer_one_high,
+    "supply_conservation": chain_burns_fees,
+    "escrows_drained": refund_payload_dropped,
+    "bidder_refunds_exact": refund_one_unit_short,
+    "auctioneer_payment": payment_one_unit_short,
+    "asset_delivery": asset_sent_to_auctioneer,
+    "confidentiality": escrow_in_closed_event,
+    "non_interactivity": bid_paid_in_two_transfers,
+}
+
+
+@pytest.fixture(scope="module")
+def fault_reports():
+    """The report of each fault's run, by the check it should fail."""
+    reports = {}
+    for name, fault in FAULTS.items():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            reports[name] = fault(monkeypatch).run()
+    return reports
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_each_check_fails_on_its_fault(name, fault_reports):
+    failed = {c.name for c in fault_reports[name].checks if not c.passed}
+    assert name in failed, (FAULTS[name].__doc__, failed)
+
+
+def test_every_check_the_suite_emits_has_a_fault(fault_reports):
+    reports = list(fault_reports.values()) + [
+        run_scenario(path) for path in sorted(SCENARIOS.glob("*.yaml"))]
+    assert {c.name for report in reports for c in report.checks} == set(FAULTS)
+
+
+def test_a_refund_paid_to_a_stranger_fails_only_the_refund_check(monkeypatch):
+    # the escrows are drained and the ledger balances, so only the
+    # wallets, checked against the script, show it
+    real = AuctionInstance._sign_transfer
+
+    def sign_transfer(auction, handle, nonce, to, value, data=b""):
+        if not data and to != auction.config.auctioneer_address:
+            to = b"\x5e" * 20
+        return real(auction, handle, nonce, to, value, data)
+
+    monkeypatch.setattr(AuctionInstance, "_sign_transfer", sign_transfer)
+    report = runner_of(bundled("honest_4_bidders")).run()
+    assert report.final_state == "Claimed"
+    assert {c.name for c in report.checks if not c.passed} == {"bidder_refunds_exact"}
+
+
+# -- runs with no fault pass every check --------------------------------------
+
+NO_FAULT = {
+    # the misreporter is never asked a balance: there are no bidders
+    "misreporter_without_bidders": {
+        "name": "misreporter_without_bidders",
+        "endpoints": [{"id": "ep0", "behavior": "misreport_balance", "offset": 1}]
+                     + [{"id": "ep%d" % i} for i in range(1, 5)],
+    },
+    # a misreporter whose offset is 0 answers the truth
+    "misreporter_offset_0": {
+        "name": "misreporter_offset_0",
+        "endpoints": [{"id": "ep0", "behavior": "misreport_balance", "offset": 0},
+                      {"id": "ep1"}, {"id": "ep2"}],
+        "bidders": [{"name": "b0", "registration_height": 8, "funding": 5000,
+                     "funding_height": 10},
+                    {"name": "b1", "registration_height": 9, "funding": 7000,
+                     "funding_height": 11}],
+    },
+    # the zero-value funding transfer still is the bidder's one transfer
+    "zero_funding": {
+        "name": "zero_funding",
+        "endpoints": [{"id": "ep%d" % i} for i in range(3)],
+        "bidders": [{"name": "b0", "registration_height": 8, "funding": 0,
+                     "funding_height": 10}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_FAULT))
+def test_a_run_without_a_fault_passes(name):
+    report = runner_of(NO_FAULT[name]).run()
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+
+
+def test_a_zero_funding_counts_as_the_bidders_one_transfer():
+    report = runner_of(NO_FAULT["zero_funding"]).run()
+    check = next(c for c in report.checks if c.name == "non_interactivity")
+    assert check.passed and "[('b0', 1)]" in check.detail
+
+
+# Two colluding height misreporters (f = q, outside the trust assumption)
+# make the agreed head lag one block behind the challenge window's end.
+LAGGING_HEAD = {
+    "name": "fz489", "seed": 236205,
+    "auction": {"deadline_height": 12, "kappa": 4,
+                "resolution_mode": "proposer", "proposal_window": 5},
+    "chain": {"finality_depth": 2},
+    "quorum": {"sample_size": 3, "agreement_quorum": 2},
+    "endpoints": [{"id": "ep0", "behavior": "misreport_height", "offset": -1},
+                  {"id": "ep1", "behavior": "misreport_height", "offset": -1},
+                  {"id": "ep2"}, {"id": "ep3"}, {"id": "ep4"}],
+    "bidders": [{"name": "b0", "registration_height": 5, "funding": 5000,
+                 "funding_height": 14, "topup": 14, "topup_height": 18},
+                {"name": "b1", "registration_height": 11, "funding": 5000,
+                 "funding_height": 14}],
+    "proposals": [{"candidate": "b1", "after_open": 4},
+                  {"candidate": "b0", "after_open": 3}],
+}
+
+
+def test_a_window_the_agreed_head_has_not_passed_fails_liveness():
+    report = runner_of(LAGGING_HEAD).run()
+    assert report.final_state == "Closed"
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["liveness"]
+    assert failed[0].detail == ("lifecycle stopped by StateError: "
+                                "challenge window is open until height 27")
+
+
+def test_only_the_balance_queries_name_the_balance_misreporter():
+    runner = runner_of(bundled("misreporting_minority"))
+    assert runner.run().passed
+    listed = [(r["query"], r["discrepancies"]) for r in runner.audit.records]
+    assert [d for q, d in listed if q == "balance"] == [["liar"]] * 4
+    assert [d for q, d in listed if q != "balance"] == [[]] * 9

@@ -31,14 +31,29 @@ def test_verify_log_accepts_a_clean_log(name, tmp_path, capsys):
     assert out.rstrip().splitlines()[-1].startswith("verify-log: PASS")
 
 
-def test_verify_log_reports_an_escrow_shown_before_disclosure(tmp_path, capsys):
-    log = run_logged("honest_4_bidders", tmp_path)
+def first(records, event):
+    return next(r for r in records if r["event"] == event)
+
+
+def rewrite_log(log, edit):
+    """Rewrite a saved log after `edit` has changed its records in place;
+    returns what `edit` returns."""
     records = [json.loads(line) for line in log.read_text().splitlines()]
-    escrow = next(r for r in records if r["event"] == "Resolved")["bidder_set"][2]
-    opened = next(r for r in records if r["event"] == "Open")
-    opened["note"] = "escrow %s" % escrow
+    result = edit(records)
     log.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
                            + "\n" for r in records))
+    return result
+
+
+def test_verify_log_reports_an_escrow_shown_before_disclosure(tmp_path, capsys):
+    log = run_logged("honest_4_bidders", tmp_path)
+
+    def show(records):
+        escrow = first(records, "Resolved")["bidder_set"][2]
+        first(records, "Open")["note"] = "escrow %s" % escrow
+        return escrow
+
+    escrow = rewrite_log(log, show)
     capsys.readouterr()
     assert main(["verify-log", str(log)]) == 1
     out = capsys.readouterr().out
@@ -47,16 +62,45 @@ def test_verify_log_reports_an_escrow_shown_before_disclosure(tmp_path, capsys):
 
 def test_verify_log_reports_an_escrow_inside_a_longer_hex_run(tmp_path, capsys):
     log = run_logged("honest_4_bidders", tmp_path)
-    records = [json.loads(line) for line in log.read_text().splitlines()]
-    escrow = next(r for r in records if r["event"] == "Resolved")["bidder_set"][1]
-    envelope = next(r for r in records if r["event"] == "BidderEnvelope")
-    envelope["ciphertext"] = "0x9e33%s%s" % (escrow[2:].upper(), envelope["ciphertext"][2:])
-    log.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
-                           + "\n" for r in records))
+
+    def hide(records):
+        escrow = first(records, "Resolved")["bidder_set"][1]
+        envelope = first(records, "BidderEnvelope")
+        envelope["ciphertext"] = "0x9e33%s%s" % (escrow[2:].upper(),
+                                                 envelope["ciphertext"][2:])
+        return escrow
+
+    escrow = rewrite_log(log, hide)
     capsys.readouterr()
     assert main(["verify-log", str(log)]) == 1
     out = capsys.readouterr().out
     assert "confidentiality FAIL: escrow of %s leaked before disclosure" % escrow in out
+
+
+def swap_the_first_two_indices(records):
+    one, two = [r for r in records if r["event"] == "BidderEnvelope"][:2]
+    one["registration_index"], two["registration_index"] = 1, 0
+
+
+@pytest.mark.parametrize("event, edit, problem", [
+    ("Resolved", lambda records: first(records, "Resolved")["bidder_set"].pop(1),
+     "Closed.bidder_count 4, 4 BidderEnvelope event(s), 3 escrow(s) in bidder_set"),
+    ("Closed", lambda records: first(records, "Closed").update(bidder_count=5),
+     "Closed.bidder_count 5, 4 BidderEnvelope event(s), 4 escrow(s) in bidder_set"),
+    ("BidderEnvelope", swap_the_first_two_indices,
+     "registration_index values [1, 0, 2, 3] do not run 0..3"),
+], ids=["escrow_dropped", "count_raised", "indices_swapped"])
+def test_verify_log_checks_completeness_from_the_public_counts(event, edit, problem,
+                                                               tmp_path, capsys):
+    log = run_logged("honest_4_bidders", tmp_path)
+    rewrite_log(log, edit)
+    capsys.readouterr()
+    assert main(["verify-log", str(log)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "completeness FAIL: %s" % problem in out
+    # the edited record no longer matches its attestation
+    assert any(line.startswith("event %s" % event) and line.endswith(" FAIL")
+               for line in out), out
 
 
 @pytest.mark.parametrize("case", ["bad_hex", "not_json", "no_code_hash", "short_escrow"])

@@ -1,4 +1,4 @@
-"""Emulated enclave: sealed-store fault paths, test-only hooks, envelopes."""
+"""Emulated enclave: sealed-store fault paths, envelopes, attestation and the key scan."""
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -12,7 +12,6 @@ from sealedbid.enclave import (
     verify_attestation,
 )
 from sealedbid.errors import (
-    EnclaveModeError,
     EnvelopeAuthError,
     SealedStoreIntegrity,
     SealedStoreMissing,
@@ -23,7 +22,7 @@ LABEL = "auction/00000000/registry"
 
 
 def sealed(*values):
-    enclave = Enclave(mode="test", seed=7)
+    enclave = Enclave(seed=7)
     for value in values:
         enclave.seal_put(LABEL, value)
     return enclave
@@ -55,23 +54,8 @@ def test_replayed_snapshot_is_a_rollback():
         enclave.seal_get(LABEL)
 
 
-@pytest.mark.parametrize("hook,args", [
-    ("tamper_sealed_entry", (LABEL, b"x")),
-    ("snapshot_sealed_entry", (LABEL,)),
-    ("inject_sealed_entry", (LABEL, None)),
-    ("compromise", ()),
-])
-def test_fault_hooks_are_refused_in_production(hook, args):
-    enclave = Enclave(mode="production")
-    enclave.seal_put(LABEL, b"[]")
-    with pytest.raises(EnclaveModeError):
-        getattr(enclave, hook)(*args)
-    assert enclave.seal_get(LABEL) == b"[]"
-    assert not enclave.compromised
-
-
 def test_envelope_record_round_trip_and_authentication():
-    enclave = Enclave(mode="test", seed=7)
+    enclave = Enclave(seed=7)
     recipient_private = X25519PrivateKey.from_private_bytes(bytes(range(32)))
     recipient_public = recipient_private.public_key().public_bytes_raw()
     envelope = enclave.encrypt_to(recipient_public, b"escrow")
@@ -87,7 +71,7 @@ def test_envelope_record_round_trip_and_authentication():
 
 
 def test_attestation_record_round_trip_verifies():
-    enclave = Enclave(mode="test", seed=7)
+    enclave = Enclave(seed=7)
     report = AttestationReport.from_record(enclave.attest(b"payload").to_record())
     assert verify_attestation(report, enclave.code_hash, b"payload",
                               enclave.attestation_address)
@@ -97,7 +81,7 @@ def test_attestation_record_round_trip_verifies():
 
 def key_scan_enclave():
     """An enclave with two escrow keys, and its private keys as hex."""
-    enclave = Enclave(mode="test", seed=7)
+    enclave = Enclave(seed=7)
     enclave.generate_keypair()
     enclave.generate_keypair()
     exported = enclave.compromise()

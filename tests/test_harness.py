@@ -186,7 +186,7 @@ PERIODIC_KEY = "5a" * 32  # self-overlapping; no key generator would draw it
 def scanning_enclave():
     """An enclave with one escrow key and a planted periodic key, and the
     hex of all its private keys."""
-    enclave = Enclave(mode="test", seed=11)
+    enclave = Enclave(seed=11)
     enclave.generate_keypair()
     enclave._keys["periodic"] = int(PERIODIC_KEY, 16)
     keys = tuple(key.hex() for key in enclave.compromise().values())
