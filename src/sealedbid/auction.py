@@ -242,8 +242,8 @@ class AuctionInstance:
         instance = cls(enclave, config, events, gas)
         head = quorum.query_height()
         if config.deadline_height <= head:
-            raise ConfigError("deadline height %d is not past the settlement head %d"
-                              % (config.deadline_height, head))
+            raise StateError("deadline height %d is not past the settlement head %d"
+                             % (config.deadline_height, head))
         instance.auction_id = enclave.random(4).hex()
         instance.enclave.seal_put(instance.registry_label, b"0")
         instance.state = AuctionState.DEPLOYED

@@ -37,7 +37,7 @@ first transaction that cannot pay, which is dropped.
 """
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from sealedbid import rlp
@@ -75,7 +75,6 @@ class Block:
     parent_hash: bytes
     tx_list: Tuple[SignedTransaction, ...]
     state_root: bytes
-    senders: Tuple[bytes, ...] = field(default=(), compare=False)
 
     def header_hash(self) -> bytes:
         """keccak of rlp([height, parent_hash, state_root, [raw txs]]),
@@ -355,23 +354,18 @@ class SimChain:
     def mine_block(self) -> Block:
         with self._lock:
             state = self._snapshots[-1].copy()
-            applied: List[SignedTransaction] = []
-            senders: List[bytes] = []
-            for tx, sender in self._pending:
-                if self._apply(state, tx, sender):
-                    applied.append(tx)
-                    senders.append(sender)
+            applied = [(tx, sender) for tx, sender in self._pending
+                       if self._apply(state, tx, sender)]
             self._pending, self._pending_from = [], {}
             block = Block(
                 height=self.head_height + 1,
                 parent_hash=self._blocks[-1].header_hash(),
-                tx_list=tuple(applied),
+                tx_list=tuple(tx for tx, _ in applied),
                 state_root=state.root(),
-                senders=tuple(senders),
             )
             self._blocks.append(block)
             self._snapshots.append(state)
-            for tx, sender in zip(applied, senders):
+            for tx, sender in applied:
                 self._tx_index[tx.tx_hash()] = block.height
                 if tx.value > 0 and tx.to not in self._first_inflow:
                     self._first_inflow[tx.to] = (block.height, sender)

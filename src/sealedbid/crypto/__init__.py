@@ -29,30 +29,17 @@ before it calls a backend. The compiled inverses (safegcd) and signing take
 time that depends on their inputs: the enclave is emulated, and no
 side-channel resistance is claimed. The C extension
 `sealedbid._core._speedups` is used when it is importable; otherwise the
-pure-Python reference `sealedbid._core._purepy` is. `SEALEDBID_BACKEND`
-picks one: `auto` (the default, also when empty), `pure`, or `compiled`,
-which fails loudly if the extension is missing.
+pure-Python reference `sealedbid._core._purepy` is.
 """
 
-import os
-
 from sealedbid._core import _purepy
-from sealedbid.errors import ConfigError
 
 
 def _load_backend():
-    choice = os.environ.get("SEALEDBID_BACKEND", "auto").strip().lower() or "auto"
-    if choice == "pure":
-        return _purepy
-    if choice not in ("auto", "compiled"):
-        raise ConfigError("unknown SEALEDBID_BACKEND value: %r" % choice)
     try:
         from sealedbid._core import _speedups
         return _speedups
     except ImportError:
-        if choice == "compiled":
-            raise ConfigError(
-                "SEALEDBID_BACKEND=compiled but the compiled extension is not built")
         return _purepy
 
 

@@ -3,8 +3,8 @@
 Records are canonicalized (sorted keys, no whitespace) so that runs with
 the same seed produce byte-identical logs. A log renders each record once,
 when it is appended, and keeps the line. `find_hex` searches a text for
-many hex strings in one pass; `HexNeedles` holds the strings' word table
-for searching several texts.
+many hex strings in one pass; `HexNeedles` holds the strings and their
+word table, built once for any number of texts.
 """
 
 import json
@@ -52,13 +52,12 @@ class HexNeedles:
         self.lengths = sorted({len(n) for n in self.needles})
 
 
-def find_hex(text: str, needles) -> Dict[str, List[int]]:
+def find_hex(text: str, needles: HexNeedles) -> Dict[str, List[int]]:
     """Where each needle occurs in `text.lower()`, from one pass over `text`.
 
-    `needles` is an iterable of strings or a `HexNeedles`, whose rules
-    each needle must meet. Returns needle -> the ascending start offsets
-    of all its occurrences, overlapping ones included, for each needle
-    that occurs at all; so `needle in result` is `needle in text.lower()`.
+    Returns needle -> the ascending start offsets of all its occurrences,
+    overlapping ones included, for each needle that occurs at all; so
+    `needle in result` is `needle in text.lower()`.
 
     The text is read once, a window at a time, whatever the number of
     needles; one table holds _STRIDE words per needle, and each word hit
@@ -66,8 +65,6 @@ def find_hex(text: str, needles) -> Dict[str, List[int]]:
     one word, and the offsets that one word finds are tried from the
     lowest up, so no result is sorted.
     """
-    if not isinstance(needles, HexNeedles):
-        needles = HexNeedles(needles)
     if not text.isascii():
         text = text.lower()  # lowering can change the length of non-ASCII text
     found: Dict[str, List[int]] = {}

@@ -6,10 +6,10 @@ a deterministic schedule derived from scripted block heights, then runs
 an invariant suite (oracle agreement, conservation, settlement,
 confidentiality, non-interactivity) and assembles a RunReport.
 
-`disclosure_problems` holds the disclosure rules of the confidentiality
-check; `sealedbid verify-log` applies the same function to a saved event
-stream. The logs are rendered as their records are appended, so the
-check and the written files use the same lines.
+The confidentiality check applies the public rules of `sealedbid.verify`
+with the escrows and bids that the runner knows. The logs are rendered as
+their records are appended, so the check and the written files use the
+same lines.
 
 `oracle_resolve` is the independent verifier: it recomputes the winner
 from the scripted funding plan alone, bypassing the enclave, the chain,
@@ -17,11 +17,10 @@ and the quorum client.
 """
 
 import json
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
@@ -35,8 +34,13 @@ from sealedbid.enclave import (
     decrypt_envelope,
     encrypt_to_key,
 )
-from sealedbid.errors import QuorumFailure, SealedStoreIntegrity, StateError
-from sealedbid.events import AuditLog, EventLog, canonical, find_hex, hx, unhx
+from sealedbid.errors import (
+    QuorumFailure,
+    RegistrationError,
+    SealedStoreIntegrity,
+    StateError,
+)
+from sealedbid.events import AuditLog, EventLog, canonical, hx, unhx
 from sealedbid.gas import (
     GasLedger,
     LAYER_SETTLEMENT,
@@ -50,6 +54,7 @@ from sealedbid.proposer import finalize_proposals, open_proposals, submit_propos
 from sealedbid.quorum import Endpoint, EndpointSpec, QuorumClient
 from sealedbid.scenario import Scenario, load_scenario
 from sealedbid.transactions import UnsignedTx, derive_address, sign_tx
+from sealedbid.verify import completeness_problems, disclosure_problems
 
 
 @dataclass
@@ -105,107 +110,6 @@ def oracle_resolve(scenario: Scenario) -> OracleOutcome:
     best_reach = min(r for _, c, r in scored if c == top)
     winners = [n for n, c, r in scored if c == top and r == best_reach]
     return OracleOutcome(winners, top)
-
-
-# a bid below this is not checked: small numbers are heights, indices and
-# sequence numbers in every log
-MIN_CHECKED_BID = 1000
-
-_DECIMAL = re.compile(r"[0-9]+")
-_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
-
-
-def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
-    """The members of `amounts` that JSON-like records state as a token.
-
-    A token is each integer (not a boolean), each all-digit string read as
-    decimal, each whole `0x` hex string read as its value, and in any
-    other string each maximal run of decimal digits; dict keys count as
-    strings. Digits that occur only inside a longer hex string
-    (ciphertext, a key, a hash) state no number. One walk of the records
-    tests each token against `amounts`; a token with more significant
-    digits than the largest amount is never read as a number.
-    """
-    amounts = set(amounts)
-    stated: Set[int] = set()
-    if not amounts:
-        return stated
-    top = max(amounts)
-    width = {10: len(str(top)), 16: len(format(top, "x"))}
-    keys: Set[str] = set()  # read once each: every record repeats them
-    stack = list(records)
-    while stack or keys:
-        value = stack.pop() if stack else keys.pop()
-        if isinstance(value, str):
-            if _HEX.fullmatch(value):
-                tokens, base = (value[2:],), 16
-            elif _DECIMAL.fullmatch(value):
-                tokens, base = (value,), 10
-            else:
-                tokens, base = _DECIMAL.findall(value), 10
-            for token in tokens:
-                digits = token.lstrip("0")
-                if len(digits) <= width[base]:
-                    number = int(digits or "0", base)
-                    if number in amounts:
-                        stated.add(number)
-        elif isinstance(value, dict):
-            keys.update(value)
-            stack.extend(value.values())
-        elif isinstance(value, (list, tuple)):
-            stack.extend(value)
-        elif isinstance(value, int) and not isinstance(value, bool):
-            if value in amounts:
-                stated.add(value)
-    return stated
-
-
-def disclosure_problems(records: List[dict], lines: List[str],
-                        escrows: Dict[str, bytes],
-                        bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
-    """What an event stream shows too early or never: escrow addresses
-    and bid values before disclosure begins, at its first `Resolved` or
-    `ProposalsOpened` event, and, once it holds a `Resolved` event, an
-    escrow that it never shows.
-
-    `lines[i]` is the text of `records[i]`, and the stream's text is the
-    lines joined by "\n"; the cut is where the disclosing line starts.
-    - An escrow leaks if its hex occurs in the lowercased text before the
-      cut, also inside a longer hex run.
-    - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
-      records before the cut state the amount as a number (see
-      `stated_numbers`).
-    - An escrow is missing from disclosure if the stream holds a
-      `Resolved` event and the escrow's hex occurs nowhere in the text.
-
-    The text is read once for every escrow (`find_hex`), and the records
-    before the cut are walked once for every bid.
-    """
-    found = find_hex("\n".join(lines), [escrow.hex() for escrow in escrows.values()])
-    boundary = next((i for i, r in enumerate(records)
-                     if r.get("event") in ("Resolved", "ProposalsOpened")),
-                    len(records))
-    before = lines[:boundary]
-    if all(map(str.isascii, before)):
-        cut = sum(map(len, before)) + max(len(before) - 1, 0)
-    else:  # lowering can change the length of non-ASCII text
-        cut = len("\n".join(before).lower())
-    problems = []
-    for name, escrow in escrows.items():
-        needle = escrow.hex()
-        offsets = found.get(needle)
-        if offsets and offsets[0] + len(needle) <= cut:
-            problems.append("escrow of %s leaked before disclosure" % name)
-    bids = list(bids)
-    stated = stated_numbers(records[:boundary],
-                            (amount for _, amount in bids if amount >= MIN_CHECKED_BID))
-    problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
-                    for name, amount in bids if amount in stated)
-    if any(r.get("event") == "Resolved" for r in records[boundary:]):
-        problems.extend("escrow of %s missing from disclosure" % name
-                        for name, escrow in escrows.items()
-                        if escrow.hex() not in found)
-    return problems
 
 
 @dataclass
@@ -676,16 +580,17 @@ class ScenarioRunner:
         return checks
 
     def _confidentiality_check(self) -> CheckResult:
-        """No escrow address or bid value in plaintext before disclosure
-        begins, every escrow disclosed once the auction resolves
-        (`disclosure_problems`), and no private key material anywhere,
-        ever (`Enclave.scan_for_key_leaks`, skipped once the enclave is
-        compromised and its keys are public anyway).
+        """The public rules of `verify-log` with the runner's own escrows
+        and bids: no escrow or bid in plaintext before disclosure begins,
+        and a complete disclosure once the auction resolves. Also no
+        private key material anywhere, ever (`Enclave.scan_for_key_leaks`,
+        skipped once the enclave is compromised and its keys are public).
         """
         bids = [(b.name, amount) for b in self.scenario.bidders
                 for amount in (b.funding, b.topup) if amount]
-        problems = disclosure_problems(self.events.records, self.events.lines,
-                                       self.escrows, bids)
+        records = self.events.records
+        problems = (disclosure_problems(records, self.events.lines, self.escrows, bids)
+                    + completeness_problems(records, self.escrows))
         if not self.flags.get("compromised"):
             leaks = self.enclave.scan_for_key_leaks(self.events.text(), self.audit.text())
             if leaks:
@@ -718,10 +623,10 @@ class ScenarioRunner:
             self._lifecycle()
         except SealedStoreIntegrity as exc:
             self.flags["integrity_error"] = str(exc)
-        except (QuorumFailure, StateError) as exc:
+        except (QuorumFailure, RegistrationError, StateError) as exc:
             # the auction keeps its state; the run still reports and logs.
-            # A StateError here is a window the agreed head has not passed,
-            # as when a lying quorum makes the head lag
+            # A lying quorum can put the agreed head past a deadline or
+            # short of a window end (RegistrationError, StateError)
             self.flags["quorum_failure"] = "%s: %s" % (type(exc).__name__, exc)
         oracle = oracle_resolve(self.scenario)
         checks = self._checks(oracle)

@@ -63,9 +63,11 @@ class Endpoint:
         self.chain = chain
 
     def serve(self, query: str, args: tuple, draw01: Callable[[], float]):
-        """The endpoint's answer; None models a timeout."""
+        """The endpoint's answer; None models a timeout or a height past the head."""
         spec = self.spec
         if spec.behavior == "withhold" and draw01() < spec.probability:
+            return None
+        if query != "height" and args[-1] > self.chain.head_height:
             return None
         if query == "balance":
             truth = self.chain.balance_at(*args)

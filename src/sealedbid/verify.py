@@ -1,0 +1,238 @@
+"""The rules that anyone can apply to a saved public event stream.
+
+The enclave computes the winner; these rules re-check what it published
+from the stream alone. `verify_log` applies them all, for `sealedbid
+verify-log`; the scenario runner applies `disclosure_problems` and
+`completeness_problems` with the escrows and bids it knows privately.
+"""
+
+import json
+import re
+from typing import Dict, Iterable, List, Set, Tuple
+
+from sealedbid.enclave import AttestationReport, verify_attestation
+from sealedbid.errors import SealedBidError
+from sealedbid.events import HexNeedles, canonical, find_hex, unhx
+from sealedbid.transactions import ADDRESS_LENGTH, SignedTransaction, recover_signer
+
+# what a malformed record raises when a field is missing, mistyped or not hex
+MALFORMED = (KeyError, ValueError, TypeError, AttributeError, IndexError)
+
+# a bid below this is not checked: small numbers are heights, indices and
+# sequence numbers in every log
+MIN_CHECKED_BID = 1000
+
+_DECIMAL = re.compile(r"[0-9]+")
+_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
+
+
+def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
+    """The members of `amounts` that JSON-like records state as a token.
+
+    A token is each integer (not a boolean), each all-digit string read as
+    decimal, each whole `0x` hex string read as its value, and in any
+    other string each maximal run of decimal digits; dict keys count as
+    strings. Digits that occur only inside a longer hex string
+    (ciphertext, a key, a hash) state no number. One walk of the records
+    tests each token against `amounts`; a token with more significant
+    digits than the largest amount is never read as a number.
+    """
+    amounts = set(amounts)
+    stated: Set[int] = set()
+    if not amounts:
+        return stated
+    top = max(amounts)
+    width = {10: len(str(top)), 16: len(format(top, "x"))}
+    keys: Set[str] = set()  # read once each: every record repeats them
+    stack = list(records)
+    while stack or keys:
+        value = stack.pop() if stack else keys.pop()
+        if isinstance(value, str):
+            if _HEX.fullmatch(value):
+                tokens, base = (value[2:],), 16
+            elif _DECIMAL.fullmatch(value):
+                tokens, base = (value,), 10
+            else:
+                tokens, base = _DECIMAL.findall(value), 10
+            for token in tokens:
+                digits = token.lstrip("0")
+                if len(digits) <= width[base]:
+                    number = int(digits or "0", base)
+                    if number in amounts:
+                        stated.add(number)
+        elif isinstance(value, dict):
+            keys.update(value)
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            if value in amounts:
+                stated.add(value)
+    return stated
+
+
+def disclosure_problems(records: List[dict], lines: List[str],
+                        escrows: Dict[str, bytes],
+                        bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
+    """What an event stream shows before disclosure begins, at its first
+    `Resolved` or `ProposalsOpened` event: escrow addresses and bid values.
+
+    `lines[i]` is the text of `records[i]`, and the stream's text is the
+    lines joined by "\n"; the cut is where the disclosing line starts.
+    - An escrow leaks if its hex occurs in the lowercased text before the
+      cut, also inside a longer hex run.
+    - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
+      records before the cut state the amount as a number (see
+      `stated_numbers`).
+
+    The text is read once for every escrow (`find_hex`), and the records
+    before the cut are walked once for every bid.
+    """
+    found = find_hex("\n".join(lines),
+                     HexNeedles(escrow.hex() for escrow in escrows.values()))
+    boundary = next((i for i, r in enumerate(records)
+                     if r.get("event") in ("Resolved", "ProposalsOpened")),
+                    len(records))
+    before = lines[:boundary]
+    if all(map(str.isascii, before)):
+        cut = sum(map(len, before)) + max(len(before) - 1, 0)
+    else:  # lowering can change the length of non-ASCII text
+        cut = len("\n".join(before).lower())
+    problems = []
+    for name, escrow in escrows.items():
+        needle = escrow.hex()
+        offsets = found.get(needle)
+        if offsets and offsets[0] + len(needle) <= cut:
+            problems.append("escrow of %s leaked before disclosure" % name)
+    bids = list(bids)
+    stated = stated_numbers(records[:boundary],
+                            (amount for _, amount in bids if amount >= MIN_CHECKED_BID))
+    problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
+                    for name, amount in bids if amount in stated)
+    return problems
+
+
+def completeness_problems(records: List[dict], escrows: Dict[str, bytes]) -> List[str]:
+    """Where the disclosure of a stream with a `Resolved` event is
+    incomplete; a stream without one has nothing to disclose yet.
+
+    The `Closed` event's `bidder_count`, the `BidderEnvelope` events and
+    the distinct escrows of the `Resolved` event's `bidder_set` must be
+    equal, the envelopes' `registration_index` values must run 0..n-1 in
+    stream order, and each of `escrows` (name -> address) must be in
+    `bidder_set`, compared as bytes. The counts are public, so
+    `bidder_set` cannot vouch for itself.
+    """
+    resolved = next((r for r in records if r.get("event") == "Resolved"), None)
+    if resolved is None:
+        return []
+    disclosed = {unhx(addr) for addr in resolved.get("bidder_set", [])}
+    closed = next((r for r in records if r.get("event") == "Closed"), {})
+    indices = [r.get("registration_index") for r in records
+               if r.get("event") == "BidderEnvelope"]
+    counts = (closed.get("bidder_count"), len(indices), len(disclosed))
+    problems = []
+    if not counts[0] == counts[1] == counts[2]:
+        problems.append("Closed.bidder_count %r, %d BidderEnvelope event(s), "
+                        "%d escrow(s) in bidder_set" % counts)
+    if indices != list(range(len(indices))):
+        problems.append("registration_index values %r do not run 0..%d"
+                        % (indices, len(indices) - 1))
+    problems.extend("escrow of %s missing from disclosure" % name
+                    for name, escrow in escrows.items() if escrow not in disclosed)
+    return problems
+
+
+def _name(record: dict) -> str:
+    return "event %-18s seq=%-3s" % (record.get("event"), record.get("seq", -1))
+
+
+def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
+    """The report's lines on a public event stream, and whether it passed.
+
+    Each record's attestation must verify under the `Deployed` event's
+    code hash and attestation address. Once the stream holds a `Resolved`
+    event, each payload's signer must be an escrow that the stream names,
+    and the disclosure rules apply to the escrows of `bidder_set`. A
+    malformed line or field ends the report with a FAIL line. Blank lines
+    are skipped but keep their numbers.
+    """
+    numbered = [(number, line.rstrip("\n"))
+                for number, line in enumerate(lines, 1) if line.strip()]
+    texts = [line for _, line in numbered]
+    records = []
+    for number, line in numbered:
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            return ["line %d FAIL (not JSON: %s)" % (number, exc)], False
+        if not isinstance(record, dict):
+            return ["line %d FAIL (not a JSON object)" % number], False
+        records.append(record)
+    if not records:
+        return ["verify-log: empty log"], False
+    header = records[0]
+    if header.get("event") != "Deployed":
+        return ["verify-log: log does not start with a Deployed event"], False
+    try:
+        code_hash = unhx(header["code_hash"])
+        attestation_address = unhx(header["attestation_address"])
+    except MALFORMED as exc:
+        return ["%s FAIL (malformed: %r)" % (_name(header), exc)], False
+    report: List[str] = []
+    failures = 0
+
+    for record in records:
+        attestation = record.get("attestation")
+        if attestation is None:
+            report.append("%s FAIL (no attestation)" % _name(record))
+            failures += 1
+            continue
+        stripped = {k: v for k, v in record.items() if k != "attestation"}
+        try:
+            attested = AttestationReport.from_record(attestation)
+            ok = verify_attestation(attested, code_hash,
+                                    canonical(stripped).encode(),
+                                    attestation_address)
+            verdict = "ok" if ok else "FAIL"
+        except MALFORMED as exc:
+            ok, verdict = False, "FAIL (malformed: %r)" % exc
+        report.append("%s %s" % (_name(record), verdict))
+        failures += 0 if ok else 1
+
+    resolved = next((r for r in records if r.get("event") == "Resolved"), None)
+    if resolved is not None:
+        try:
+            bidder_set = {addr.lower() for addr in resolved.get("bidder_set", [])}
+            known = bidder_set | {r["address"].lower() for r in records
+                                  if r.get("event") == "AssetEscrowAddress"}
+            escrows = {addr: unhx(addr) for addr in sorted(bidder_set)}
+            for addr, escrow in escrows.items():
+                if len(escrow) != ADDRESS_LENGTH:
+                    raise ValueError("bidder_set entry %s is not a %d-byte address"
+                                     % (addr, ADDRESS_LENGTH))
+            payloads = [(p.get("role"), p.get("raw"))
+                        for p in resolved.get("payloads", [])]
+        except MALFORMED as exc:
+            report.append("%s FAIL (malformed: %r)" % (_name(resolved), exc))
+            return report, False
+        for role, raw in payloads:
+            try:
+                tx = SignedTransaction.from_raw(raw)
+                signer = "0x" + recover_signer(tx).hex()
+                ok = signer in known
+            except (SealedBidError,) + MALFORMED:
+                signer, ok = "<unrecoverable>", False
+            report.append("payload %-15s signer=%s %s"
+                          % (role, signer, "ok" if ok else "FAIL"))
+            failures += 0 if ok else 1
+        problems = (["confidentiality FAIL: %s" % p
+                     for p in disclosure_problems(records, texts, escrows)]
+                    + ["completeness FAIL: %s" % p
+                       for p in completeness_problems(records, escrows)])
+        report.extend(problems)
+        failures += len(problems)
+
+    report.append("verify-log: %s (%d event(s), %d failure(s))"
+                  % ("PASS" if failures == 0 else "FAIL", len(records), failures))
+    return report, failures == 0

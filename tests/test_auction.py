@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from sealedbid import enclave as enclave_module, events, harness, rlp, transactions
+from sealedbid import enclave as enclave_module, events, harness, rlp, transactions, verify
 from sealedbid.auction import AuctionInstance, AuctionState
 from sealedbid.chain import SimChain
 from sealedbid.crypto import secp256k1
@@ -373,11 +373,11 @@ def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mod
     real = events.find_hex
 
     def find_hex(text, needles):
-        wanted = needles.needles if isinstance(needles, events.HexNeedles) else set(needles)
-        scanned.append((text.rstrip("\n"), "escrows" if wanted == escrows else "keys"))
+        kind = "escrows" if needles.needles == escrows else "keys"
+        scanned.append((text.rstrip("\n"), kind))
         return real(text, needles)
 
-    monkeypatch.setattr(harness, "find_hex", find_hex)
+    monkeypatch.setattr(verify, "find_hex", find_hex)
     monkeypatch.setattr(enclave_module, "find_hex", find_hex)
     assert runner._confidentiality_check().passed
     # the events text for the escrows, the events text for the keys, then

@@ -564,9 +564,9 @@ def reference_header_hash(block):
 def reference_first_funder(chain, addr, height):
     """The block scan that `first_funder` made before it kept an index."""
     for block in chain._blocks[1:height + 1]:
-        for tx, sender in zip(block.tx_list, block.senders):
+        for tx in block.tx_list:
             if tx.to == addr and tx.value > 0:
-                return sender
+                return recover_signer(tx)
     return None
 
 

@@ -302,6 +302,68 @@ def test_a_window_the_agreed_head_has_not_passed_fails_liveness():
                                 "challenge window is open until height 27")
 
 
+def ahead_of_the_chain(offset, honest, bidders, **sections):
+    """Honest endpoints, then two colluding height misreporters with one
+    positive offset (f = q, outside the trust assumption), which put the
+    agreed head ahead of the chain; bidders are (name, registration
+    height, funding, funding height)."""
+    doc = {"name": "ahead", "auction": {"deadline_height": 12, "kappa": 2},
+           "endpoints": [{"id": "ep%d" % i} for i in range(honest)]
+           + [{"id": "liar%d" % i, "behavior": "misreport_height", "offset": offset}
+              for i in range(2)],
+           "bidders": [{"name": name, "registration_height": at, "funding": funding,
+                        "funding_height": funded_at}
+                       for name, at, funding, funded_at in bidders]}
+    doc.update(sections)
+    return doc
+
+
+# name -> (scenario, final state, what stops the lifecycle)
+AHEAD = {
+    "registration_past_the_agreed_deadline": (
+        ahead_of_the_chain(2, 1, [("a", 4, 5000, 5), ("b", 10, 6000, 11)]),
+        "Open", "RegistrationError: registration after the deadline is rejected"),
+    "balance_asked_past_the_head": (
+        ahead_of_the_chain(3, 3, [("a", 4, 5000, 5), ("b", 5, 6000, 9)], seed=1),
+        "Closed", "QuorumTimeout: every sampled endpoint withheld its response"),
+    "deadline_behind_the_agreed_head": (
+        ahead_of_the_chain(20, 1, [("a", 4, 5000, 11)]),
+        "Init", "StateError: deadline height 12 is not past the settlement head 20"),
+    "asset_owner_asked_past_the_head": (
+        ahead_of_the_chain(3, 1, [("a", 10, 5000, 11)]),
+        "Deployed", "QuorumTimeout: every sampled endpoint withheld its response"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AHEAD))
+def test_a_head_agreed_ahead_of_the_chain_fails_liveness(name):
+    doc, final_state, stopped_by = AHEAD[name]
+    report = runner_of(doc).run()
+    assert report.final_state == final_state
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["liveness"]
+    assert failed[0].detail == "lifecycle stopped by " + stopped_by
+
+
+def test_a_disclosure_that_swaps_a_proposed_escrow_fails_confidentiality(monkeypatch):
+    # bob's escrow still shows in the ProposalAccepted event and the
+    # counts stay equal: only the runner's own escrows reveal the swap
+    runner = runner_of(bundled("proposer_4_bidders"))
+    real = AuctionInstance.commit
+
+    def commit(auction, result, actor):
+        bob = runner.escrows["bob"]
+        result.bidder_set_disclosure = [b"\x5e" * 20 if escrow == bob else escrow
+                                        for escrow in result.bidder_set_disclosure]
+        return real(auction, result, actor)
+
+    monkeypatch.setattr(AuctionInstance, "commit", commit)
+    report = runner.run()
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["confidentiality"]
+    assert failed[0].detail == "escrow of bob missing from disclosure"
+
+
 def test_only_the_balance_queries_name_the_balance_misreporter():
     runner = runner_of(bundled("misreporting_minority"))
     assert runner.run().passed

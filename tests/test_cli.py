@@ -1,6 +1,7 @@
 """The command-line interface, through `main`."""
 
 import argparse
+import ast
 import csv
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from sealedbid import cli
+from sealedbid import cli, verify
 from sealedbid.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -247,3 +248,27 @@ def test_plot_writes_the_gas_grid(tmp_path, capsys):
     assert rows[1] == ["exhaustive", "default", "1", "end_auction", "execution", "651800"]
     assert rows[40] == ["exhaustive", "adjusted", "20", "end_auction", "execution", "3600800"]
     assert {row[5] for row in rows[41:]} == {"398827"}
+
+
+def sealedbid_imports(module):
+    """The package modules that `module`'s source imports."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "sealedbid":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("sealedbid."):
+            imported.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith("sealedbid."))
+    return imported
+
+
+def test_the_public_record_rules_read_only_the_public_record():
+    """`verify.py` imports only enclave, errors, events and transactions
+    from the package, and `cli.py` none of enclave, events and
+    transactions. The sources are parsed: importing any package module
+    runs `sealedbid/__init__.py`, which imports the engine, so
+    `sys.modules` cannot show what one module imports."""
+    assert sealedbid_imports(verify) == {"enclave", "errors", "events", "transactions"}
+    assert not sealedbid_imports(cli) & {"enclave", "events", "transactions"}

@@ -9,7 +9,6 @@ import pytest
 import sealedbid._core
 from sealedbid import crypto
 from sealedbid._core import _purepy
-from sealedbid.errors import ConfigError
 
 # original-padding keccak-256, not SHA3-256
 VECTORS = [
@@ -52,19 +51,6 @@ def test_backend_selection(monkeypatch):
     kernel = types.ModuleType("sealedbid._core._speedups")
     monkeypatch.delattr(sealedbid._core, "_speedups", raising=False)
     monkeypatch.setitem(sys.modules, kernel.__name__, kernel)
-    monkeypatch.delenv("SEALEDBID_BACKEND", raising=False)
     assert crypto._load_backend() is kernel
-    for value, chosen in [("", kernel), ("auto", kernel), (" Compiled ", kernel),
-                          ("pure", _purepy)]:
-        monkeypatch.setenv("SEALEDBID_BACKEND", value)
-        assert crypto._load_backend() is chosen, value
-    for value in ("python", "cython", "fast"):
-        monkeypatch.setenv("SEALEDBID_BACKEND", value)
-        with pytest.raises(ConfigError):
-            crypto._load_backend()
     monkeypatch.setitem(sys.modules, kernel.__name__, None)  # not built
-    monkeypatch.setenv("SEALEDBID_BACKEND", "auto")
     assert crypto._load_backend() is _purepy
-    monkeypatch.setenv("SEALEDBID_BACKEND", "compiled")
-    with pytest.raises(ConfigError):
-        crypto._load_backend()

@@ -9,7 +9,6 @@ that alters a log on purpose must update the digest here and say why.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -134,11 +133,10 @@ print(json.dumps({"backend": crypto.IMPLEMENTATION,
 
 
 def test_compiled_backend_gives_the_pinned_logs(compiled_kernel_path):
-    env = dict(os.environ, SEALEDBID_BACKEND="compiled")
     proc = subprocess.run(
         [sys.executable, "-c", COMPILED_RUN, str(compiled_kernel_path),
          str(ROOT / "src"), str(SCENARIOS), *LOGS],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["backend"] == "compiled" and out["selected"]
