@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from sealedbid.auction import AuctionConfig, AuctionInstance, AuctionState
 from sealedbid.chain import SimChain
 from sealedbid.enclave import Enclave, Envelope
-from sealedbid.gas import GasLedger, GasPricing, default_pricing
+from sealedbid.gas import GasLedger
 from sealedbid.harness import RunReport, ScenarioRunner, oracle_resolve, run_scenario
 from sealedbid.quorum import QuorumClient
 from sealedbid.scenario import Scenario, load_scenario
@@ -24,7 +24,6 @@ __all__ = [
     "Enclave",
     "Envelope",
     "GasLedger",
-    "GasPricing",
     "QuorumClient",
     "RunReport",
     "Scenario",
@@ -33,7 +32,6 @@ __all__ = [
     "SimChain",
     "UnsignedTx",
     "__version__",
-    "default_pricing",
     "load_scenario",
     "oracle_resolve",
     "run_scenario",

@@ -67,12 +67,12 @@ class AuctionConfig:
     deadline_height: int
     auctioneer_address: bytes
     token_id: int
-    gas_price: int = 1
-    kappa: int = 6
-    resolution_mode: str = MODE_EXHAUSTIVE
-    proposal_window: int = 10
-    settlement_tx_gas: int = 21_000
-    chain_id: int = 1
+    gas_price: int
+    kappa: int
+    resolution_mode: str
+    proposal_window: int
+    settlement_tx_gas: int
+    chain_id: int
 
     def __post_init__(self):
         if self.deadline_height < 1:
@@ -172,9 +172,10 @@ class AuctionInstance:
     """One auction; all operations run inside the owning enclave."""
 
     def __init__(self, enclave: Enclave, config: AuctionConfig,
-                 events: EventLog, gas: GasLedger):
+                 quorum: QuorumClient, events: EventLog, gas: GasLedger):
         self.enclave = enclave
         self.config = config
+        self.quorum = quorum  # fixed at deployment: no caller of a step picks it
         self.events = events
         self.gas = gas
         self.state = AuctionState.INIT
@@ -239,7 +240,7 @@ class AuctionInstance:
     def deploy(cls, enclave: Enclave, config: AuctionConfig,
                quorum: QuorumClient, events: EventLog,
                gas: GasLedger) -> "AuctionInstance":
-        instance = cls(enclave, config, events, gas)
+        instance = cls(enclave, config, quorum, events, gas)
         head = quorum.query_height()
         if config.deadline_height <= head:
             raise StateError("deadline height %d is not past the settlement head %d"
@@ -276,14 +277,14 @@ class AuctionInstance:
         self.gas.charge(LAYER_EXECUTION, OP_START, actor="auctioneer")
         return address
 
-    def verify_asset_escrow(self, quorum: QuorumClient) -> bool:
+    def verify_asset_escrow(self) -> bool:
         """Open the auction iff the token is escrowed at a confirmed height."""
         self._require_state(AuctionState.DEPLOYED, "verify_asset_escrow")
         if self._asset_handle is None:
             raise StateError("setup has not been called")
-        head = quorum.query_height()
+        head = self.quorum.query_height()
         observed = max(0, head - self.config.kappa)
-        owner = quorum.query_asset_owner(self.config.token_id, observed)
+        owner = self.quorum.query_asset_owner(self.config.token_id, observed)
         if owner != self.asset_escrow_address:
             return False
         self.state = AuctionState.OPEN
@@ -291,12 +292,11 @@ class AuctionInstance:
                   token_id=self.config.token_id)
         return True
 
-    def register_bidder(self, quorum: QuorumClient,
-                        registration: Envelope) -> Envelope:
+    def register_bidder(self, registration: Envelope) -> Envelope:
         """One enclave call per bidder: returns the escrow address envelope."""
         self._require_state(AuctionState.OPEN, "register_bidder")
         self.register_call_count += 1
-        head = quorum.query_height()
+        head = self.quorum.query_height()
         if head >= self.config.deadline_height:
             raise RegistrationError("registration after the deadline is rejected")
         try:
@@ -331,10 +331,10 @@ class AuctionInstance:
         self.gas.charge(LAYER_EXECUTION, OP_BID, actor="bidder-%d" % entry.index)
         return envelope
 
-    def close(self, quorum: QuorumClient) -> bool:
+    def close(self) -> bool:
         """Freeze the bidder set once the deadline is kappa-confirmed."""
         self._require_state(AuctionState.OPEN, "close")
-        if not quorum.confirm_deadline(self.config.deadline_height):
+        if not self.quorum.confirm_deadline(self.config.deadline_height):
             return False
         count = self._registry_count()
         self.state = AuctionState.CLOSED
@@ -344,29 +344,26 @@ class AuctionInstance:
 
     # -- winner determination ---------------------------------------------------
 
-    def cutoff_balance(self, quorum: QuorumClient, escrow: bytes) -> int:
+    def cutoff_balance(self, escrow: bytes) -> int:
         """The escrow's balance at the deadline height: its bid."""
-        balance = quorum.query_balance(escrow, self.config.deadline_height)
-        return balance
+        return self.quorum.query_balance(escrow, self.config.deadline_height)
 
-    def _first_reach_height(self, quorum: QuorumClient, escrow: bytes,
-                            target: int) -> int:
+    def _first_reach_height(self, escrow: bytes, target: int) -> int:
         """Earliest height with balance == target (balances are monotone)."""
         low, high = 1, self.config.deadline_height
         while low < high:
             mid = (low + high) // 2
-            balance = quorum.query_balance(escrow, mid)
+            balance = self.quorum.query_balance(escrow, mid)
             if balance >= target:
                 high = mid
             else:
                 low = mid + 1
         return low
 
-    def determine_winner(self, quorum: QuorumClient
-                         ) -> Tuple[Optional[RegistryEntry], int]:
+    def determine_winner(self) -> Tuple[Optional[RegistryEntry], int]:
         """One cutoff query per registered escrow; ties need extra queries."""
         entries = self._load_registry()
-        balances = [(entry, self.cutoff_balance(quorum, entry.escrow_address))
+        balances = [(entry, self.cutoff_balance(entry.escrow_address))
                     for entry in entries]
         funded = [(entry, bal) for entry, bal in balances if bal > 0]
         if not funded:
@@ -375,12 +372,11 @@ class AuctionInstance:
         tied = [entry for entry, bal in funded if bal == top]
         if len(tied) == 1:
             return tied[0], top
-        return min(tied, key=lambda e: self.rank_key(quorum, e, top)), top
+        return min(tied, key=lambda e: self.rank_key(e, top)), top
 
-    def rank_key(self, quorum: QuorumClient, entry: RegistryEntry,
-                 amount: int) -> Tuple[int, bytes]:
+    def rank_key(self, entry: RegistryEntry, amount: int) -> Tuple[int, bytes]:
         """Tie-break key (reach height, address); lower wins."""
-        return (self._first_reach_height(quorum, entry.escrow_address, amount),
+        return (self._first_reach_height(entry.escrow_address, amount),
                 entry.escrow_address)
 
     # -- settlement construction ---------------------------------------------------
@@ -398,11 +394,11 @@ class AuctionInstance:
         )
         return self.enclave.sign_with(handle, tx)
 
-    def settlement_for(self, winner: Optional[RegistryEntry], winner_amount: int,
-                       quorum: QuorumClient) -> ResolutionResult:
+    def settlement_for(self, winner: Optional[RegistryEntry],
+                       winner_amount: int) -> ResolutionResult:
         """Query every escrow and sign the settlement; changes no state."""
         config = self.config
-        head = quorum.query_height()
+        head = self.quorum.query_height()
         observed = max(config.deadline_height, head - config.kappa)
         fee = config.settlement_fee
         entries = self._load_registry()
@@ -418,12 +414,12 @@ class AuctionInstance:
         txs.append(SettlementTx("asset_claim", asset_tx))
 
         for entry in entries:
-            full = quorum.query_balance(entry.escrow_address, observed)
+            full = self.quorum.query_balance(entry.escrow_address, observed)
             record = ConservationEntry(entry.escrow_address, full)
             conservation.entries.append(record)
             if full == 0:
                 continue
-            source = quorum.query_funding_source(entry.escrow_address, observed)
+            source = self.quorum.query_funding_source(entry.escrow_address, observed)
             refund_to = source if source else None
             nonce = 0
             if winner is not None and entry.index == winner.index:
@@ -481,13 +477,13 @@ class AuctionInstance:
         self.gas.charge(LAYER_EXECUTION, OP_END, actor=actor,
                         n_bidders=len(result.bidder_set_disclosure))
 
-    def resolve(self, quorum: QuorumClient) -> ResolutionResult:
+    def resolve(self) -> ResolutionResult:
         """Exhaustive resolution; on quorum failure the state stays Closed."""
         self._require_state(AuctionState.CLOSED, "resolve")
         if self.config.resolution_mode != MODE_EXHAUSTIVE:
             raise StateError("resolve is only available in exhaustive mode")
-        winner, amount = self.determine_winner(quorum)
-        result = self.settlement_for(winner, amount, quorum)
+        winner, amount = self.determine_winner()
+        result = self.settlement_for(winner, amount)
         self.commit(result, actor="resolver")
         return result
 

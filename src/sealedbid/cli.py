@@ -25,7 +25,7 @@ def _cmd_run(args) -> int:
     report = runner.run()
     print(report.format_text())
     print()
-    print(runner.gas.report().format_text())
+    print(runner.gas.format_text())
     return 0 if report.passed else 1
 
 

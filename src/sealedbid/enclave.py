@@ -130,7 +130,7 @@ class _SealedEntry:
 class Enclave:
     """All operations on one instance are serialized; keys never leave."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int):
         self.code_hash = CODE_HASH
         self.compromised = False
         self._lock = threading.RLock()

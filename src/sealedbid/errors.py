@@ -34,7 +34,7 @@ class QuorumFailure(SealedBidError):
 
 
 class QuorumTimeout(QuorumFailure):
-    """Every sampled endpoint (and the fallback, if any) withheld its response."""
+    """Every sampled endpoint withheld its response."""
 
 
 class SealedStoreError(SealedBidError):

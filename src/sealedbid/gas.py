@@ -1,23 +1,23 @@
-"""Parametric gas accounting on both layers.
+"""Gas accounting on both layers, from calibrated constants.
 
-Costs are calibrated constants, not an EVM emulation. The end-auction
-charge in exhaustive mode is affine in the bidder count:
+Costs are calibrated constants, not an EVM emulation. They reproduce the
+paper's 4-bidder tables exactly (pinned in tests/test_gas.py). The
+end-auction charge in exhaustive mode is affine in the bidder count:
 
     end_auction(n) = base + n * (http_request_cost + per-bidder overhead)
 
-The shipped defaults pin the 4-bidder figures exactly (see the tables in
-tests/test_gas.py); the base/per-bidder split beyond the calibrated
-point is a modeling choice validated only through the linearity
-property. Proposer-mode resolution is flat in the bidder count; each
-verified proposal is charged separately (register_winner includes one
-off-chain query). The "adjusted" pricing reprices off-chain requests
-from 1,000 to 100,000 gas.
+The base/per-bidder split beyond the calibrated point is a modeling
+choice validated only through the linearity property. Proposer-mode
+resolution is flat in the bidder count; each verified proposal is
+charged separately (register_winner includes one off-chain query).
+Auctions are charged at the default request cost; the "adjusted" cost
+reprices off-chain requests from 1,000 to 100,000 gas for the scaling
+curve that `write_plot_csv` writes.
 """
 
 import csv
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from sealedbid.errors import ConfigError
 
@@ -37,65 +37,46 @@ OP_CLAIM = "claim_valuable"
 DEFAULT_HTTP_REQUEST_COST = 1_000
 ADJUSTED_HTTP_REQUEST_COST = 100_000
 
+SETTLEMENT_GAS = {
+    OP_DEPLOY: 0,
+    OP_START: 70_618,
+    OP_BID: 21_000,
+    OP_END: 0,
+    OP_REGISTER_WINNER: 0,
+    OP_CLAIM: 21_000,
+}
 
-@dataclass(frozen=True)
-class GasPricing:
-    mode: str
-    http_request_cost: int = DEFAULT_HTTP_REQUEST_COST
-    deploy: int = 0
-    start_auction: int = 0
-    submit_bid: int = 0
-    end_auction_base: int = 0
-    end_auction_queries_per_bidder: int = 0
-    end_auction_per_bidder_overhead: int = 0
-    register_winner_overhead: int = 0
-    l1_start_auction: int = 70_618
-    l1_submit_bid: int = 21_000
-    l1_claim_valuable: int = 21_000
+# execution costs that do not depend on the bidder count or request cost
+EXECUTION_GAS = {
+    MODE_EXHAUSTIVE: {OP_DEPLOY: 3_849_426, OP_START: 124_324, OP_BID: 271_160,
+                      OP_CLAIM: 0},
+    MODE_PROPOSER: {OP_DEPLOY: 4_122_288, OP_START: 55_403, OP_BID: 271_998,
+                    OP_CLAIM: 0},
+}
 
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, int) and value < 0:
-                raise ConfigError("gas cost %s must be non-negative" % f.name)
-
-    def end_auction_per_bidder(self) -> int:
-        return (self.end_auction_queries_per_bidder * self.http_request_cost
-                + self.end_auction_per_bidder_overhead)
-
-    def end_auction(self, n_bidders: int) -> int:
-        return self.end_auction_base + n_bidders * self.end_auction_per_bidder()
-
-    def register_winner(self) -> int:
-        return self.register_winner_overhead + self.http_request_cost
+END_AUCTION_BASE = {MODE_EXHAUSTIVE: 600_800, MODE_PROPOSER: 398_827}
+EXHAUSTIVE_PER_BIDDER_OVERHEAD = 50_000
+REGISTER_WINNER_OVERHEAD = 153_283
 
 
-def default_pricing(mode: str) -> GasPricing:
-    if mode == MODE_EXHAUSTIVE:
-        return GasPricing(
-            mode=mode,
-            deploy=3_849_426,
-            start_auction=124_324,
-            submit_bid=271_160,
-            end_auction_base=600_800,
-            end_auction_queries_per_bidder=1,
-            end_auction_per_bidder_overhead=50_000,
-        )
+def _check_mode(mode: str) -> None:
+    if mode not in EXECUTION_GAS:
+        raise ConfigError("unknown resolution mode %r" % mode)
+
+
+def end_auction_gas(mode: str, n_bidders: int, http_request_cost: int) -> int:
+    """End-phase execution gas: one request per bidder in exhaustive
+    mode, flat in proposer mode."""
+    _check_mode(mode)
     if mode == MODE_PROPOSER:
-        return GasPricing(
-            mode=mode,
-            deploy=4_122_288,
-            start_auction=55_403,
-            submit_bid=271_998,
-            end_auction_base=398_827,
-            register_winner_overhead=153_283,
-        )
-    raise ConfigError("unknown resolution mode %r" % mode)
+        return END_AUCTION_BASE[mode]
+    return END_AUCTION_BASE[mode] + n_bidders * (
+        http_request_cost + EXHAUSTIVE_PER_BIDDER_OVERHEAD)
 
 
-def adjusted_pricing(mode: str) -> GasPricing:
-    return dataclasses.replace(default_pricing(mode),
-                               http_request_cost=ADJUSTED_HTTP_REQUEST_COST)
+def register_winner_gas(http_request_cost: int) -> int:
+    """One verified proposal: its overhead and one off-chain query."""
+    return REGISTER_WINNER_OVERHEAD + http_request_cost
 
 
 @dataclass(frozen=True)
@@ -106,104 +87,60 @@ class GasEntry:
     gas: int
 
 
+_ROW_ORDER = (OP_DEPLOY, OP_START, OP_BID, OP_END, OP_REGISTER_WINNER, OP_CLAIM)
+
+
 class GasLedger:
-    def __init__(self, pricing: GasPricing):
-        self.pricing = pricing
+    """The charges of one auction, priced for its resolution mode."""
+
+    def __init__(self, mode: str):
+        _check_mode(mode)
+        self.mode = mode
         self.entries: List[GasEntry] = []
 
     def charge(self, layer: str, operation: str, actor: str = "",
                n_bidders: Optional[int] = None) -> int:
-        """Record the configured cost for one protocol operation."""
+        """Record the calibrated cost of one protocol operation."""
         gas = self._cost(layer, operation, n_bidders)
         self.entries.append(GasEntry(layer, operation, actor, gas))
         return gas
 
     def _cost(self, layer: str, operation: str, n_bidders: Optional[int]) -> int:
-        p = self.pricing
         if layer == LAYER_SETTLEMENT:
-            table = {
-                OP_DEPLOY: 0,
-                OP_START: p.l1_start_auction,
-                OP_BID: p.l1_submit_bid,
-                OP_END: 0,
-                OP_REGISTER_WINNER: 0,
-                OP_CLAIM: p.l1_claim_valuable,
-            }
-            if operation not in table:
-                raise ConfigError("unknown settlement operation %r" % operation)
-            return table[operation]
-        if layer == LAYER_EXECUTION:
-            if operation == OP_DEPLOY:
-                return p.deploy
-            if operation == OP_START:
-                return p.start_auction
-            if operation == OP_BID:
-                return p.submit_bid
-            if operation == OP_END:
-                if n_bidders is None:
-                    raise ConfigError("end_auction charge requires n_bidders")
-                return p.end_auction(n_bidders)
-            if operation == OP_REGISTER_WINNER:
-                return p.register_winner()
-            if operation == OP_CLAIM:
-                return 0
-            raise ConfigError("unknown execution operation %r" % operation)
-        raise ConfigError("unknown layer %r" % layer)
+            table = SETTLEMENT_GAS
+        elif layer != LAYER_EXECUTION:
+            raise ConfigError("unknown layer %r" % layer)
+        elif operation == OP_END:
+            if n_bidders is None:
+                raise ConfigError("end_auction charge requires n_bidders")
+            return end_auction_gas(self.mode, n_bidders, DEFAULT_HTTP_REQUEST_COST)
+        elif operation == OP_REGISTER_WINNER:
+            if self.mode != MODE_PROPOSER:
+                raise ConfigError("register_winner is charged only in proposer mode")
+            return register_winner_gas(DEFAULT_HTTP_REQUEST_COST)
+        else:
+            table = EXECUTION_GAS[self.mode]
+        if operation not in table:
+            raise ConfigError("unknown %s operation %r" % (layer, operation))
+        return table[operation]
 
     def total(self) -> int:
         return sum(e.gas for e in self.entries)
 
-    def report(self) -> "GasReport":
-        return GasReport.from_entries(self.pricing, self.entries)
-
-
-@dataclass
-class GasRow:
-    operation: str
-    settlement_total: int = 0
-    settlement_count: int = 0
-    execution_total: int = 0
-    execution_count: int = 0
-
-    def settlement_avg(self) -> int:
-        return self.settlement_total // self.settlement_count if self.settlement_count else 0
-
-    def execution_avg(self) -> int:
-        return self.execution_total // self.execution_count if self.execution_count else 0
-
-
-_ROW_ORDER = (OP_DEPLOY, OP_START, OP_BID, OP_END, OP_REGISTER_WINNER, OP_CLAIM)
-
-
-@dataclass
-class GasReport:
-    pricing: GasPricing
-    rows: Dict[str, GasRow] = field(default_factory=dict)
-
-    @classmethod
-    def from_entries(cls, pricing, entries) -> "GasReport":
-        report = cls(pricing)
-        for op in _ROW_ORDER:
-            report.rows[op] = GasRow(op)
-        for entry in entries:
-            row = report.rows.setdefault(entry.operation, GasRow(entry.operation))
-            if entry.layer == LAYER_SETTLEMENT:
-                row.settlement_total += entry.gas
-                row.settlement_count += 1
-            else:
-                row.execution_total += entry.gas
-                row.execution_count += 1
-        return report
-
     def table(self) -> List[Tuple[str, int, int]]:
         """(operation, settlement avg, execution avg) rows in table order."""
-        out = []
-        for op in _ROW_ORDER:
-            if op == OP_REGISTER_WINNER and self.pricing.mode != MODE_PROPOSER:
-                continue
-            row = self.rows[op]
-            out.append((op, row.settlement_avg(), row.execution_avg()))
-        return out
+        sums = {}
+        for e in self.entries:
+            total, count = sums.get((e.operation, e.layer), (0, 0))
+            sums[e.operation, e.layer] = (total + e.gas, count + 1)
+
+        def average(op, layer):
+            total, count = sums.get((op, layer), (0, 0))
+            return total // count if count else 0
+
+        return [(op, average(op, LAYER_SETTLEMENT), average(op, LAYER_EXECUTION))
+                for op in _ROW_ORDER
+                if op != OP_REGISTER_WINNER or self.mode == MODE_PROPOSER]
 
     def format_text(self) -> str:
         lines = ["%-18s %14s %14s" % ("operation", "L1 gas (avg)", "exec gas (avg)")]
@@ -216,25 +153,18 @@ class GasReport:
                 for op, l1, ex in self.table()}
 
 
-def scaling_curve(pricing: GasPricing, n_range) -> List[Tuple[int, int]]:
-    """(bidders, end-phase execution gas) for each n in n_range."""
-    ns = list(n_range)
-    if not ns:
-        raise ConfigError("n_range must be non-empty")
-    return [(n, pricing.end_auction(n)) for n in ns]
-
-
 def write_plot_csv(path) -> int:
-    """CSV of the end-phase gas of 1..20 bidders in both modes under both
-    pricings, for figure reproduction; returns the row count."""
+    """CSV of the end-phase gas of 1..20 bidders in both modes at both
+    request costs, for figure reproduction; returns the row count."""
     rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "pricing", "bidders", "operation", "layer", "gas"])
         for mode in (MODE_EXHAUSTIVE, MODE_PROPOSER):
-            for label, pricing in (("default", default_pricing(mode)),
-                                   ("adjusted", adjusted_pricing(mode))):
-                for n, gas in scaling_curve(pricing, range(1, 21)):
-                    writer.writerow([mode, label, n, OP_END, LAYER_EXECUTION, gas])
+            for label, cost in (("default", DEFAULT_HTTP_REQUEST_COST),
+                                ("adjusted", ADJUSTED_HTTP_REQUEST_COST)):
+                for n in range(1, 21):
+                    writer.writerow([mode, label, n, OP_END, LAYER_EXECUTION,
+                                     end_auction_gas(mode, n, cost)])
                     rows += 1
     return rows

@@ -48,10 +48,9 @@ from sealedbid.gas import (
     OP_BID,
     OP_CLAIM,
     OP_START,
-    default_pricing,
 )
 from sealedbid.proposer import finalize_proposals, open_proposals, submit_proposal
-from sealedbid.quorum import Endpoint, EndpointSpec, QuorumClient
+from sealedbid.quorum import Endpoint, QuorumClient
 from sealedbid.scenario import Scenario, load_scenario
 from sealedbid.transactions import UnsignedTx, derive_address, sign_tx
 from sealedbid.verify import completeness_problems, disclosure_problems
@@ -216,9 +215,7 @@ class ScenarioRunner:
         self.attacker = _Wallet(wallet_stream)
         genesis = {self.auctioneer.address: scn.auctioneer.balance}
         for b in scn.bidders:
-            balance = b.balance if b.balance is not None \
-                else scn.default_wallet_balance(b)
-            genesis[self.wallets[b.name].address] = balance
+            genesis[self.wallets[b.name].address] = scn.wallet_balance(b)
         self.genesis_balances = dict(genesis)
         self.chain = SimChain(
             genesis,
@@ -229,10 +226,6 @@ class ScenarioRunner:
         )
         self.enclave = Enclave(seed=self.seed)
         endpoints = [Endpoint(spec, self.chain) for spec in scn.endpoints]
-        fallback = None
-        if scn.quorum.fallback:
-            fallback = Endpoint(EndpointSpec("fallback", scn.quorum.fallback),
-                                self.chain)
         self.audit = AuditLog()
         self.client = QuorumClient(
             endpoints,
@@ -240,11 +233,10 @@ class ScenarioRunner:
             agreement_quorum=scn.quorum.agreement_quorum,
             kappa=scn.auction.kappa,
             rand=self.enclave.random,
-            fallback=fallback,
             audit_log=self.audit,
         )
         self.events = EventLog()
-        self.gas = GasLedger(default_pricing(scn.auction.resolution_mode))
+        self.gas = GasLedger(scn.auction.resolution_mode)
         self.auction: Optional[AuctionInstance] = None
 
     # -- scheduling ------------------------------------------------------------
@@ -307,7 +299,7 @@ class ScenarioRunner:
         }).encode()
         registration = encrypt_to_key(self.enclave.input_public_key, payload,
                                       wallet.registration_ephemeral)
-        envelope = self.auction.register_bidder(self.client, registration)
+        envelope = self.auction.register_bidder(registration)
         response = json.loads(decrypt_envelope(wallet.encryption_key, envelope))
         escrow = unhx(response["escrow_address"])
         self.escrows[bidder_script.name] = escrow
@@ -371,14 +363,14 @@ class ScenarioRunner:
 
     def _run_proposals(self) -> None:
         scn = self.scenario
-        phase = open_proposals(self.auction, self.client)
+        phase = open_proposals(self.auction)
         opened_at = self.chain.head_height
         for script in sorted(scn.proposals, key=lambda p: p.after_open):
             self._advance_to(opened_at + script.after_open)
             candidate = self.escrows[script.candidate]
-            submit_proposal(self.auction, candidate, self.client)
+            submit_proposal(self.auction, candidate)
         self._advance_to(phase.window_end_height)
-        finalize_proposals(self.auction, self.client)
+        finalize_proposals(self.auction)
 
     def _settle(self) -> None:
         scn = self.scenario
@@ -409,7 +401,7 @@ class ScenarioRunner:
         if scn.auctioneer.escrow_asset:
             self._escrow_asset()
         self._advance_to(scn.open_height)
-        if not self.auction.verify_asset_escrow(self.client):
+        if not self.auction.verify_asset_escrow():
             return  # stays Deployed; nothing else can happen
         if scn.faults.tamper_sealed:
             self._at(scn.open_height + 1,
@@ -422,14 +414,14 @@ class ScenarioRunner:
                 self._at(script.registration_height,
                          lambda s=script: self._register(s))
         self._advance_to(scn.close_target_height())
-        if not self.auction.close(self.client):
+        if not self.auction.close():
             return
         if scn.faults.compromise_enclave:
             self._breach()
         if scn.auction.resolution_mode == MODE_PROPOSER:
             self._run_proposals()
         else:
-            self.auction.resolve(self.client)
+            self.auction.resolve()
         self._settle()
 
     # -- invariant suite --------------------------------------------------------
@@ -496,8 +488,10 @@ class ScenarioRunner:
 
         checks.append(self._confidentiality_check())
 
+        # a lifecycle that stopped early may not have mined every funding
         if (scn.bidders and not any(b.has_topup() for b in scn.bidders)
-                and not scn.faults.reorgs and self.escrows):
+                and not scn.faults.reorgs and self.escrows
+                and "quorum_failure" not in self.flags):
             checks.append(self._non_interactivity_check())
         return checks
 
@@ -638,7 +632,7 @@ class ScenarioRunner:
             oracle=oracle.to_dict(),
             checks=checks,
             flags=dict(self.flags),
-            gas=self.gas.report().to_dict(),
+            gas=self.gas.to_dict(),
             counters={
                 "queries": self.client.query_count,
                 "events": len(self.events),

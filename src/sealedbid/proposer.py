@@ -28,7 +28,6 @@ from sealedbid.auction import (
 from sealedbid.errors import StateError
 from sealedbid.events import hx
 from sealedbid.gas import LAYER_EXECUTION, MODE_PROPOSER, OP_REGISTER_WINNER
-from sealedbid.quorum import QuorumClient
 
 STATUS_OPEN = "open"
 STATUS_FINALIZED = "finalized"
@@ -52,7 +51,7 @@ class ProposalPhase:
     _leader_rank: Optional[tuple] = field(default=None, repr=False)
 
 
-def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPhase:
+def open_proposals(auction: AuctionInstance) -> ProposalPhase:
     if auction.state is not AuctionState.CLOSED:
         raise StateError("proposals open only on a Closed auction, not %s"
                          % auction.state.value)
@@ -60,25 +59,24 @@ def open_proposals(auction: AuctionInstance, quorum: QuorumClient) -> ProposalPh
         raise StateError("auction is not configured for proposer-based resolution")
     if auction.proposal_phase is not None:
         raise StateError("proposal phase is already open")
-    head = quorum.query_height()
+    head = auction.quorum.query_height()
     phase = ProposalPhase(window_end_height=head + auction.config.proposal_window)
     auction.proposal_phase = phase
     auction.emit("ProposalsOpened", window_end_height=phase.window_end_height)
     return phase
 
 
-def submit_proposal(auction: AuctionInstance, candidate_escrow: bytes,
-                    quorum: QuorumClient):
+def submit_proposal(auction: AuctionInstance, candidate_escrow: bytes):
     """Verify one candidate with one balance query; returns (accepted, reason)."""
     phase = _open_phase(auction)
     phase.proposal_count += 1
-    head = quorum.query_height()
+    head = auction.quorum.query_height()
     if head >= phase.window_end_height:
         return _reject(auction, REJECT_WINDOW_EXPIRED)
     entry = auction.entry_for(candidate_escrow)
     if entry is None:
         return _reject(auction, REJECT_UNKNOWN_ESCROW)
-    amount = auction.cutoff_balance(quorum, entry.escrow_address)
+    amount = auction.cutoff_balance(entry.escrow_address)
     auction.gas.charge(LAYER_EXECUTION, OP_REGISTER_WINNER, actor="proposer")
     if amount == 0:
         return _reject(auction, REJECT_ZERO_BALANCE)
@@ -90,9 +88,8 @@ def submit_proposal(auction: AuctionInstance, candidate_escrow: bytes,
         if amount == leader_amount:
             # equal bids: the tie-break decides, costing extra queries
             if phase._leader_rank is None:
-                phase._leader_rank = auction.rank_key(quorum, leader_entry,
-                                                      leader_amount)
-            rank = auction.rank_key(quorum, entry, amount)
+                phase._leader_rank = auction.rank_key(leader_entry, leader_amount)
+            rank = auction.rank_key(entry, amount)
             if rank >= phase._leader_rank:
                 return _reject(auction, REJECT_NOT_HIGHER)
     phase.current_leader = (entry, amount)
@@ -102,11 +99,10 @@ def submit_proposal(auction: AuctionInstance, candidate_escrow: bytes,
     return True, None
 
 
-def finalize_proposals(auction: AuctionInstance,
-                       quorum: QuorumClient) -> ResolutionResult:
+def finalize_proposals(auction: AuctionInstance) -> ResolutionResult:
     """Settle with the leading proposal, or fall back to exhaustive."""
     phase = _open_phase(auction)
-    head = quorum.query_height()
+    head = auction.quorum.query_height()
     if head < phase.window_end_height:
         raise StateError("challenge window is open until height %d"
                          % phase.window_end_height)
@@ -115,9 +111,9 @@ def finalize_proposals(auction: AuctionInstance,
         status = STATUS_FINALIZED
     else:
         # nobody proposed: liveness falls back to the exhaustive scan
-        winner, amount = auction.determine_winner(quorum)
+        winner, amount = auction.determine_winner()
         status = STATUS_TIMED_OUT
-    result = auction.settlement_for(winner, amount, quorum)
+    result = auction.settlement_for(winner, amount)
     phase.status = status
     auction.emit("ProposalFinalized", status=status,
                  proposal_count=phase.proposal_count)

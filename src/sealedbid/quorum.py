@@ -3,15 +3,16 @@
 Every query samples n of the m declared endpoints uniformly without
 replacement (driven by enclave randomness), collects their responses,
 and accepts the plurality value only if at least q endpoints reported
-it. On disagreement the optional trusted fallback endpoint is consulted;
-if that also fails the query raises. Every query, including failed
+it; otherwise the query raises. Every query, including failed
 ones, counts once in `query_count` and appends one record to the audit
 log: its parameters, every sample, the decision and the discrepancies.
 
 Endpoint behaviors model the threat surface: honest endpoints mirror
 chain ground truth, `misreport_balance` / `misreport_height` skew their
 respective query kinds (colluders share the same skew), and `withhold`
-times out with a configurable probability.
+times out with a configurable probability. Any endpoint refuses a query
+at a height past its chain's head; a refusal is audited apart from a
+timeout and counts toward no value.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,9 @@ from sealedbid.events import AuditLog, hx
 
 HONEST_LATENCY = 1
 TIMEOUT_LATENCY = 10
+
+# an endpoint's answer to a query at a height past its chain's head
+REFUSED = object()
 
 BEHAVIOR_KINDS = ("honest", "misreport_balance", "misreport_height", "withhold")
 
@@ -46,7 +50,6 @@ class EndpointSpec:
     id: str
     behavior: str = "honest"
     offset: int = 0
-    value: Optional[int] = None
     probability: float = 1.0
 
     def __post_init__(self):
@@ -63,16 +66,16 @@ class Endpoint:
         self.chain = chain
 
     def serve(self, query: str, args: tuple, draw01: Callable[[], float]):
-        """The endpoint's answer; None models a timeout or a height past the head."""
+        """The endpoint's answer; None models a timeout, REFUSED a refusal."""
         spec = self.spec
         if spec.behavior == "withhold" and draw01() < spec.probability:
             return None
         if query != "height" and args[-1] > self.chain.head_height:
-            return None
+            return REFUSED
         if query == "balance":
             truth = self.chain.balance_at(*args)
             if spec.behavior == "misreport_balance":
-                return spec.value if spec.value is not None else truth + spec.offset
+                return truth + spec.offset
             return truth
         if query == "height":
             truth = self.chain.head_height
@@ -98,6 +101,9 @@ def _jsonable(value):
 
 
 def _sample(endpoint: Endpoint, value) -> dict:
+    if value is REFUSED:
+        return {"endpoint": endpoint.id, "response": None, "timeout": False,
+                "latency": HONEST_LATENCY, "refused": True}
     return {
         "endpoint": endpoint.id,
         "response": _jsonable(value),
@@ -110,7 +116,6 @@ class QuorumClient:
     def __init__(self, endpoints: Sequence[Endpoint], sample_size: int,
                  agreement_quorum: int, kappa: int,
                  rand: Callable[[int], bytes],
-                 fallback: Optional[Endpoint] = None,
                  audit_log: Optional[AuditLog] = None):
         if sample_size > len(endpoints):
             raise ConfigError("sample_size %d exceeds %d declared endpoints"
@@ -125,7 +130,6 @@ class QuorumClient:
         self.sample_size = sample_size
         self.agreement_quorum = agreement_quorum
         self.kappa = kappa
-        self.fallback = fallback
         self._rand = rand
         self.audit_log = audit_log if audit_log is not None else AuditLog()
         self.query_count = 0
@@ -162,10 +166,6 @@ class QuorumClient:
         samples = [_sample(endpoint, value) for endpoint, value in responses]
         value = self._agree([value for _, value in responses])
         kind, reason = "agreed", None
-        if value is None and self.fallback is not None:
-            value = self.fallback.serve(query, args, self._draw01)
-            samples.append(dict(_sample(self.fallback, value), fallback=True))
-            kind = "fallback"
         if value is None:
             all_withheld = all(v is None for _, v in responses)
             kind, reason = "failed", "timeout" if all_withheld else "no_quorum"
@@ -188,7 +188,7 @@ class QuorumClient:
     def _agree(self, values):
         counts = {}
         for value in values:
-            if value is not None:
+            if value is not None and value is not REFUSED:
                 counts[value] = counts.get(value, 0) + 1
         reaching = [(count, value) for value, count in counts.items()
                     if count >= self.agreement_quorum]

@@ -21,7 +21,7 @@ import yaml
 from sealedbid.auction import AuctionConfig
 from sealedbid.errors import ConfigError
 from sealedbid.gas import MODE_EXHAUSTIVE, MODE_PROPOSER
-from sealedbid.quorum import BEHAVIOR_KINDS, EndpointSpec
+from sealedbid.quorum import EndpointSpec
 
 
 @dataclass
@@ -51,7 +51,6 @@ class AuctioneerParams:
 class QuorumParams:
     sample_size: int = 3
     agreement_quorum: int = 2
-    fallback: Optional[str] = None  # behavior name of a trusted fallback
 
 
 @dataclass
@@ -62,7 +61,6 @@ class BidderScript:
     funding_height: int
     topup: Optional[int] = None
     topup_height: Optional[int] = None
-    balance: Optional[int] = None
 
     def has_topup(self) -> bool:
         return self.topup is not None
@@ -141,7 +139,8 @@ class Scenario:
             chain_id=self.chain.chain_id,
         )
 
-    def default_wallet_balance(self, bidder: BidderScript) -> int:
+    def wallet_balance(self, bidder: BidderScript) -> int:
+        """A bidder wallet's genesis balance: its deposits, four fees and 1,000."""
         fee = self.chain.tx_gas * self.auction.gas_price
         return bidder.funding + (bidder.topup or 0) + 4 * fee + 1_000
 
@@ -242,9 +241,6 @@ def validate_scenario(scn: Scenario) -> None:
                           % (ctx, len(scn.endpoints)))
     if not 1 <= scn.quorum.agreement_quorum <= scn.quorum.sample_size:
         raise ConfigError("%s: agreement_quorum must be in [1, sample_size]" % ctx)
-    if scn.quorum.fallback and scn.quorum.fallback not in BEHAVIOR_KINDS:
-        raise ConfigError("%s: quorum.fallback: unknown endpoint behavior %r"
-                          % (ctx, scn.quorum.fallback))
     seen_ids = set()
     for ep in scn.endpoints:
         if ep.id in seen_ids:
@@ -272,7 +268,7 @@ def validate_scenario(scn: Scenario) -> None:
         if b.topup_height is not None and b.topup_height <= b.funding_height:
             raise ConfigError("%s: topup height %d must follow funding %d"
                               % (bctx, b.topup_height, b.funding_height))
-        if b.funding < 0 or (b.topup or 0) < 0 or (b.balance or 0) < 0:
+        if b.funding < 0 or (b.topup or 0) < 0:
             raise ConfigError("%s: negative amounts" % bctx)
     if scn.proposals and scn.auction.resolution_mode != MODE_PROPOSER:
         raise ConfigError("%s: proposals require proposer mode" % ctx)

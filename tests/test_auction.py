@@ -1,13 +1,25 @@
-"""The auction's steps refuse a state they do not accept; the sealed
-bidder registry: rollback and tamper detection, lookup, and per-bidder
-sealed-store, history and log-scan costs that stay flat as n grows."""
+"""The auction's steps refuse a state they do not accept, and only
+deployment takes a quorum client; the sealed bidder registry: rollback
+and tamper detection, lookup, and per-bidder sealed-store, history and
+log-scan costs that stay flat as n grows."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from sealedbid import enclave as enclave_module, events, harness, rlp, transactions, verify
+from sealedbid import (
+    auction as auction_module,
+    enclave as enclave_module,
+    events,
+    harness,
+    proposer,
+    rlp,
+    transactions,
+    verify,
+)
 from sealedbid.auction import AuctionInstance, AuctionState
 from sealedbid.chain import SimChain
 from sealedbid.crypto import secp256k1
@@ -36,13 +48,13 @@ def auction_doc(n, mode="exhaustive", **extra):
 # each public step, called with whatever arguments: the state is checked first
 STEPS = {
     "setup": lambda runner: runner.auction.setup(),
-    "verify_asset_escrow": lambda runner: runner.auction.verify_asset_escrow(runner.client),
-    "register_bidder": lambda runner: runner.auction.register_bidder(runner.client, None),
-    "close": lambda runner: runner.auction.close(runner.client),
-    "resolve": lambda runner: runner.auction.resolve(runner.client),
+    "verify_asset_escrow": lambda runner: runner.auction.verify_asset_escrow(),
+    "register_bidder": lambda runner: runner.auction.register_bidder(None),
+    "close": lambda runner: runner.auction.close(),
+    "resolve": lambda runner: runner.auction.resolve(),
     "commit": lambda runner: runner.auction.commit(None, "test"),
     "finalize": lambda runner: runner.auction.finalize(runner.chain),
-    "open_proposals": lambda runner: open_proposals(runner.auction, runner.client),
+    "open_proposals": lambda runner: open_proposals(runner.auction),
 }
 ACCEPTS = {
     "setup": {AuctionState.DEPLOYED},
@@ -83,6 +95,26 @@ def test_a_step_from_a_state_it_does_not_accept_changes_nothing(make_runner, ste
     assert runner.run().passed
     call_from_here()
     assert set(refused) == set(AuctionState) - {AuctionState.INIT} - ACCEPTS[step]
+
+
+def test_only_deployment_takes_a_quorum_client():
+    """The auction keeps the client it was deployed with, so no caller of
+    a later step chooses the enclave's view of the chain."""
+    def functions(module, owner=None):
+        tree = ast.parse(Path(module.__file__).read_text())
+        if owner is not None:
+            tree = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == owner)
+        return [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def takes_quorum(node):
+        args = node.args
+        return any(arg.arg == "quorum"
+                   for arg in args.posonlyargs + args.args + args.kwonlyargs)
+
+    methods = functions(auction_module, "AuctionInstance")
+    public = [f for f in functions(proposer) if not f.name.startswith("_")]
+    assert [f.name for f in methods + public if takes_quorum(f)] == ["__init__", "deploy"]
 
 
 def host_replays_registry(runner, snapshot_height, inject_height):
@@ -129,9 +161,9 @@ def test_tampered_entry_aborts_winner_determination(make_runner, monkeypatch):
     failed_in = []
     real = AuctionInstance.determine_winner
 
-    def determine_winner(auction, quorum):
+    def determine_winner(auction):
         try:
-            return real(auction, quorum)
+            return real(auction)
         except Exception as exc:
             failed_in.append(type(exc).__name__)
             raise

@@ -78,8 +78,8 @@ def cutoff_answer_one_high(monkeypatch):
     winner's payment exceeds its escrow."""
     real = AuctionInstance.cutoff_balance
 
-    def cutoff_balance(auction, quorum, escrow):
-        balance = real(auction, quorum, escrow)
+    def cutoff_balance(auction, escrow):
+        balance = real(auction, escrow)
         return balance + 1 if balance else 0
 
     monkeypatch.setattr(AuctionInstance, "cutoff_balance", cutoff_balance)
@@ -104,8 +104,8 @@ def refund_payload_dropped(monkeypatch):
     """The enclave publishes the settlement without its first refund."""
     real = AuctionInstance.settlement_for
 
-    def settlement_for(auction, winner, amount, quorum):
-        result = real(auction, winner, amount, quorum)
+    def settlement_for(auction, winner, amount):
+        result = real(auction, winner, amount)
         refund = next(stx for stx in result.settlement_txs if stx.role == "refund")
         result.settlement_txs.remove(refund)
         return result
@@ -325,13 +325,29 @@ AHEAD = {
         "Open", "RegistrationError: registration after the deadline is rejected"),
     "balance_asked_past_the_head": (
         ahead_of_the_chain(3, 3, [("a", 4, 5000, 5), ("b", 5, 6000, 9)], seed=1),
-        "Closed", "QuorumTimeout: every sampled endpoint withheld its response"),
+        "Closed", "QuorumFailure: no value reached the agreement quorum"),
     "deadline_behind_the_agreed_head": (
         ahead_of_the_chain(20, 1, [("a", 4, 5000, 11)]),
         "Init", "StateError: deadline height 12 is not past the settlement head 20"),
     "asset_owner_asked_past_the_head": (
         ahead_of_the_chain(3, 1, [("a", 10, 5000, 11)]),
-        "Deployed", "QuorumTimeout: every sampled endpoint withheld its response"),
+        "Deployed", "QuorumFailure: no value reached the agreement quorum"),
+    # the lying head rejects b1's registration at height 7 and the run
+    # stops before b0's funding height: no interaction check may fail
+    "registration_stops_before_every_funding": (
+        {"name": "stopped_open", "seed": 92,
+         "auction": {"deadline_height": 9, "kappa": 1},
+         "endpoints": [{"id": "ep0"},
+                       {"id": "liar1", "behavior": "misreport_height", "offset": 3},
+                       {"id": "liar0", "behavior": "misreport_height", "offset": 3},
+                       {"id": "ep1"}, {"id": "ep2"}],
+         "bidders": [{"name": "b0", "registration_height": 6, "funding": 1500,
+                      "funding_height": 9},
+                     {"name": "b1", "registration_height": 7, "funding": 5000,
+                      "funding_height": 10},
+                     {"name": "b2", "registration_height": 3, "funding": 1500,
+                      "funding_height": 6}]},
+        "Open", "RegistrationError: registration after the deadline is rejected"),
 }
 
 

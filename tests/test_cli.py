@@ -132,13 +132,10 @@ def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     assert "leaked" not in out
 
 
-@pytest.mark.parametrize("where", ["endpoint", "fallback"])
+@pytest.mark.parametrize("where", ["endpoint"])
 def test_oracle_rejects_an_unknown_behavior(where, tmp_path, capsys):
     doc = yaml.safe_load((SCENARIOS / "honest_4_bidders.yaml").read_text())
-    if where == "endpoint":
-        doc["endpoints"][0]["behavior"] = "lie"
-    else:
-        doc.setdefault("quorum", {})["fallback"] = "lie"
+    doc["endpoints"][0]["behavior"] = "lie"
     path = tmp_path / "lie.yaml"
     path.write_text(yaml.safe_dump(doc))
     capsys.readouterr()
@@ -184,7 +181,10 @@ REJECTED = [
     ("chain.finality_depth", 0, "chain.finality_depth must be >= 1"),
     ("chain.tx_gas", -1, "chain.tx_gas must be non-negative"),
     ("auctioneer.balance", -5, "auctioneer.balance must be non-negative"),
-    ("bidders.0.balance", -5, "negative amounts"),
+    # removed inputs: an old document fails instead of running without them
+    ("bidders.0.balance", -5, "bidders[0]: unknown keys ['balance']"),
+    ("quorum.fallback", "honest", "quorum: unknown keys ['fallback']"),
+    ("endpoints.0.value", 5, "endpoints[0]: unknown keys ['value']"),
     ("bidders.0.registration_height", "8",
      "bidders[0].registration_height: expected int, got '8'"),
     ("auction.deadline_height", "x", "auction.deadline_height: expected int, got 'x'"),

@@ -1,24 +1,32 @@
 """Gas model: the calibrated 4-bidder tables and the end-phase shape in n."""
 
+from pathlib import Path
+
 import pytest
 
 from sealedbid.errors import ConfigError
 from sealedbid.gas import (
+    ADJUSTED_HTTP_REQUEST_COST,
+    DEFAULT_HTTP_REQUEST_COST,
     LAYER_EXECUTION,
     LAYER_SETTLEMENT,
     MODE_EXHAUSTIVE,
     MODE_PROPOSER,
     OP_END,
+    OP_REGISTER_WINNER,
     GasLedger,
-    adjusted_pricing,
-    default_pricing,
-    scaling_curve,
+    end_auction_gas,
+    register_winner_gas,
 )
+from sealedbid.harness import run_scenario
 
-PRICINGS = {"default": default_pricing, "adjusted": adjusted_pricing}
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+REQUEST_COSTS = {"default": DEFAULT_HTTP_REQUEST_COST,
+                 "adjusted": ADJUSTED_HTTP_REQUEST_COST}
 
 
-# (mode, pricing) -> end_auction execution gas with 4 bidders
+# (mode, request cost) -> end_auction execution gas with 4 bidders
 FOUR_BIDDER_END_AUCTION = {
     (MODE_EXHAUSTIVE, "default"): 804_800,
     (MODE_EXHAUSTIVE, "adjusted"): 1_200_800,
@@ -29,18 +37,17 @@ FOUR_BIDDER_END_AUCTION = {
 
 @pytest.mark.parametrize("mode,label", sorted(FOUR_BIDDER_END_AUCTION))
 def test_four_bidder_end_auction(mode, label):
-    ledger = GasLedger(PRICINGS[label](mode))
-    gas = ledger.charge(LAYER_EXECUTION, OP_END, n_bidders=4)
+    gas = end_auction_gas(mode, 4, REQUEST_COSTS[label])
     assert gas == FOUR_BIDDER_END_AUCTION[(mode, label)]
 
 
 def test_register_winner_includes_one_offchain_query():
-    assert default_pricing(MODE_PROPOSER).register_winner() == 154_283
-    assert adjusted_pricing(MODE_PROPOSER).register_winner() == 253_283
+    assert register_winner_gas(DEFAULT_HTTP_REQUEST_COST) == 154_283
+    assert register_winner_gas(ADJUSTED_HTTP_REQUEST_COST) == 253_283
 
 
 def test_proposer_mode_setup_operations():
-    ledger = GasLedger(default_pricing(MODE_PROPOSER))
+    ledger = GasLedger(MODE_PROPOSER)
     for op in ("deploy", "start_auction", "submit_bid"):
         ledger.charge(LAYER_EXECUTION, op)
         ledger.charge(LAYER_SETTLEMENT, op)
@@ -48,23 +55,23 @@ def test_proposer_mode_setup_operations():
                                               271_998, 21_000]
 
 
-@pytest.mark.parametrize("label", sorted(PRICINGS))
+@pytest.mark.parametrize("label", sorted(REQUEST_COSTS))
 def test_exhaustive_end_phase_is_linear_in_bidders(label):
-    pricing = PRICINGS[label](MODE_EXHAUSTIVE)
-    curve = scaling_curve(pricing, range(0, 51))
-    steps = {b - a for (_, a), (_, b) in zip(curve, curve[1:])}
-    assert steps == {pricing.http_request_cost + 50_000}
-    assert curve[0] == (0, 600_800)
+    cost = REQUEST_COSTS[label]
+    curve = [end_auction_gas(MODE_EXHAUSTIVE, n, cost) for n in range(0, 51)]
+    assert {b - a for a, b in zip(curve, curve[1:])} == {cost + 50_000}
+    assert curve[0] == 600_800
 
 
-@pytest.mark.parametrize("label", sorted(PRICINGS))
+@pytest.mark.parametrize("label", sorted(REQUEST_COSTS))
 def test_proposer_end_phase_is_flat_in_bidders(label):
-    curve = scaling_curve(PRICINGS[label](MODE_PROPOSER), [1, 4, 100, 1000])
-    assert {gas for _, gas in curve} == {398_827}
+    curve = [end_auction_gas(MODE_PROPOSER, n, REQUEST_COSTS[label])
+             for n in (1, 4, 100, 1000)]
+    assert set(curve) == {398_827}
 
 
 def test_unknown_operation_layer_and_mode_are_rejected():
-    ledger = GasLedger(default_pricing(MODE_EXHAUSTIVE))
+    ledger = GasLedger(MODE_EXHAUSTIVE)
     with pytest.raises(ConfigError):
         ledger.charge(LAYER_EXECUTION, "mint")
     with pytest.raises(ConfigError):
@@ -72,12 +79,40 @@ def test_unknown_operation_layer_and_mode_are_rejected():
     with pytest.raises(ConfigError):
         ledger.charge("consensus", OP_END, n_bidders=1)
     with pytest.raises(ConfigError):
-        ledger.charge(LAYER_EXECUTION, OP_END)  # needs n_bidders
-    with pytest.raises(ConfigError):
-        default_pricing("auction-house")
+        GasLedger("auction-house")
     assert ledger.entries == []
 
 
 def test_scaling_curve_needs_bidder_counts():
-    with pytest.raises(ConfigError):
-        scaling_curve(default_pricing(MODE_EXHAUSTIVE), [])
+    ledger = GasLedger(MODE_EXHAUSTIVE)
+    with pytest.raises(ConfigError, match="requires n_bidders"):
+        ledger.charge(LAYER_EXECUTION, OP_END)
+    assert ledger.entries == []
+
+
+def test_register_winner_is_charged_only_in_proposer_mode():
+    ledger = GasLedger(MODE_EXHAUSTIVE)
+    with pytest.raises(ConfigError, match="only in proposer mode"):
+        ledger.charge(LAYER_EXECUTION, OP_REGISTER_WINNER)
+    assert ledger.entries == []
+
+
+# operation -> (settlement avg, execution avg) of each 4-bidder calibration run
+FOUR_BIDDER_TABLES = {
+    "honest_4_bidders": {
+        "deploy": (0, 3_849_426), "start_auction": (70_618, 124_324),
+        "submit_bid": (21_000, 271_160), "end_auction": (0, 804_800),
+        "claim_valuable": (21_000, 0)},
+    "proposer_4_bidders": {
+        "deploy": (0, 4_122_288), "start_auction": (70_618, 55_403),
+        "submit_bid": (21_000, 271_998), "end_auction": (0, 398_827),
+        "register_winner": (0, 154_283), "claim_valuable": (21_000, 0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_BIDDER_TABLES))
+def test_a_four_bidder_run_prints_the_papers_table(name):
+    gas = run_scenario(SCENARIOS / ("%s.yaml" % name)).gas
+    assert {op: (row["settlement"], row["execution"]) for op, row in gas.items()} \
+        == FOUR_BIDDER_TABLES[name]
+    assert list(gas) == list(FOUR_BIDDER_TABLES[name])

@@ -30,7 +30,8 @@ def test_failed_settlement_query_leaves_finalization_retryable(make_runner,
     runner = make_runner(**doc)
     first_attempt = {}
 
-    def finalize_after_one_failure(auction, quorum):
+    def finalize_after_one_failure(auction):
+        quorum = auction.quorum
         real_query = quorum.query_funding_source
 
         def failing_query(*args, **kwargs):
@@ -39,10 +40,10 @@ def test_failed_settlement_query_leaves_finalization_retryable(make_runner,
 
         quorum.query_funding_source = failing_query
         with pytest.raises(QuorumFailure):
-            finalize_proposals(auction, quorum)
+            finalize_proposals(auction)
         first_attempt["state"] = auction.state
         first_attempt["status"] = auction.proposal_phase.status
-        return finalize_proposals(auction, quorum)
+        return finalize_proposals(auction)
 
     monkeypatch.setattr(harness, "finalize_proposals", finalize_after_one_failure)
     report = runner.run()
@@ -76,9 +77,9 @@ def test_proposals_need_an_open_phase(make_runner, name, message):
     assert runner.run().passed
     escrow = next(iter(runner.escrows.values()))
     with pytest.raises(StateError, match=message):
-        submit_proposal(runner.auction, escrow, runner.client)
+        submit_proposal(runner.auction, escrow)
     with pytest.raises(StateError, match=message):
-        finalize_proposals(runner.auction, runner.client)
+        finalize_proposals(runner.auction)
 
 
 def drive_proposals(runner, proposals):
@@ -89,15 +90,15 @@ def drive_proposals(runner, proposals):
     seen = {"outcomes": []}
 
     def run_proposals():  # stands in for ScenarioRunner._run_proposals
-        phase = open_proposals(runner.auction, runner.client)
+        phase = open_proposals(runner.auction)
         opened_at = runner.chain.head_height
         for after_open, candidate in proposals:
             runner._advance_to(opened_at + after_open)
             escrow = runner.escrows.get(candidate, candidate)
-            seen["outcomes"].append(submit_proposal(runner.auction, escrow, runner.client))
+            seen["outcomes"].append(submit_proposal(runner.auction, escrow))
         runner._advance_to(phase.window_end_height)
         seen["leader"] = phase.current_leader
-        finalize_proposals(runner.auction, runner.client)
+        finalize_proposals(runner.auction)
 
     runner._run_proposals = run_proposals
     return runner.run(), seen["outcomes"], seen["leader"]
@@ -146,8 +147,7 @@ def test_equal_proposals_leave_the_leader_rank_key_picks(make_runner, order):
     runner = make_runner(**doc)
     report, outcomes, leader = drive_proposals(runner, [(1, order[0]), (2, order[1])])
     tied = [runner.auction.entry_for(runner.escrows[name]) for name in order]
-    picked = min(tied, key=lambda entry: runner.auction.rank_key(runner.client,
-                                                                 entry, 900_000))
+    picked = min(tied, key=lambda entry: runner.auction.rank_key(entry, 900_000))
     assert leader == (picked, 900_000)
     assert picked.escrow_address == runner.escrows["first_nine"]
     assert outcomes == ([(True, None), (False, REJECT_NOT_HIGHER)]

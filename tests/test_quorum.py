@@ -1,5 +1,5 @@
 """The quorum client driven directly over a small SimChain: agreement
-despite liars, ambiguity, fallback rescue, timeouts and the audit trail."""
+despite liars, ambiguity, timeouts, refusals and the audit trail."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,12 +21,10 @@ def small_chain():
                     genesis_assets={7: ALICE})
 
 
-def make_client(chain, specs, fallback=None, sample_size=3, agreement_quorum=2,
-                seed=b"quorum"):
+def make_client(chain, specs, sample_size=3, agreement_quorum=2, seed=b"quorum"):
     return QuorumClient([Endpoint(spec, chain) for spec in specs],
                         sample_size=sample_size, agreement_quorum=agreement_quorum,
-                        kappa=0, rand=DeterministicStream(seed).read,
-                        fallback=Endpoint(fallback, chain) if fallback else None)
+                        kappa=0, rand=DeterministicStream(seed).read)
 
 
 def honest(*ids):
@@ -67,18 +65,6 @@ def test_an_ambiguous_plurality_fails_without_timing_out():
     assert sorted(record["discrepancies"]) == ["a", "b", "x", "y"]
 
 
-def test_the_fallback_rescues_an_ambiguous_plurality():
-    client = make_client(small_chain(), honest("a", "b") + liars("x", "y"),
-                         fallback=EndpointSpec("fallback"), sample_size=4)
-    assert client.query_balance(ALICE, 0) == BALANCE
-    record = last_record(client)
-    assert record["decision"] == {"kind": "fallback", "value": BALANCE, "reason": None}
-    assert sorted(record["discrepancies"]) == ["x", "y"]
-    assert record["samples"][-1] == {"endpoint": "fallback", "response": BALANCE,
-                                     "timeout": False, "latency": 1, "fallback": True}
-    assert not any("fallback" in s for s in record["samples"][:-1])
-
-
 def test_all_endpoints_withholding_times_out():
     client = make_client(small_chain(), withholders("a", "b", "c"))
     with pytest.raises(QuorumTimeout):
@@ -90,20 +76,17 @@ def test_all_endpoints_withholding_times_out():
     assert sorted(record["discrepancies"]) == ["a", "b", "c"]
 
 
-@pytest.mark.parametrize("specs, raises, reason", [
-    (withholders("a", "b", "c"), QuorumTimeout, "timeout"),
-    (honest("a") + liars("x") + withholders("w"), QuorumFailure, "no_quorum"),
-], ids=["all_withheld", "mixed"])
-def test_a_withholding_fallback_does_not_rescue(specs, raises, reason):
-    client = make_client(small_chain(), specs,
-                         fallback=EndpointSpec("fallback", "withhold"))
-    with pytest.raises(raises):
-        client.query_balance(ALICE, 0)
+def test_a_height_past_the_head_is_refused_not_timed_out():
+    client = make_client(small_chain(), honest("a", "b") + withholders("w"))
+    with pytest.raises(QuorumFailure) as raised:
+        client.query_balance(ALICE, 1)
+    assert not isinstance(raised.value, QuorumTimeout)
     record = last_record(client)
-    assert record["decision"]["reason"] == reason
-    assert record["samples"][-1] == {"endpoint": "fallback", "response": None,
-                                     "timeout": True, "latency": 10, "fallback": True}
-    assert len(record["samples"]) == 4
+    assert record["decision"] == {"kind": "failed", "value": None, "reason": "no_quorum"}
+    by_id = {s.pop("endpoint"): s for s in record["samples"]}
+    refused = {"response": None, "timeout": False, "latency": 1, "refused": True}
+    assert by_id == {"a": refused, "b": refused,
+                     "w": {"response": None, "timeout": True, "latency": 10}}
 
 
 def test_each_failed_query_is_audited_and_counted_once():
@@ -156,9 +139,7 @@ def test_a_colluding_minority_never_moves_the_balance(shape, offset, seed):
 
 @pytest.mark.parametrize("section", [
     {"endpoints": [{"id": "a", "behavior": "lie"}]},
-    {"endpoints": [{"id": "a"}], "quorum": {"sample_size": 1, "agreement_quorum": 1,
-                                        "fallback": "lie"}},
-], ids=["endpoint", "fallback"])
+], ids=["endpoint"])
 def test_a_scenario_with_an_unknown_behavior_does_not_load(section):
     with pytest.raises(ConfigError, match="unknown endpoint behavior 'lie'"):
         scenario_from_dict(dict(name="lie", **section))
