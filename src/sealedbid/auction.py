@@ -2,10 +2,11 @@
 
 States advance Init -> Deployed -> Open -> Closed -> Resolved -> Claimed.
 Each step checks its source state before it changes anything and
-raises StateError from any other (`finalize` also takes Claimed, as a
-no-op); failed checks leave the state unchanged (verification
-retries, early closes, aborted resolutions), so the transition relation
-is exactly the forward edges plus self-loops.
+raises StateError from any other. A step that cannot proceed yet leaves
+the state unchanged: `close` raises StateError until the agreed head is
+kappa blocks past the deadline, `verify_asset_escrow` returns False
+until the token is escrowed at a confirmed height, and `finalize`
+returns Resolved until every settlement transaction is kappa-deep.
 
 Bids are escrow balances frozen at the deadline height. Resolution
 queries each registered escrow once at the cutoff for winner selection,
@@ -331,16 +332,17 @@ class AuctionInstance:
         self.gas.charge(LAYER_EXECUTION, OP_BID, actor="bidder-%d" % entry.index)
         return envelope
 
-    def close(self) -> bool:
+    def close(self) -> None:
         """Freeze the bidder set once the deadline is kappa-confirmed."""
         self._require_state(AuctionState.OPEN, "close")
-        if not self.quorum.confirm_deadline(self.config.deadline_height):
-            return False
+        deadline = self.config.deadline_height
+        head = self.quorum.query_height()
+        if head < deadline + self.config.kappa:
+            raise StateError("deadline height %d is not confirmed at the agreed head %d"
+                             % (deadline, head))
         count = self._registry_count()
         self.state = AuctionState.CLOSED
-        self.emit("Closed", bidder_count=count,
-                  deadline_height=self.config.deadline_height)
-        return True
+        self.emit("Closed", bidder_count=count, deadline_height=deadline)
 
     # -- winner determination ---------------------------------------------------
 
@@ -490,9 +492,7 @@ class AuctionInstance:
     # -- post-resolution ---------------------------------------------------------
 
     def finalize(self, chain: SimChain) -> AuctionState:
-        """Claimed once every settlement tx is kappa-deep; idempotent poll."""
-        if self.state is AuctionState.CLAIMED:
-            return self.state
+        """Claimed once every settlement tx is kappa-deep; a poll."""
         self._require_state(AuctionState.RESOLVED, "finalize")
         kappa = self.config.kappa
         heights = {}

@@ -15,7 +15,7 @@ import hashlib
 import hmac
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Tuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -132,7 +132,6 @@ class Enclave:
 
     def __init__(self, seed: int):
         self.code_hash = CODE_HASH
-        self.compromised = False
         self._lock = threading.RLock()
         self._stream: Callable[[int], bytes] = DeterministicStream(seed).read
         self._seal_key = self._stream(32)
@@ -248,7 +247,6 @@ class Enclave:
     def compromise(self) -> Dict[str, bytes]:
         """Full TEE breach for threat scenarios: exports every private key."""
         with self._lock:
-            self.compromised = True
             exported = {h: k.to_bytes(32, "big") for h, k in self._keys.items()}
             exported["attestation"] = self._attestation_key.to_bytes(32, "big")
             exported["input-encryption"] = self._input_key.private_bytes_raw()
@@ -257,33 +255,18 @@ class Enclave:
     def scan_for_key_leaks(self, *texts: str) -> int:
         """Count the enclave's private keys, as hex, in public texts.
 
-        The count is the sum over keys and texts of
-        `text.lower().count(key_hex)`: non-overlapping occurrences, taken
-        from the left. It runs inside the trust boundary, so no key
-        material crosses it, and only the count comes out. Each text is
-        read once (`find_hex`), however many keys there are, and no text
-        is copied whole. The keys' word table is built once per scan.
+        The count is the sum over the texts of how many keys occur in
+        each text, lowercased. It runs inside the trust boundary, so no
+        key material crosses it, and only the count comes out. Each text
+        is read once (`find_hex`), however many keys there are, and no
+        text is copied whole. The keys' word table is built once per scan.
         """
         with self._lock:
             material = [k.to_bytes(32, "big").hex() for k in self._keys.values()]
             material.append(self._attestation_key.to_bytes(32, "big").hex())
             material.append(self._input_key.private_bytes_raw().hex())
         keys = HexNeedles(material)
-        leaks = 0
-        for text in texts:
-            found = find_hex(text, keys)
-            leaks += sum(_count_apart(found.get(key, ()), len(key)) for key in material)
-        return leaks
-
-
-def _count_apart(offsets: Iterable[int], length: int) -> int:
-    """How many of the ascending `offsets` `str.count` counts for a needle
-    of `length`: each one that starts after the last counted one ends."""
-    count, free = 0, 0
-    for at in offsets:
-        if at >= free:
-            count, free = count + 1, at + length
-    return count
+        return sum(len(find_hex(text, keys)) for text in texts)
 
 
 def _seal_envelope(recipient_public_key: bytes, plaintext: bytes,

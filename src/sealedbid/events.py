@@ -8,7 +8,7 @@ word table, built once for any number of texts.
 """
 
 import json
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Set
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -52,22 +52,17 @@ class HexNeedles:
         self.lengths = sorted({len(n) for n in self.needles})
 
 
-def find_hex(text: str, needles: HexNeedles) -> Dict[str, List[int]]:
-    """Where each needle occurs in `text.lower()`, from one pass over `text`.
-
-    Returns needle -> the ascending start offsets of all its occurrences,
-    overlapping ones included, for each needle that occurs at all; so
+def find_hex(text: str, needles: HexNeedles) -> Set[str]:
+    """The needles that occur in `text.lower()`, from one pass over `text`:
     `needle in result` is `needle in text.lower()`.
 
     The text is read once, a window at a time, whatever the number of
     needles; one table holds _STRIDE words per needle, and each word hit
-    is checked against the text. Each occurrence is found from exactly
-    one word, and the offsets that one word finds are tried from the
-    lowest up, so no result is sorted.
+    is checked against the text.
     """
     if not text.isascii():
         text = text.lower()  # lowering can change the length of non-ASCII text
-    found: Dict[str, List[int]] = {}
+    found: Set[str] = set()
     anchors = needles.table
     if not anchors:
         return found
@@ -82,12 +77,12 @@ def find_hex(text: str, needles: HexNeedles) -> Dict[str, List[int]]:
             if mask is None:
                 continue
             at = start + k * _STRIDE
-            for j in reversed(range(min(_STRIDE, at + 1))):
+            for j in range(min(_STRIDE, at + 1)):
                 if mask >> j & 1:
                     for length in needles.lengths:
                         candidate = text[at - j:at - j + length].lower()
                         if candidate in needles.needles:
-                            found.setdefault(candidate, []).append(at - j)
+                            found.add(candidate)
     return found
 
 

@@ -89,11 +89,15 @@ def oracle_resolve(scenario: Scenario) -> OracleOutcome:
             continue  # the chain refuses it
         low = fault.at_height - fault.depth + 1
         for _, entries in plans:
+            censored = False
             for entry in entries:
                 height, amount, label = entry
                 if amount is None or not low <= height <= fault.at_height:
                     continue
-                if label in fault.censor:
+                # the chain keeps each sender's nonce order: once an entry
+                # is censored, the bidder's later ones in the window are rejected
+                censored = censored or label in fault.censor
+                if censored:
                     entry[1] = None
                 else:
                     entry[0] = low  # re-included in the first replacement block
@@ -231,7 +235,6 @@ class ScenarioRunner:
             endpoints,
             sample_size=scn.quorum.sample_size,
             agreement_quorum=scn.quorum.agreement_quorum,
-            kappa=scn.auction.kappa,
             rand=self.enclave.random,
             audit_log=self.audit,
         )
@@ -414,8 +417,7 @@ class ScenarioRunner:
                 self._at(script.registration_height,
                          lambda s=script: self._register(s))
         self._advance_to(scn.close_target_height())
-        if not self.auction.close():
-            return
+        self.auction.close()
         if scn.faults.compromise_enclave:
             self._breach()
         if scn.auction.resolution_mode == MODE_PROPOSER:
@@ -500,9 +502,13 @@ class ScenarioRunner:
         auction = self.auction
         resolved = auction is not None and auction.resolution is not None
         if not resolved:
-            expected_early = scn.expect.final_state not in ("Resolved", "Claimed")
-            return CheckResult("oracle_agreement", expected_early,
-                               "auction did not resolve")
+            # only a stop with a stated cause agrees: no asset, a declared
+            # early final state, or a flagged failure
+            stated = (not scn.auctioneer.escrow_asset
+                      or scn.expect.final_state not in (None, "Resolved", "Claimed")
+                      or "quorum_failure" in self.flags
+                      or "integrity_error" in self.flags)
+            return CheckResult("oracle_agreement", stated, "auction did not resolve")
         engine = self._engine_winner()
         if engine is None:
             agree = not oracle.has_winner
@@ -580,8 +586,10 @@ class ScenarioRunner:
         private key material anywhere, ever (`Enclave.scan_for_key_leaks`,
         skipped once the enclave is compromised and its keys are public).
         """
-        bids = [(b.name, amount) for b in self.scenario.bidders
-                for amount in (b.funding, b.topup) if amount]
+        # each transfer and the whole deposit, once each
+        bids = list(dict.fromkeys(
+            (b.name, amount) for b in self.scenario.bidders
+            for amount in (b.funding, b.topup, b.funding + (b.topup or 0)) if amount))
         records = self.events.records
         problems = (disclosure_problems(records, self.events.lines, self.escrows, bids)
                     + completeness_problems(records, self.escrows))

@@ -114,7 +114,7 @@ def _sample(endpoint: Endpoint, value) -> dict:
 
 class QuorumClient:
     def __init__(self, endpoints: Sequence[Endpoint], sample_size: int,
-                 agreement_quorum: int, kappa: int,
+                 agreement_quorum: int,
                  rand: Callable[[int], bytes],
                  audit_log: Optional[AuditLog] = None):
         if sample_size > len(endpoints):
@@ -124,12 +124,9 @@ class QuorumClient:
             raise ConfigError("sample_size must be >= 1")
         if not 1 <= agreement_quorum <= sample_size:
             raise ConfigError("agreement_quorum must be in [1, sample_size]")
-        if kappa < 0:
-            raise ConfigError("kappa must be non-negative")
         self.endpoints = list(endpoints)
         self.sample_size = sample_size
         self.agreement_quorum = agreement_quorum
-        self.kappa = kappa
         self._rand = rand
         self.audit_log = audit_log if audit_log is not None else AuditLog()
         self.query_count = 0
@@ -213,7 +210,3 @@ class QuorumClient:
 
     def query_funding_source(self, addr: bytes, height: int) -> bytes:
         return self._execute("funding_source", addr, height)
-
-    def confirm_deadline(self, deadline_height: int) -> bool:
-        """True once the agreed head is kappa blocks past the deadline."""
-        return self.query_height() >= deadline_height + self.kappa

@@ -23,19 +23,20 @@ MALFORMED = (KeyError, ValueError, TypeError, AttributeError, IndexError)
 MIN_CHECKED_BID = 1000
 
 _DECIMAL = re.compile(r"[0-9]+")
-_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
+_HEX = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
 
 
 def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
     """The members of `amounts` that JSON-like records state as a token.
 
     A token is each integer (not a boolean), each all-digit string read as
-    decimal, each whole `0x` hex string read as its value, and in any
-    other string each maximal run of decimal digits; dict keys count as
-    strings. Digits that occur only inside a longer hex string
-    (ciphertext, a key, a hash) state no number. One walk of the records
-    tests each token against `amounts`; a token with more significant
-    digits than the largest amount is never read as a number.
+    decimal, each other string of hex digits, bare or after `0x`, read as
+    hex, and in any other string each maximal run of decimal digits; dict
+    keys count as strings. Digits that occur only inside a longer hex
+    string (ciphertext, a key, a hash, a bare hex id) state no number.
+    One walk of the records tests each token against `amounts`; a token
+    with more significant digits than the largest amount is never read as
+    a number.
     """
     amounts = set(amounts)
     stated: Set[int] = set()
@@ -48,10 +49,11 @@ def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
     while stack or keys:
         value = stack.pop() if stack else keys.pop()
         if isinstance(value, str):
-            if _HEX.fullmatch(value):
-                tokens, base = (value[2:],), 16
-            elif _DECIMAL.fullmatch(value):
+            whole_hex = _HEX.fullmatch(value)
+            if _DECIMAL.fullmatch(value):
                 tokens, base = (value,), 10
+            elif whole_hex:
+                tokens, base = (whole_hex.group(1),), 16
             else:
                 tokens, base = _DECIMAL.findall(value), 10
             for token in tokens:
@@ -77,33 +79,23 @@ def disclosure_problems(records: List[dict], lines: List[str],
     """What an event stream shows before disclosure begins, at its first
     `Resolved` or `ProposalsOpened` event: escrow addresses and bid values.
 
-    `lines[i]` is the text of `records[i]`, and the stream's text is the
-    lines joined by "\n"; the cut is where the disclosing line starts.
-    - An escrow leaks if its hex occurs in the lowercased text before the
-      cut, also inside a longer hex run.
+    `lines[i]` is the text of `records[i]`.
+    - An escrow leaks if its hex occurs in the lowercased lines before the
+      cut, joined by "\n", also inside a longer hex run.
     - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
       records before the cut state the amount as a number (see
       `stated_numbers`).
 
-    The text is read once for every escrow (`find_hex`), and the records
-    before the cut are walked once for every bid.
+    The text before the cut is read once for every escrow (`find_hex`),
+    and the records before the cut are walked once for every bid.
     """
-    found = find_hex("\n".join(lines),
-                     HexNeedles(escrow.hex() for escrow in escrows.values()))
     boundary = next((i for i, r in enumerate(records)
                      if r.get("event") in ("Resolved", "ProposalsOpened")),
                     len(records))
-    before = lines[:boundary]
-    if all(map(str.isascii, before)):
-        cut = sum(map(len, before)) + max(len(before) - 1, 0)
-    else:  # lowering can change the length of non-ASCII text
-        cut = len("\n".join(before).lower())
-    problems = []
-    for name, escrow in escrows.items():
-        needle = escrow.hex()
-        offsets = found.get(needle)
-        if offsets and offsets[0] + len(needle) <= cut:
-            problems.append("escrow of %s leaked before disclosure" % name)
+    found = find_hex("\n".join(lines[:boundary]),
+                     HexNeedles(escrow.hex() for escrow in escrows.values()))
+    problems = ["escrow of %s leaked before disclosure" % name
+                for name, escrow in escrows.items() if escrow.hex() in found]
     bids = list(bids)
     stated = stated_numbers(records[:boundary],
                             (amount for _, amount in bids if amount >= MIN_CHECKED_BID))

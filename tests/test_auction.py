@@ -63,7 +63,7 @@ ACCEPTS = {
     "close": {AuctionState.OPEN},
     "resolve": {AuctionState.CLOSED},
     "commit": {AuctionState.CLOSED},
-    "finalize": {AuctionState.RESOLVED, AuctionState.CLAIMED},  # Claimed: a no-op
+    "finalize": {AuctionState.RESOLVED},
     "open_proposals": {AuctionState.CLOSED},
 }
 
@@ -412,7 +412,10 @@ def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mod
     monkeypatch.setattr(verify, "find_hex", find_hex)
     monkeypatch.setattr(enclave_module, "find_hex", find_hex)
     assert runner._confidentiality_check().passed
-    # the events text for the escrows, the events text for the keys, then
-    # the audit text: each once, whatever n is
+    # the events text before disclosure for the escrows, the events text
+    # for the keys, then the audit text: each once, whatever n is
+    cut = next(i for i, r in enumerate(runner.events.records)
+               if r["event"] in ("Resolved", "ProposalsOpened"))
+    before_cut = "\n".join(runner.events.lines[:cut])
     events_text, audit_text = "\n".join(runner.events.lines), runner.audit.text().rstrip("\n")
-    assert scanned == [(events_text, "escrows"), (events_text, "keys"), (audit_text, "keys")]
+    assert scanned == [(before_cut, "escrows"), (events_text, "keys"), (audit_text, "keys")]

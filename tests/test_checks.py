@@ -386,3 +386,120 @@ def test_only_the_balance_queries_name_the_balance_misreporter():
     listed = [(r["query"], r["discrepancies"]) for r in runner.audit.records]
     assert [d for q, d in listed if q == "balance"] == [["liar"]] * 4
     assert [d for q, d in listed if q != "balance"] == [[]] * 9
+
+
+# The reorg censors b1's funding, so the chain rejects b1's top-up in the
+# same window for its nonce gap, and b0 pays after the deadline.
+CENSORED_FUNDING = {
+    "name": "censored_funding", "seed": 626705,
+    "auction": {"deadline_height": 6, "kappa": 0},
+    "endpoints": [{"id": "ep%d" % i} for i in range(3)],
+    "bidders": [{"name": "b0", "registration_height": 4, "funding": 2000,
+                 "funding_height": 8, "topup": 5000, "topup_height": 10},
+                {"name": "b1", "registration_height": 3, "funding": 21000,
+                 "funding_height": 4, "topup": 500, "topup_height": 6}],
+    "faults": {"reorgs": [{"at_height": 6, "depth": 3, "censor": ["b1:funding"]}]},
+}
+
+
+def test_the_oracle_drops_a_topup_the_chain_rejects():
+    report = runner_of(CENSORED_FUNDING).run()
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    assert (report.winner, report.oracle) == (None, {"winners": [], "amount": 0})
+
+
+def test_a_bare_hex_auction_id_states_no_bid():
+    # b0 tops up 1500, and this seed's auction id starts with "1500"
+    runner = runner_of({
+        "name": "bare_hex_id", "seed": 866393,
+        "auction": {"deadline_height": 8, "kappa": 3},
+        "endpoints": [{"id": "ep%d" % i} for i in range(5)],
+        "bidders": [{"name": "b0", "registration_height": 5, "funding": 5000,
+                     "funding_height": 8, "topup": 1500, "topup_height": 11},
+                    {"name": "b1", "registration_height": 7, "funding": 5000,
+                     "funding_height": 10},
+                    {"name": "b2", "registration_height": 7, "funding": 21000,
+                     "funding_height": 9},
+                    {"name": "b3", "registration_height": 7, "funding": 0,
+                     "funding_height": 8}]})
+    report = runner.run()
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    assert runner.auction.auction_id.startswith("1500")
+
+
+def top_up_doc(topup_height):
+    """a pays 50,000 at 6 and tops up 30,000; b pays 40,000 at 8."""
+    return {"name": "top_up", "auction": {"deadline_height": 10, "kappa": 2},
+            "endpoints": [{"id": "ep%d" % i} for i in range(3)],
+            "bidders": [{"name": "a", "registration_height": 4, "funding": 50_000,
+                         "funding_height": 6, "topup": 30_000,
+                         "topup_height": topup_height},
+                        {"name": "b", "registration_height": 5, "funding": 40_000,
+                         "funding_height": 8}]}
+
+
+def test_a_topup_after_the_deadline_is_returned_to_the_winner():
+    runner = runner_of(top_up_doc(12))
+    report = runner.run()
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    assert (report.winner["bidder"], report.winner["amount"]) == ("a", 50_000)
+    assert [stx.role for stx in runner.auction.resolution.settlement_txs] == \
+        ["asset_claim", "winner_payment", "excess_return", "refund"]
+
+
+def test_an_excess_return_one_unit_short_fails_the_refund_check(monkeypatch):
+    # b's refund and a's excess return are each one unit short
+    monkeypatch.setattr(AuctionInstance, "_sign_transfer", signed_one_unit_short(False))
+    report = runner_of(top_up_doc(12)).run()
+    check = next(c for c in report.checks if c.name == "bidder_refunds_exact")
+    assert not check.passed
+    assert [line.split(":")[0] for line in check.detail.split("; ")] == ["a", "b"]
+
+
+def test_a_whole_deposit_stated_before_disclosure_fails_confidentiality(monkeypatch):
+    # a's cutoff balance is 50,000 + 30,000; neither transfer is stated
+    runner = runner_of(top_up_doc(8))
+    real = AuctionInstance.emit
+
+    def emit(auction, event, **fields):
+        if event == "Closed":
+            fields["note"] = 80_000
+        return real(auction, event, **fields)
+
+    monkeypatch.setattr(AuctionInstance, "emit", emit)
+    report = runner.run()
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["confidentiality"]
+    assert failed[0].detail == "bid value 80000 of a visible pre-resolution"
+
+
+# Two colluding endpoints report the head one block short (f = q = 2 of
+# 5): depending on the sample, the auction cannot confirm the asset or
+# the deadline. A stop without a stated cause must fail a check.
+def stuck(seed):
+    return {"name": "stuck", "seed": seed,
+            "auction": {"deadline_height": 10, "kappa": 2},
+            "endpoints": [{"id": "ep%d" % i} for i in range(3)]
+            + [{"id": "liar%d" % i, "behavior": "misreport_height", "offset": -1}
+               for i in range(2)],
+            "bidders": [{"name": "a", "registration_height": 4, "funding": 5000,
+                         "funding_height": 6},
+                        {"name": "b", "registration_height": 5, "funding": 7000,
+                         "funding_height": 8}]}
+
+
+def test_an_unconfirmed_deadline_fails_liveness():
+    report = runner_of(stuck(5)).run()
+    assert report.final_state == "Open"
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["liveness"]
+    assert failed[0].detail == ("lifecycle stopped by StateError: deadline height 10 "
+                                "is not confirmed at the agreed head 11")
+
+
+def test_an_unverified_asset_escrow_fails_oracle_agreement():
+    report = runner_of(stuck(0)).run()
+    assert report.final_state == "Deployed"
+    assert report.oracle == {"winners": ["b"], "amount": 7000}
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["oracle_agreement"]

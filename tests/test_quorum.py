@@ -24,7 +24,7 @@ def small_chain():
 def make_client(chain, specs, sample_size=3, agreement_quorum=2, seed=b"quorum"):
     return QuorumClient([Endpoint(spec, chain) for spec in specs],
                         sample_size=sample_size, agreement_quorum=agreement_quorum,
-                        kappa=0, rand=DeterministicStream(seed).read)
+                        rand=DeterministicStream(seed).read)
 
 
 def honest(*ids):
