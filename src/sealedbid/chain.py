@@ -69,25 +69,57 @@ def parse_asset_transfer(data: bytes) -> Tuple[int, bytes]:
     return rlp.decode_int(item[0]), item[1]
 
 
-@dataclass(frozen=True)
+GENESIS_PARENT_HASH = b"\x00" * 32
+
+
 class Block:
-    height: int
-    parent_hash: bytes
-    tx_list: Tuple[SignedTransaction, ...]
-    state_root: bytes
+    """A mined block: its height, its transactions, its parent and the
+    account and asset state after it.
+
+    Nothing in a run reads a block's commitments, so `state_root`,
+    `parent_hash` and `header_hash()` are computed on first read and then
+    kept. A block removed by a reorg keeps its own.
+    """
+
+    __slots__ = ("height", "tx_list", "_parent", "_state", "_root", "_hash")
+
+    def __init__(self, height: int, tx_list: Tuple[SignedTransaction, ...],
+                 parent: Optional["Block"], state: "_State"):
+        self.height = height
+        self.tx_list = tx_list
+        self._parent = parent
+        self._state = state
+        self._root: Optional[bytes] = None
+        self._hash: Optional[bytes] = None
+
+    @property
+    def state_root(self) -> bytes:
+        if self._root is None:
+            self._root = self._state.root()
+        return self._root
+
+    @property
+    def parent_hash(self) -> bytes:
+        if self._parent is None:
+            return GENESIS_PARENT_HASH
+        return self._parent.header_hash()
 
     def header_hash(self) -> bytes:
-        """keccak of rlp([height, parent_hash, state_root, [raw txs]]),
-        computed once per block (kept outside the dataclass fields)."""
-        digest = self.__dict__.get("_hash")
-        if digest is None:
-            digest = self.__dict__["_hash"] = keccak_256(rlp.encode([
-                rlp.encode_int(self.height),
-                self.parent_hash,
-                self.state_root,
-                [tx.raw() for tx in self.tx_list],
+        """keccak of rlp([height, parent_hash, state_root, [raw txs]]).
+        Unhashed ancestors are hashed oldest first, without recursion."""
+        unhashed = []
+        block = self
+        while block is not None and block._hash is None:
+            unhashed.append(block)
+            block = block._parent
+        for block in reversed(unhashed):
+            block._hash = keccak_256(rlp.encode([
+                rlp.encode_int(block.height),
+                block.parent_hash,
+                block.state_root,
+                [tx.raw() for tx in block.tx_list],
             ]))
-        return digest
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -116,54 +148,30 @@ class ReorgResult:
 
 
 class _State:
-    """Post-block account/asset snapshot; cheap to copy at desk scale.
+    """Post-block account/asset snapshot; cheap to copy at desk scale."""
 
-    The root is computed once per content: a copy keeps its source's root
-    until `SimChain._apply` changes it (and clears `known_root`). `leaves`
-    maps an address to its last (balance, nonce) and that account's RLP
-    leaf `rlp([addr, balance, nonce])`; copies share it, and a leaf is
-    reused only while the account's pair is unchanged, so a root
-    re-encodes just the accounts whose block touched them.
-    """
+    __slots__ = ("balances", "nonces", "assets", "fees_collected")
 
-    __slots__ = ("balances", "nonces", "assets", "fees_collected", "leaves",
-                 "known_root")
-
-    def __init__(self, balances=None, nonces=None, assets=None, fees_collected=0,
-                 leaves=None, known_root=None):
+    def __init__(self, balances=None, nonces=None, assets=None, fees_collected=0):
         self.balances: Dict[bytes, int] = dict(balances or {})
         self.nonces: Dict[bytes, int] = dict(nonces or {})
         self.assets: Dict[int, bytes] = dict(assets or {})
         self.fees_collected = fees_collected
-        self.leaves: Dict[bytes, Tuple[int, int, bytes]] = {} if leaves is None else leaves
-        self.known_root: Optional[bytes] = known_root
 
     def copy(self) -> "_State":
-        return _State(self.balances, self.nonces, self.assets, self.fees_collected,
-                      self.leaves, self.known_root)
+        return _State(self.balances, self.nonces, self.assets, self.fees_collected)
 
     def root(self) -> bytes:
         """keccak of rlp([[[addr, balance, nonce] for each account, sorted],
         [[token, owner] for each asset, sorted], fees_collected])."""
-        if self.known_root is not None:
-            return self.known_root
-        leaves = []
-        for addr in sorted(set(self.balances) | set(self.nonces)):
-            balance = self.balances.get(addr, 0)
-            nonce = self.nonces.get(addr, 0)
-            cached = self.leaves.get(addr)
-            if cached is None or cached[0] != balance or cached[1] != nonce:
-                cached = (balance, nonce, rlp.Encoded(rlp.encode(
-                    [addr, rlp.encode_int(balance), rlp.encode_int(nonce)])))
-                self.leaves[addr] = cached
-            leaves.append(cached[2])
-        self.known_root = keccak_256(rlp.encode([
-            leaves,
+        return keccak_256(rlp.encode([
+            [[addr, rlp.encode_int(self.balances.get(addr, 0)),
+              rlp.encode_int(self.nonces.get(addr, 0))]
+             for addr in sorted(set(self.balances) | set(self.nonces))],
             [[rlp.encode_int(token), owner]
              for token, owner in sorted(self.assets.items())],
             rlp.encode_int(self.fees_collected),
         ]))
-        return self.known_root
 
 
 class SimChain:
@@ -194,8 +202,7 @@ class SimChain:
         self._pending_from: Dict[bytes, Tuple[int, int]] = {}
         self._queued: Dict[bytes, Dict[int, SignedTransaction]] = {}  # sender -> nonce -> tx
         self._snapshots: List[_State] = [state]
-        genesis_block = Block(0, b"\x00" * 32, (), state.root())
-        self._blocks: List[Block] = [genesis_block]
+        self._blocks: List[Block] = [Block(0, (), None, state)]
         self._tx_index: Dict[bytes, int] = {}  # tx_hash -> inclusion height
         # address -> (height, sender) of its first value inflow
         self._first_inflow: Dict[bytes, Tuple[int, bytes]] = {}
@@ -357,12 +364,8 @@ class SimChain:
             applied = [(tx, sender) for tx, sender in self._pending
                        if self._apply(state, tx, sender)]
             self._pending, self._pending_from = [], {}
-            block = Block(
-                height=self.head_height + 1,
-                parent_hash=self._blocks[-1].header_hash(),
-                tx_list=tuple(tx for tx, _ in applied),
-                state_root=state.root(),
-            )
+            block = Block(self.head_height + 1, tuple(tx for tx, _ in applied),
+                          self._blocks[-1], state)
             self._blocks.append(block)
             self._snapshots.append(state)
             for tx, sender in applied:
@@ -378,7 +381,6 @@ class SimChain:
         fee = self.tx_fee(tx)
         if state.balances.get(sender, 0) < tx.value + fee:
             return False
-        state.known_root = None  # recomputed at the next root() call
         if tx.to == ASSET_REGISTRY_ADDRESS:
             try:
                 token_id, recipient = parse_asset_transfer(tx.data)

@@ -15,7 +15,7 @@ import hashlib
 import hmac
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -252,21 +252,22 @@ class Enclave:
             exported["input-encryption"] = self._input_key.private_bytes_raw()
             return exported
 
-    def scan_for_key_leaks(self, *texts: str) -> int:
-        """Count the enclave's private keys, as hex, in public texts.
+    def scan_for_key_leaks(self, *logs: Sequence[str]) -> int:
+        """Count the enclave's private keys, as hex, in public logs.
 
-        The count is the sum over the texts of how many keys occur in
-        each text, lowercased. It runs inside the trust boundary, so no
-        key material crosses it, and only the count comes out. Each text
-        is read once (`find_hex`), however many keys there are, and no
-        text is copied whole. The keys' word table is built once per scan.
+        Each log is a list of lines. The count is the sum over the logs
+        of how many keys occur in each log, lowercased. It runs inside the
+        trust boundary, so no key material crosses it, and only the count
+        comes out. Each log is read once (`find_hex`), however many keys
+        there are, and no log is copied whole. The keys' word table is
+        built once per scan.
         """
         with self._lock:
             material = [k.to_bytes(32, "big").hex() for k in self._keys.values()]
             material.append(self._attestation_key.to_bytes(32, "big").hex())
             material.append(self._input_key.private_bytes_raw().hex())
         keys = HexNeedles(material)
-        return sum(len(find_hex(text, keys)) for text in texts)
+        return sum(len(find_hex(lines, keys)) for lines in logs)
 
 
 def _seal_envelope(recipient_public_key: bytes, plaintext: bytes,

@@ -2,17 +2,18 @@
 
 Records are canonicalized (sorted keys, no whitespace) so that runs with
 the same seed produce byte-identical logs. A log renders each record once,
-when it is appended, and keeps the line. `find_hex` searches a text for
-many hex strings in one pass; `HexNeedles` holds the strings and their
-word table, built once for any number of texts.
+when it is appended, and keeps the line; the event stream also keeps its
+records, which the checks walk. `find_hex` searches a log's lines for many
+hex strings in one pass; `HexNeedles` holds the strings and their word
+table, built once for any number of logs.
 """
 
 import json
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Sequence, Set
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# `find_hex` reads the lowercased text as 8-byte words, one every _STRIDE
+# `find_hex` reads the lowercased lines as 8-byte words, one every _STRIDE
 # characters. Wherever a needle of at least _HEAD characters occurs, one
 # of those words lies inside it at an offset below _STRIDE, so looking
 # each word up among the needles' words at offsets 0.._STRIDE-1 finds
@@ -20,7 +21,7 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _WORD = 8
 _STRIDE = 16
 _HEAD = _STRIDE + _WORD  # the needle characters the table reads
-_WINDOW = 1 << 14  # characters lowercased and read at once; a multiple of _STRIDE
+_WINDOW = 1 << 14  # characters joined, lowercased and read at once; a multiple of _STRIDE
 
 
 def hx(data: bytes) -> str:
@@ -37,7 +38,7 @@ def canonical(record: dict) -> str:
 
 class HexNeedles:
     """Needles for `find_hex` with their word table, built once so that
-    several texts can be searched for them. A needle is lowercase hex of
+    several logs can be searched for them. A needle is lowercase hex of
     at least _HEAD (24) characters, such as a 20-byte address's or a
     32-byte key's `bytes.hex()`; one that is shorter or not ASCII raises
     ValueError."""
@@ -52,20 +53,38 @@ class HexNeedles:
         self.lengths = sorted({len(n) for n in self.needles})
 
 
-def find_hex(text: str, needles: HexNeedles) -> Set[str]:
-    """The needles that occur in `text.lower()`, from one pass over `text`:
-    `needle in result` is `needle in text.lower()`.
+def find_hex(lines: Sequence[str], needles: HexNeedles) -> Set[str]:
+    """The needles that occur in `"\n".join(lines).lower()`, from one pass
+    over the lines: `needle in result` is `needle in
+    "\n".join(lines).lower()`.
 
-    The text is read once, a window at a time, whatever the number of
-    needles; one table holds _STRIDE words per needle, and each word hit
-    is checked against the text.
+    Whole lines are joined about _WINDOW characters at a time, so no log is
+    copied whole; no needle holds a newline, so each occurrence lies inside
+    one line and is found in the chunk that holds it.
     """
+    found: Set[str] = set()
+    if not needles.table:
+        return found
+    chunk: List[str] = []
+    size = 0
+    for line in lines:
+        if chunk and size + len(line) > _WINDOW:
+            _scan("\n".join(chunk), needles, found)
+            chunk, size = [], 0
+        chunk.append(line)
+        size += len(line) + 1
+    if chunk:
+        _scan("\n".join(chunk), needles, found)
+    return found
+
+
+def _scan(text: str, needles: HexNeedles, found: Set[str]) -> None:
+    """Add to `found` the needles in `text.lower()`, reading the text a
+    window at a time; one table holds _STRIDE words per needle, and each
+    word hit is checked against the text."""
     if not text.isascii():
         text = text.lower()  # lowering can change the length of non-ASCII text
-    found: Set[str] = set()
     anchors = needles.table
-    if not anchors:
-        return found
     for start in range(0, len(text), _WINDOW):
         window = text[start:start + _WINDOW].lower().encode("ascii", "replace")
         whole = memoryview(window)[:len(window) - len(window) % _WORD]
@@ -83,7 +102,6 @@ def find_hex(text: str, needles: HexNeedles) -> Set[str]:
                         candidate = text[at - j:at - j + length].lower()
                         if candidate in needles.needles:
                             found.add(candidate)
-    return found
 
 
 def _anchor_table(needles) -> Dict[int, int]:
@@ -103,30 +121,40 @@ def _anchor_table(needles) -> Dict[int, int]:
 
 
 class JsonlLog:
-    """Records and their canonical lines, each line rendered once, when
-    its record is appended; a record is not changed after that."""
+    """Canonical lines, each rendered once, when its record is appended;
+    a record is not changed after that."""
 
     def __init__(self):
-        self.records: List[dict] = []
         self.lines: List[str] = []
 
     def append(self, record: dict) -> dict:
         record = dict(record)
-        record["seq"] = len(self.records)
-        self.records.append(record)
+        record["seq"] = len(self.lines)
         self.lines.append(canonical(record))
         return record
 
-    def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.lines)
 
 
 class EventLog(JsonlLog):
-    """Public event stream emitted by the execution environment."""
+    """Public event stream emitted by the execution environment. It keeps
+    each record beside its line, because the checks walk the records."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: List[dict] = []
+
+    def append(self, record: dict) -> dict:
+        record = super().append(record)
+        self.records.append(record)
+        return record
 
 
 class AuditLog(JsonlLog):
-    """One record per settlement-layer query, including failed ones."""
+    """One line per settlement-layer query, including failed ones."""
+
+    @property
+    def records(self) -> List[dict]:
+        """The records, parsed from the lines at each read."""
+        return [json.loads(line) for line in self.lines]

@@ -405,7 +405,12 @@ class ScenarioRunner:
             self._escrow_asset()
         self._advance_to(scn.open_height)
         if not self.auction.verify_asset_escrow():
-            return  # stays Deployed; nothing else can happen
+            # stays Deployed; nothing else can happen
+            self.flags["asset_unconfirmed"] = (
+                "asset escrow %s does not hold token %d kappa (%d) blocks below "
+                "the agreed head" % (hx(self.auction.asset_escrow_address),
+                                     scn.auction.token_id, scn.auction.kappa))
+            return
         if scn.faults.tamper_sealed:
             self._at(scn.open_height + 1,
                      lambda: self.enclave.tamper_sealed_entry(
@@ -508,7 +513,9 @@ class ScenarioRunner:
                       or scn.expect.final_state not in (None, "Resolved", "Claimed")
                       or "quorum_failure" in self.flags
                       or "integrity_error" in self.flags)
-            return CheckResult("oracle_agreement", stated, "auction did not resolve")
+            cause = self.flags.get("asset_unconfirmed")
+            return CheckResult("oracle_agreement", stated, "auction did not resolve"
+                               + (": " + cause if cause else ""))
         engine = self._engine_winner()
         if engine is None:
             agree = not oracle.has_winner
@@ -594,7 +601,7 @@ class ScenarioRunner:
         problems = (disclosure_problems(records, self.events.lines, self.escrows, bids)
                     + completeness_problems(records, self.escrows))
         if not self.flags.get("compromised"):
-            leaks = self.enclave.scan_for_key_leaks(self.events.text(), self.audit.text())
+            leaks = self.enclave.scan_for_key_leaks(self.events.lines, self.audit.lines)
             if leaks:
                 problems.append("%d private-key leak(s) in public logs" % leaks)
         return CheckResult("confidentiality", not problems,
@@ -654,8 +661,9 @@ class ScenarioRunner:
             audit_path = self.out_dir / "audit.jsonl"
             report_path = self.out_dir / "report.json"
             gas_path = self.out_dir / "gas.csv"
-            events_path.write_text(self.events.text(), encoding="utf-8")
-            audit_path.write_text(self.audit.text(), encoding="utf-8")
+            for path, log in ((events_path, self.events), (audit_path, self.audit)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.writelines(line + "\n" for line in log.lines)
             with open(gas_path, "w", encoding="utf-8") as fh:
                 fh.write("layer,operation,actor,gas\n")
                 for entry in self.gas.entries:

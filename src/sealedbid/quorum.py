@@ -3,7 +3,8 @@
 Every query samples n of the m declared endpoints uniformly without
 replacement (driven by enclave randomness), collects their responses,
 and accepts the plurality value only if at least q endpoints reported
-it; otherwise the query raises. Every query, including failed
+it; otherwise the query raises, as does a balance query whose agreed
+value is below zero. Every query, including failed
 ones, counts once in `query_count` and appends one record to the audit
 log: its parameters, every sample, the decision and the discrepancies.
 
@@ -200,7 +201,12 @@ class QuorumClient:
     # -- public query operations ---------------------------------------------------
 
     def query_balance(self, addr: bytes, height: int) -> int:
-        return self._execute("balance", addr, height)
+        """The agreed balance; one below zero, which no chain holds, is a
+        failed query."""
+        balance = self._execute("balance", addr, height)
+        if balance < 0:
+            raise QuorumFailure("the agreed balance %d is below zero" % balance)
+        return balance
 
     def query_height(self) -> int:
         return self._execute("height")

@@ -1,8 +1,7 @@
 """Recursive length prefix serialization.
 
-Items are byte strings or (arbitrarily nested) lists of items; an `Encoded`
-byte string stands for an item given by its encoding. Decoding is
-strict: non-minimal length prefixes, single bytes wrapped in a string
+Items are byte strings or (arbitrarily nested) lists of items. Decoding
+is strict: non-minimal length prefixes, single bytes wrapped in a string
 header, truncated payloads, and trailing input all raise CodecError, so
 decode(encode(x)) == x and encode(decode(b)) == b both hold.
 """
@@ -14,17 +13,8 @@ from sealedbid.errors import CodecError
 RlpItem = Union[bytes, List["RlpItem"]]
 
 
-class Encoded(bytes):
-    """Bytes that already are an RLP encoding: `encode` emits them as they
-    are, so a list can reuse the cached encodings of its items."""
-
-    __slots__ = ()
-
-
 def encode(item: RlpItem) -> bytes:
     if isinstance(item, (bytes, bytearray)):
-        if isinstance(item, Encoded):
-            return bytes(item)
         data = bytes(item)
         if len(data) == 1 and data[0] < 0x80:
             return data

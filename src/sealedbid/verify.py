@@ -81,18 +81,18 @@ def disclosure_problems(records: List[dict], lines: List[str],
 
     `lines[i]` is the text of `records[i]`.
     - An escrow leaks if its hex occurs in the lowercased lines before the
-      cut, joined by "\n", also inside a longer hex run.
+      cut, also inside a longer hex run.
     - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
       records before the cut state the amount as a number (see
       `stated_numbers`).
 
-    The text before the cut is read once for every escrow (`find_hex`),
+    The lines before the cut are read once for every escrow (`find_hex`),
     and the records before the cut are walked once for every bid.
     """
     boundary = next((i for i, r in enumerate(records)
                      if r.get("event") in ("Resolved", "ProposalsOpened")),
                     len(records))
-    found = find_hex("\n".join(lines[:boundary]),
+    found = find_hex(lines[:boundary],
                      HexNeedles(escrow.hex() for escrow in escrows.values()))
     problems = ["escrow of %s leaked before disclosure" % name
                 for name, escrow in escrows.items() if escrow.hex() in found]

@@ -404,18 +404,18 @@ def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mod
     scanned = []
     real = events.find_hex
 
-    def find_hex(text, needles):
+    def find_hex(lines, needles):
         kind = "escrows" if needles.needles == escrows else "keys"
-        scanned.append((text.rstrip("\n"), kind))
-        return real(text, needles)
+        scanned.append((list(lines), kind))
+        return real(lines, needles)
 
     monkeypatch.setattr(verify, "find_hex", find_hex)
     monkeypatch.setattr(enclave_module, "find_hex", find_hex)
     assert runner._confidentiality_check().passed
-    # the events text before disclosure for the escrows, the events text
-    # for the keys, then the audit text: each once, whatever n is
+    # the event lines before disclosure for the escrows, the event lines
+    # for the keys, then the audit lines: each once, whatever n is
     cut = next(i for i, r in enumerate(runner.events.records)
                if r["event"] in ("Resolved", "ProposalsOpened"))
-    before_cut = "\n".join(runner.events.lines[:cut])
-    events_text, audit_text = "\n".join(runner.events.lines), runner.audit.text().rstrip("\n")
-    assert scanned == [(before_cut, "escrows"), (events_text, "keys"), (audit_text, "keys")]
+    event_lines, audit_lines = runner.events.lines, runner.audit.lines
+    assert scanned == [(event_lines[:cut], "escrows"), (event_lines, "keys"),
+                       (audit_lines, "keys")]

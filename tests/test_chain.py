@@ -1,6 +1,7 @@
 """Settlement chain: ledger rules, history queries, reorgs, conservation."""
 
 import random
+import sys
 import threading
 from functools import lru_cache
 
@@ -538,8 +539,7 @@ def test_concurrent_submissions_are_safe():
 # -- state roots, header hashes and the first-inflow index --------------------------
 
 def reference_root(state):
-    """The state root recomputed from scratch, as every block computed it
-    before account leaves were cached."""
+    """The state root recomputed from scratch, from the snapshot's dicts."""
     accounts = sorted(set(state.balances) | set(state.nonces))
     return keccak_256(rlp.encode([
         [[addr, rlp.encode_int(state.balances.get(addr, 0)),
@@ -559,6 +559,19 @@ def reference_header_hash(block):
             for tx in block.tx_list]
     return keccak_256(rlp.encode([rlp.encode_int(block.height), block.parent_hash,
                                   block.state_root, raws]))
+
+
+def reference_header_hashes(chain):
+    """Every header hash from genesis up, from the snapshots and the
+    transactions alone: no block commitment is read."""
+    hashes = []
+    for height in range(chain.head_height + 1):
+        block = chain._blocks[height]
+        raws = [tx.raw() for tx in block.tx_list]
+        parent = hashes[-1] if hashes else b"\x00" * 32
+        hashes.append(keccak_256(rlp.encode([
+            rlp.encode_int(height), parent, reference_root(chain._snapshots[height]), raws])))
+    return hashes
 
 
 def reference_first_funder(chain, addr, height):
@@ -591,6 +604,36 @@ def test_state_root_and_header_hash_of_a_fixed_history():
         "2e19e3bb218454896e4e9c67a5588b6357aa0ed6049bc7cea5326772066932be"
     assert chain.block_at(2).header_hash().hex() == \
         "8597d13c50c24051f4537b86cd9d63578a2d70bf252f980d52b1344ebb365a38"
+
+
+def test_a_block_removed_by_a_reorg_keeps_its_own_commitments():
+    # the history above; block 2 is read only after a reorg replaced it
+    chain = make_chain(assets={3: A})
+    chain.submit_tx(transfer(chain, KEY_A, C, 5))
+    chain.mine_block()
+    late = transfer(chain, KEY_B, C, 9)
+    chain.submit_tx(late)
+    chain.submit_tx(transfer(chain, KEY_A, ASSET_REGISTRY_ADDRESS, 0,
+                             data=asset_transfer_data(3, C)))
+    removed = chain.mine_block()
+    assert chain.reorg(1, replacement_txs=[late]).applied
+    assert removed.state_root.hex() == \
+        "41ef4f8d4287b88840d02b602f02a552ba905163c9ca2ca2913b1931f1a4e2e0"
+    assert removed.header_hash().hex() == \
+        "b8141ecda36e85cc7dcabffeb1bb2e65924f9361f9ce4752334a5b0557382645"
+    assert chain.block_at(2).header_hash().hex() == \
+        "8597d13c50c24051f4537b86cd9d63578a2d70bf252f980d52b1344ebb365a38"
+    assert removed.parent_hash == chain.block_at(2).parent_hash
+
+
+def test_a_long_chain_hashes_its_head_without_recursion():
+    chain = make_chain()
+    for _ in range(2000):
+        chain.mine_block()
+    assert chain.head_height > sys.getrecursionlimit()
+    head = chain.block_at(chain.head_height)
+    assert len(head.header_hash()) == 32
+    assert head.parent_hash == chain.block_at(chain.head_height - 1).header_hash()
 
 
 KEY_D = 1004
@@ -665,6 +708,21 @@ def test_maintained_state_root_matches_the_from_scratch_formula(steps):
             if height:
                 assert block.parent_hash == reference_header_hash(chain.block_at(height - 1))
     run_history(steps, check)
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(history_step, min_size=1, max_size=8), newest_first=st.booleans())
+def test_commitments_read_in_either_order_match_the_formula(steps, newest_first):
+    chains = []
+    run_history(steps, chains.append)
+    chain = chains[-1]
+    hashes = reference_header_hashes(chain)
+    heights = range(chain.head_height + 1)
+    for height in reversed(heights) if newest_first else heights:
+        block = chain.block_at(height)
+        assert block.header_hash() == hashes[height]
+        assert block.state_root == reference_root(chain._snapshots[height])
+        assert block.parent_hash == (hashes[height - 1] if height else b"\x00" * 32)
 
 
 @settings(max_examples=40, deadline=None)

@@ -498,8 +498,42 @@ def test_an_unconfirmed_deadline_fails_liveness():
 
 
 def test_an_unverified_asset_escrow_fails_oracle_agreement():
-    report = runner_of(stuck(0)).run()
+    runner = runner_of(stuck(0))
+    report = runner.run()
     assert report.final_state == "Deployed"
     assert report.oracle == {"winners": ["b"], "amount": 7000}
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["oracle_agreement"]
+    assert failed[0].detail == (
+        "auction did not resolve: asset escrow %s does not hold token 1 kappa (2) "
+        "blocks below the agreed head" % hx(runner.auction.asset_escrow_address))
+
+
+# Two colluding endpoints report every balance one unit low (f = q = 2 of
+# 3), so c's zero deposit is agreed as -1, a balance no chain holds.
+NEGATIVE_BALANCE = {
+    "name": "negative_balance", "seed": 3,
+    "auction": {"deadline_height": 10, "kappa": 1, "resolution_mode": "proposer",
+                "proposal_window": 4},
+    "quorum": {"sample_size": 3, "agreement_quorum": 2},
+    "endpoints": [{"id": "ep0"}]
+    + [{"id": "liar%d" % i, "behavior": "misreport_balance", "offset": -1}
+       for i in range(2)],
+    "bidders": [{"name": "a", "registration_height": 4, "funding": 5000,
+                 "funding_height": 6},
+                {"name": "c", "registration_height": 5, "funding": 0,
+                 "funding_height": 7}],
+    "proposals": [{"candidate": "c", "after_open": 1}],
+}
+
+
+def test_a_negative_agreed_balance_is_a_failed_query():
+    runner = runner_of(NEGATIVE_BALANCE)
+    report = runner.run()
+    assert report.final_state == "Closed"
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["liveness"]
+    assert failed[0].detail == ("lifecycle stopped by QuorumFailure: the agreed "
+                                "balance -1 is below zero")
+    token_id = runner.scenario.auction.token_id
+    assert runner.chain.token_owner(token_id) == runner.auction.asset_escrow_address

@@ -92,14 +92,14 @@ def test_key_scan_counts_each_private_key():
     enclave, keys = key_scan_enclave()
     assert len(keys) == 4  # two escrow keys, the attestation and the input key
     for name, key in keys.items():
-        assert enclave.scan_for_key_leaks('{"note":"0x%s"}' % key) == 1, name
+        assert enclave.scan_for_key_leaks(['{"note":"0x%s"}' % key]) == 1, name
 
 
 def test_key_scan_counts_each_text_and_case():
     enclave, keys = key_scan_enclave()
     attestation = keys["attestation"]
-    events = "0x%s\n%s" % (attestation.upper(), keys["input-encryption"])
-    audit = "ff%sff%s" % (attestation, attestation)
+    events = ["0x%s" % attestation.upper(), keys["input-encryption"]]
+    audit = ["ff%sff%s" % (attestation, attestation)]
     # two keys in the events, one (twice) in the audit
     assert enclave.scan_for_key_leaks(events, audit) == 3
 
@@ -107,15 +107,15 @@ def test_key_scan_counts_each_text_and_case():
 def test_key_scan_of_clean_text_is_zero():
     enclave, keys = key_scan_enclave()
     near = [key[:-1] + ("0" if key[-1] != "0" else "1") for key in keys.values()]
-    assert enclave.scan_for_key_leaks("", "\n".join(near), '{"event":"Open"}') == 0
+    assert enclave.scan_for_key_leaks([], [""], near, ['{"event":"Open"}']) == 0
 
 
 def test_key_scan_builds_the_keys_word_table_once(monkeypatch):
     enclave, keys = key_scan_enclave()
     escrow = "ab" * 20
-    events_text = '{"a":"0x%s","k":"%s"}' % (escrow, keys["attestation"])
-    audit_text = '{"q":"%s","r":"%s"}' % (keys["input-encryption"], escrow)
-    assert enclave.scan_for_key_leaks(events_text, audit_text) == 2
+    event_lines = ['{"a":"0x%s","k":"%s"}' % (escrow, keys["attestation"])]
+    audit_lines = ['{"q":"%s","r":"%s"}' % (keys["input-encryption"], escrow)]
+    assert enclave.scan_for_key_leaks(event_lines, audit_lines) == 2
     built = []
     real = events._anchor_table
 
@@ -124,6 +124,6 @@ def test_key_scan_builds_the_keys_word_table_once(monkeypatch):
         return real(needles)
 
     monkeypatch.setattr(events, "_anchor_table", anchor_table)
-    assert enclave.scan_for_key_leaks(events_text, audit_text) == 2
-    # the keys' table once, whatever the number of texts
+    assert enclave.scan_for_key_leaks(event_lines, audit_lines) == 2
+    # the keys' table once, whatever the number of logs
     assert built == [set(keys.values())]

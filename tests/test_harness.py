@@ -260,15 +260,15 @@ def test_find_hex_finds_needles_across_window_edges():
     needles = HexNeedles([escrow, key])
     for offset in range(events._WINDOW - 110, events._WINDOW + 20):
         text = "q" * offset + escrow.upper() + key + "q"
-        assert find_hex(text, needles) == {escrow, key}
-        assert find_hex(text[:offset + 79], needles) == {escrow}
+        assert find_hex([text], needles) == {escrow, key}
+        assert find_hex([text[:offset + 79]], needles) == {escrow}
 
 
 def test_needles_that_share_a_word_are_each_found():
     # "01234567" is a word of both needles, at offsets 0 and 8
     key, escrow = "0123456789abcdef" * 4, "89abcdef01234567" + "5e" * 12
     text = "q%sq%s%s" % (key, escrow.upper(), key[:40])
-    assert find_hex(text, HexNeedles([key, escrow])) == {key, escrow}
+    assert find_hex([text], HexNeedles([key, escrow])) == {key, escrow}
 
 
 @pytest.mark.parametrize("needle", ["ef01", "5e" * 11 + "f", "\u0130" * 24])
@@ -283,17 +283,52 @@ def test_one_pass_rules_equal_the_per_needle_rules(log):
     records, ascii_only, escrows, bids, audit = log
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=ascii_only)
              for r in records]
-    events_text = "\n".join(lines)
-    audit_text = "".join(canonical(r) + "\n" for r in audit)
+    audit_lines = [canonical(r) for r in audit]
     assert disclosure_problems(records, lines, escrows, bids) == \
         per_needle_disclosure_problems(records, lines, escrows, bids)
     enclave, keys = scanning_enclave()
-    assert enclave.scan_for_key_leaks(events_text, audit_text) == \
-        per_needle_key_leaks(keys, events_text, audit_text)
+    assert enclave.scan_for_key_leaks(lines, audit_lines) == \
+        per_needle_key_leaks(keys, "\n".join(lines), "\n".join(audit_lines))
     escrow_hex = [e.hex() for e in escrows.values()]
-    found = find_hex(events_text, HexNeedles(escrow_hex))
-    lowered = events_text.lower()
+    found = find_hex(lines, HexNeedles(escrow_hex))
+    lowered = "\n".join(lines).lower()
     assert found == {needle for needle in escrow_hex if needle in lowered}
+
+
+LINE_NEEDLES = ("3c" * 20, "0123456789abcdef" * 4, "89abcdef01234567" + "5e" * 12)
+# lengths around the points where `find_hex` closes a chunk or a window
+edge_length = st.one_of(
+    st.integers(0, 40),
+    st.integers(events._WINDOW // 2 - 70, events._WINDOW // 2 + 10),
+    st.integers(events._WINDOW - 70, events._WINDOW + 10),
+    st.integers(2 * events._WINDOW - 70, 2 * events._WINDOW + 10))
+
+
+@st.composite
+def needle_lines(draw):
+    """Lines of filler with needles planted whole, upper-cased, cut short,
+    at a line's end, or split across two lines, where they do not occur."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        line = draw(st.sampled_from("q0a\u0130")) * draw(edge_length)
+        needle = draw(st.sampled_from(LINE_NEEDLES))
+        how = draw(st.sampled_from(("whole", "upper", "short", "split", "none")))
+        if how == "split":
+            cut = draw(st.integers(1, len(needle) - 1))
+            lines.append(line + needle[:cut])
+            line = needle[cut:]
+        elif how != "none":
+            line += {"whole": needle, "upper": needle.upper(), "short": needle[:-1]}[how]
+        lines.append(line + "q" * draw(st.integers(0, 3)))
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=needle_lines())
+def test_find_hex_over_lines_equals_a_search_of_the_joined_text(lines):
+    joined = "\n".join(lines).lower()
+    assert find_hex(lines, HexNeedles(LINE_NEEDLES)) == \
+        {needle for needle in LINE_NEEDLES if needle in joined}
 
 
 def test_writing_the_logs_renders_no_record_again(monkeypatch, tmp_path):
@@ -310,5 +345,6 @@ def test_writing_the_logs_renders_no_record_again(monkeypatch, tmp_path):
         assert runner.run().passed
         counts[out_dir] = len(rendered)
     assert counts[tmp_path] == counts[None] > 0
-    assert (tmp_path / "events.jsonl").read_text(encoding="utf-8") == runner.events.text()
-    assert (tmp_path / "audit.jsonl").read_text(encoding="utf-8") == runner.audit.text()
+    for name, log in (("events.jsonl", runner.events), ("audit.jsonl", runner.audit)):
+        assert (tmp_path / name).read_text(encoding="utf-8") == \
+            "".join(line + "\n" for line in log.lines)

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from sealedbid.harness import run_scenario
+from sealedbid.events import canonical
+from sealedbid.harness import ScenarioRunner
+from sealedbid.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -97,12 +99,15 @@ def test_every_scenario_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_scenario_passes_with_pinned_logs(name, tmp_path):
-    report = run_scenario(SCENARIOS / ("%s.yaml" % name), out_dir=tmp_path)
+    runner = ScenarioRunner(load_scenario(SCENARIOS / ("%s.yaml" % name)), out_dir=tmp_path)
+    report = runner.run()
     failed = [c.to_dict() for c in report.checks if not c.passed]
     assert report.passed, failed
     digests = tuple(hashlib.sha256((tmp_path / log).read_bytes()).hexdigest()
                     for log in LOGS)
     assert digests == DIGESTS[name]
+    # the audit log keeps only lines; its records parse back to them
+    assert [canonical(record) for record in runner.audit.records] == runner.audit.lines
 
 
 # Runs in a fresh interpreter: registers the kernel under its package name
