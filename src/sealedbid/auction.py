@@ -200,7 +200,7 @@ class AuctionInstance:
 
     def emit(self, event: str, **fields) -> dict:
         """Append one attested record to the public event stream."""
-        record = {"event": event, "seq": len(self.events.records)}
+        record = {"event": event, "seq": len(self.events)}
         record.update(fields)
         report = self.enclave.attest(canonical(record).encode())
         record["attestation"] = report.to_record()

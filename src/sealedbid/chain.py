@@ -74,7 +74,9 @@ GENESIS_PARENT_HASH = b"\x00" * 32
 
 class Block:
     """A mined block: its height, its transactions, its parent and the
-    account and asset state after it.
+    account and asset state after it. A state is not changed once its
+    block is appended, so a block that applies no transaction keeps its
+    parent's state object, and the history queries read `_state`.
 
     Nothing in a run reads a block's commitments, so `state_root`,
     `parent_hash` and `header_hash()` are computed on first read and then
@@ -201,7 +203,6 @@ class SimChain:
         # sender -> (its transactions in _pending, the value plus fees they commit)
         self._pending_from: Dict[bytes, Tuple[int, int]] = {}
         self._queued: Dict[bytes, Dict[int, SignedTransaction]] = {}  # sender -> nonce -> tx
-        self._snapshots: List[_State] = [state]
         self._blocks: List[Block] = [Block(0, (), None, state)]
         self._tx_index: Dict[bytes, int] = {}  # tx_hash -> inclusion height
         # address -> (height, sender) of its first value inflow
@@ -223,13 +224,13 @@ class SimChain:
         with self._lock:
             if not 0 <= height <= self.head_height:
                 raise ChainQueryError("unknown height %d" % height)
-            return self._snapshots[height].balances.get(addr, 0)
+            return self._blocks[height]._state.balances.get(addr, 0)
 
     def asset_owner_at(self, token_id: int, height: int) -> bytes:
         with self._lock:
             if not 0 <= height <= self.head_height:
                 raise ChainQueryError("unknown height %d" % height)
-            owner = self._snapshots[height].assets.get(token_id)
+            owner = self._blocks[height]._state.assets.get(token_id)
             if owner is None:
                 raise ChainQueryError("unknown token %d at height %d" % (token_id, height))
             return owner
@@ -239,7 +240,7 @@ class SimChain:
 
     def account_nonce(self, addr: bytes) -> int:
         with self._lock:
-            return self._snapshots[-1].nonces.get(addr, 0)
+            return self._blocks[-1]._state.nonces.get(addr, 0)
 
     def next_nonce(self, addr: bytes) -> int:
         """Account nonce plus executable transactions pending from `addr`.
@@ -254,14 +255,14 @@ class SimChain:
 
     def total_supply(self) -> int:
         with self._lock:
-            state = self._snapshots[-1]
+            state = self._blocks[-1]._state
             return sum(state.balances.values()) + state.fees_collected
 
     def fees_collected_at(self, height: int) -> int:
         with self._lock:
             if not 0 <= height <= self.head_height:
                 raise ChainQueryError("unknown height %d" % height)
-            return self._snapshots[height].fees_collected
+            return self._blocks[height]._state.fees_collected
 
     def height_of(self, tx_hash: bytes) -> Optional[int]:
         with self._lock:
@@ -314,7 +315,7 @@ class SimChain:
                 return SubmitResult(False, REJECT_ASSET_OP, tx_hash)
         cost = tx.value + self.tx_fee(tx)
         with self._lock:
-            state = self._snapshots[-1]
+            state = self._blocks[-1]._state
             pending, committed = self._pending_from.get(sender, (0, 0))
             expected_nonce = state.nonces.get(sender, 0) + pending
             queued = self._queued.get(sender, {})
@@ -360,14 +361,15 @@ class SimChain:
 
     def mine_block(self) -> Block:
         with self._lock:
-            state = self._snapshots[-1].copy()
+            parent = self._blocks[-1]
+            state = parent._state.copy() if self._pending else parent._state
             applied = [(tx, sender) for tx, sender in self._pending
                        if self._apply(state, tx, sender)]
             self._pending, self._pending_from = [], {}
-            block = Block(self.head_height + 1, tuple(tx for tx, _ in applied),
-                          self._blocks[-1], state)
+            # a block that applies nothing shares its parent's state
+            block = Block(parent.height + 1, tuple(tx for tx, _ in applied),
+                          parent, state if applied else parent._state)
             self._blocks.append(block)
-            self._snapshots.append(state)
             for tx, sender in applied:
                 self._tx_index[tx.tx_hash()] = block.height
                 if tx.value > 0 and tx.to not in self._first_inflow:
@@ -411,7 +413,6 @@ class SimChain:
                 return ReorgResult(applied=False, reason="finality")
             removed = self._blocks[-depth:]
             del self._blocks[-depth:]
-            del self._snapshots[-depth:]
             for block in removed:
                 for tx in block.tx_list:
                     self._tx_index.pop(tx.tx_hash(), None)

@@ -6,7 +6,7 @@
     sealedbid verify-log <events.jsonl>
 
 Exit codes: 0 success, 1 invariant/verification failure, 2 configuration
-or usage error.
+or usage error, which includes a file that cannot be opened or written.
 """
 
 import argparse
@@ -51,8 +51,9 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_verify_log(args) -> int:
-    """Offline re-verification of a public event stream."""
-    with open(args.log, "r", encoding="utf-8") as fh:
+    """Offline re-verification of a public event stream. Bytes that are
+    not UTF-8 are read as lone surrogates, which `verify_log` fails."""
+    with open(args.log, "r", encoding="utf-8", errors="surrogateescape") as fh:
         report, passed = verify_log(fh)
     print("\n".join(report))
     return 0 if passed else 1
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
     except SealedBidError as exc:

@@ -2,8 +2,8 @@
 
 Records are canonicalized (sorted keys, no whitespace) so that runs with
 the same seed produce byte-identical logs. A log renders each record once,
-when it is appended, and keeps the line; the event stream also keeps its
-records, which the checks walk. `find_hex` searches a log's lines for many
+when it is appended, and keeps only the line; its records are parsed from
+the lines when they are read. `find_hex` searches a log's lines for many
 hex strings in one pass; `HexNeedles` holds the strings and their word
 table, built once for any number of logs.
 """
@@ -136,25 +136,15 @@ class JsonlLog:
     def __len__(self) -> int:
         return len(self.lines)
 
-
-class EventLog(JsonlLog):
-    """Public event stream emitted by the execution environment. It keeps
-    each record beside its line, because the checks walk the records."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: List[dict] = []
-
-    def append(self, record: dict) -> dict:
-        record = super().append(record)
-        self.records.append(record)
-        return record
-
-
-class AuditLog(JsonlLog):
-    """One line per settlement-layer query, including failed ones."""
-
     @property
     def records(self) -> List[dict]:
         """The records, parsed from the lines at each read."""
         return [json.loads(line) for line in self.lines]
+
+
+class EventLog(JsonlLog):
+    """Public event stream emitted by the execution environment."""
+
+
+class AuditLog(JsonlLog):
+    """One line per settlement-layer query, including failed ones."""

@@ -597,11 +597,11 @@ class ScenarioRunner:
         bids = list(dict.fromkeys(
             (b.name, amount) for b in self.scenario.bidders
             for amount in (b.funding, b.topup, b.funding + (b.topup or 0)) if amount))
-        records = self.events.records
-        problems = (disclosure_problems(records, self.events.lines, self.escrows, bids)
-                    + completeness_problems(records, self.escrows))
+        lines = self.events.lines
+        problems = (disclosure_problems(lines, self.escrows, bids)
+                    + completeness_problems(lines, self.escrows))
         if not self.flags.get("compromised"):
-            leaks = self.enclave.scan_for_key_leaks(self.events.lines, self.audit.lines)
+            leaks = self.enclave.scan_for_key_leaks(lines, self.audit.lines)
             if leaks:
                 problems.append("%d private-key leak(s) in public logs" % leaks)
         return CheckResult("confidentiality", not problems,

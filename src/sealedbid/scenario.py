@@ -16,8 +16,6 @@ strictly precede their funding heights.
 from dataclasses import dataclass, field
 from typing import List, Optional, Union, get_args, get_origin
 
-import yaml
-
 from sealedbid.auction import AuctionConfig
 from sealedbid.errors import ConfigError
 from sealedbid.gas import MODE_EXHAUSTIVE, MODE_PROPOSER
@@ -286,10 +284,14 @@ def validate_scenario(scn: Scenario) -> None:
 
 
 def load_scenario(path) -> Scenario:
+    """The scenario in the YAML file at `path`. YAML is imported here, so
+    a program that builds its scenarios in code never loads it."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read scenario %s: %s" % (path, exc))
     except yaml.YAMLError as exc:
         raise ConfigError("cannot parse scenario %s: %s" % (path, exc))

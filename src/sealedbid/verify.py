@@ -22,11 +22,14 @@ MALFORMED = (KeyError, ValueError, TypeError, AttributeError, IndexError)
 # sequence numbers in every log
 MIN_CHECKED_BID = 1000
 
+# the events at which disclosure begins
+DISCLOSURE_EVENTS = ("Resolved", "ProposalsOpened")
+
 _DECIMAL = re.compile(r"[0-9]+")
 _HEX = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
 
 
-def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
+def stated_numbers(records: Iterable, amounts: Iterable[int]) -> Set[int]:
     """The members of `amounts` that JSON-like records state as a token.
 
     A token is each integer (not a boolean), each all-digit string read as
@@ -34,20 +37,18 @@ def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
     hex, and in any other string each maximal run of decimal digits; dict
     keys count as strings. Digits that occur only inside a longer hex
     string (ciphertext, a key, a hash, a bare hex id) state no number.
-    One walk of the records tests each token against `amounts`; a token
-    with more significant digits than the largest amount is never read as
-    a number.
+    The records are walked one at a time, and all of them, also when
+    `amounts` is empty; each token is tested against `amounts`, and a
+    token with more significant digits than the largest amount is never
+    read as a number.
     """
     amounts = set(amounts)
     stated: Set[int] = set()
-    if not amounts:
-        return stated
-    top = max(amounts)
+    top = max(amounts, default=0)
     width = {10: len(str(top)), 16: len(format(top, "x"))}
     keys: Set[str] = set()  # read once each: every record repeats them
-    stack = list(records)
-    while stack or keys:
-        value = stack.pop() if stack else keys.pop()
+
+    def read(value) -> None:
         if isinstance(value, str):
             whole_hex = _HEX.fullmatch(value)
             if _DECIMAL.fullmatch(value):
@@ -62,49 +63,64 @@ def stated_numbers(records, amounts: Iterable[int]) -> Set[int]:
                     number = int(digits or "0", base)
                     if number in amounts:
                         stated.add(number)
-        elif isinstance(value, dict):
-            keys.update(value)
-            stack.extend(value.values())
-        elif isinstance(value, (list, tuple)):
-            stack.extend(value)
         elif isinstance(value, int) and not isinstance(value, bool):
             if value in amounts:
                 stated.add(value)
+
+    for record in records:
+        stack = [record]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, dict):
+                keys.update(value)
+                stack.extend(value.values())
+            elif isinstance(value, (list, tuple)):
+                stack.extend(value)
+            else:
+                read(value)
+    for key in keys:
+        read(key)
     return stated
 
 
-def disclosure_problems(records: List[dict], lines: List[str],
-                        escrows: Dict[str, bytes],
+def disclosure_problems(lines: Iterable[str], escrows: Dict[str, bytes],
                         bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
     """What an event stream shows before disclosure begins, at its first
     `Resolved` or `ProposalsOpened` event: escrow addresses and bid values.
 
-    `lines[i]` is the text of `records[i]`.
+    `lines` are the stream's JSON lines.
     - An escrow leaks if its hex occurs in the lowercased lines before the
       cut, also inside a longer hex run.
     - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
       records before the cut state the amount as a number (see
       `stated_numbers`).
 
-    The lines before the cut are read once for every escrow (`find_hex`),
-    and the records before the cut are walked once for every bid.
+    Each line up to the cut is parsed once, and its record is walked for
+    every bid and dropped; the lines before the cut are then read once for
+    every escrow (`find_hex`).
     """
-    boundary = next((i for i, r in enumerate(records)
-                     if r.get("event") in ("Resolved", "ProposalsOpened")),
-                    len(records))
-    found = find_hex(lines[:boundary],
-                     HexNeedles(escrow.hex() for escrow in escrows.values()))
+    before: List[str] = []
+
+    def records_before_the_cut():
+        for line in lines:
+            record = json.loads(line)
+            if record.get("event") in DISCLOSURE_EVENTS:
+                return
+            before.append(line)
+            yield record
+
+    bids = list(bids)
+    stated = stated_numbers(records_before_the_cut(),
+                            (amount for _, amount in bids if amount >= MIN_CHECKED_BID))
+    found = find_hex(before, HexNeedles(escrow.hex() for escrow in escrows.values()))
     problems = ["escrow of %s leaked before disclosure" % name
                 for name, escrow in escrows.items() if escrow.hex() in found]
-    bids = list(bids)
-    stated = stated_numbers(records[:boundary],
-                            (amount for _, amount in bids if amount >= MIN_CHECKED_BID))
     problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
                     for name, amount in bids if amount in stated)
     return problems
 
 
-def completeness_problems(records: List[dict], escrows: Dict[str, bytes]) -> List[str]:
+def completeness_problems(lines: Iterable[str], escrows: Dict[str, bytes]) -> List[str]:
     """Where the disclosure of a stream with a `Resolved` event is
     incomplete; a stream without one has nothing to disclose yet.
 
@@ -113,16 +129,25 @@ def completeness_problems(records: List[dict], escrows: Dict[str, bytes]) -> Lis
     equal, the envelopes' `registration_index` values must run 0..n-1 in
     stream order, and each of `escrows` (name -> address) must be in
     `bidder_set`, compared as bytes. The counts are public, so
-    `bidder_set` cannot vouch for itself.
+    `bidder_set` cannot vouch for itself. `lines` are the stream's JSON
+    lines, parsed one at a time; only the first `Resolved` and `Closed`
+    events count.
     """
-    resolved = next((r for r in records if r.get("event") == "Resolved"), None)
+    resolved = closed = None
+    indices = []
+    for line in lines:
+        record = json.loads(line)
+        event = record.get("event")
+        if event == "BidderEnvelope":
+            indices.append(record.get("registration_index"))
+        elif event == "Resolved" and resolved is None:
+            resolved = record
+        elif event == "Closed" and closed is None:
+            closed = record
     if resolved is None:
         return []
     disclosed = {unhx(addr) for addr in resolved.get("bidder_set", [])}
-    closed = next((r for r in records if r.get("event") == "Closed"), {})
-    indices = [r.get("registration_index") for r in records
-               if r.get("event") == "BidderEnvelope"]
-    counts = (closed.get("bidder_count"), len(indices), len(disclosed))
+    counts = ((closed or {}).get("bidder_count"), len(indices), len(disclosed))
     problems = []
     if not counts[0] == counts[1] == counts[2]:
         problems.append("Closed.bidder_count %r, %d BidderEnvelope event(s), "
@@ -147,13 +172,19 @@ def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
     event, each payload's signer must be an escrow that the stream names,
     and the disclosure rules apply to the escrows of `bidder_set`. A
     malformed line or field ends the report with a FAIL line. Blank lines
-    are skipped but keep their numbers.
+    are skipped but keep their numbers. A line that holds a lone
+    surrogate, as `errors="surrogateescape"` reads bytes that are not
+    UTF-8, fails as a line that is not JSON does.
     """
     numbered = [(number, line.rstrip("\n"))
                 for number, line in enumerate(lines, 1) if line.strip()]
     texts = [line for _, line in numbered]
     records = []
     for number, line in numbered:
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            return ["line %d FAIL (not UTF-8)" % number], False
         try:
             record = json.loads(line)
         except ValueError as exc:
@@ -219,9 +250,9 @@ def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
                           % (role, signer, "ok" if ok else "FAIL"))
             failures += 0 if ok else 1
         problems = (["confidentiality FAIL: %s" % p
-                     for p in disclosure_problems(records, texts, escrows)]
+                     for p in disclosure_problems(texts, escrows)]
                     + ["completeness FAIL: %s" % p
-                       for p in completeness_problems(records, escrows)])
+                       for p in completeness_problems(texts, escrows)])
         report.extend(problems)
         failures += len(problems)
 

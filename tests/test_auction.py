@@ -401,8 +401,10 @@ def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mod
     runner = make_runner(**auction_doc(n, mode))
     assert runner.run().passed
     escrows = {escrow.hex() for escrow in runner.escrows.values()}
-    scanned = []
-    real = events.find_hex
+    cut = next(i for i, r in enumerate(runner.events.records)
+               if r["event"] in ("Resolved", "ProposalsOpened"))
+    scanned, parsed = [], []
+    real, real_loads = events.find_hex, verify.json.loads
 
     def find_hex(lines, needles):
         kind = "escrows" if needles.needles == escrows else "keys"
@@ -411,11 +413,13 @@ def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mod
 
     monkeypatch.setattr(verify, "find_hex", find_hex)
     monkeypatch.setattr(enclave_module, "find_hex", find_hex)
+    monkeypatch.setattr(verify.json, "loads",
+                        lambda line: parsed.append(line) or real_loads(line))
     assert runner._confidentiality_check().passed
     # the event lines before disclosure for the escrows, the event lines
     # for the keys, then the audit lines: each once, whatever n is
-    cut = next(i for i, r in enumerate(runner.events.records)
-               if r["event"] in ("Resolved", "ProposalsOpened"))
     event_lines, audit_lines = runner.events.lines, runner.audit.lines
     assert scanned == [(event_lines[:cut], "escrows"), (event_lines, "keys"),
                        (audit_lines, "keys")]
+    # the rules parse the event lines through the cut, then all of them
+    assert parsed == event_lines[:cut + 1] + event_lines

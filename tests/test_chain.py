@@ -562,15 +562,16 @@ def reference_header_hash(block):
 
 
 def reference_header_hashes(chain):
-    """Every header hash from genesis up, from the snapshots and the
+    """Every header hash from genesis up, from the block states and the
     transactions alone: no block commitment is read."""
     hashes = []
     for height in range(chain.head_height + 1):
         block = chain._blocks[height]
         raws = [tx.raw() for tx in block.tx_list]
         parent = hashes[-1] if hashes else b"\x00" * 32
+        state = chain._blocks[height]._state
         hashes.append(keccak_256(rlp.encode([
-            rlp.encode_int(height), parent, reference_root(chain._snapshots[height]), raws])))
+            rlp.encode_int(height), parent, reference_root(state), raws])))
     return hashes
 
 
@@ -640,7 +641,9 @@ KEY_D = 1004
 D = addr_of(KEY_D)
 HISTORY_KEYS = (KEY_A, KEY_B, KEY_D)
 HISTORY_NONCES = 5
+HISTORY_GENESIS = {A: 10_000_000, B: 10_000_000, D: 50_000}
 TOKEN = 7
+HISTORY_OWNER = B  # of TOKEN at genesis
 
 
 @lru_cache(maxsize=None)
@@ -675,8 +678,7 @@ def run_history(steps, check):
     reorg whose replacements come from the blocks it removes. The pool's
     transactions are shared, and `recover_signer` recovers each sender
     once, so the examples stay fast on the pure-Python backend."""
-    chain = make_chain(genesis={A: 10_000_000, B: 10_000_000, D: 50_000},
-                       assets={TOKEN: B})
+    chain = make_chain(genesis=HISTORY_GENESIS, assets={TOKEN: HISTORY_OWNER})
     check(chain)
     for step in steps:
         if step[0] in ("block", "submit"):
@@ -703,7 +705,7 @@ def test_maintained_state_root_matches_the_from_scratch_formula(steps):
     def check(chain):
         for height in range(chain.head_height + 1):
             block = chain.block_at(height)
-            assert block.state_root == reference_root(chain._snapshots[height])
+            assert block.state_root == reference_root(chain._blocks[height]._state)
             assert block.header_hash() == reference_header_hash(block)
             if height:
                 assert block.parent_hash == reference_header_hash(chain.block_at(height - 1))
@@ -721,7 +723,7 @@ def test_commitments_read_in_either_order_match_the_formula(steps, newest_first)
     for height in reversed(heights) if newest_first else heights:
         block = chain.block_at(height)
         assert block.header_hash() == hashes[height]
-        assert block.state_root == reference_root(chain._snapshots[height])
+        assert block.state_root == reference_root(chain._blocks[height]._state)
         assert block.parent_hash == (hashes[height - 1] if height else b"\x00" * 32)
 
 
@@ -736,6 +738,53 @@ def test_first_funder_index_matches_a_block_scan(steps):
     run_history(steps, check)
 
 
+pool_step = st.one_of(history_step,
+                      st.tuples(st.just("submit"), st.lists(submission, min_size=1, max_size=4)))
+
+
+def replayed_history(chain):
+    """(balances, TOKEN's owner, fees collected) at every height, from a
+    replay of each block's transactions from the genesis of
+    `run_history`; no chain state is read. A block holds only the
+    transactions it applied, so each applies unconditionally."""
+    balances, owner, fees = dict(HISTORY_GENESIS), HISTORY_OWNER, 0
+    history = [(dict(balances), owner, fees)]
+    for height in range(1, chain.head_height + 1):
+        for tx in chain.block_at(height).tx_list:
+            sender = recover_signer(tx)
+            if tx.to == ASSET_REGISTRY_ADDRESS:
+                token, recipient = rlp.decode(tx.data)
+                assert rlp.decode_int(token) == TOKEN
+                owner = recipient
+            else:
+                fee = GAS * tx.gas_price
+                balances[tx.to] = balances.get(tx.to, 0) + tx.value
+                balances[sender] -= tx.value + fee
+                fees += fee
+        history.append((dict(balances), owner, fees))
+    return history
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(pool_step, min_size=1, max_size=10))
+def test_history_queries_match_a_replay_from_genesis(steps):
+    """Every height's balances, owner and fees equal a replay of the
+    blocks, after every step; a block with no transactions holds its
+    parent's state object, so a shared state that a later block changed
+    would show at an earlier height."""
+    def check(chain):
+        for height, (balances, owner, fees) in enumerate(replayed_history(chain)):
+            for addr in (A, B, C, D, ASSET_REGISTRY_ADDRESS):
+                assert chain.balance_at(addr, height) == balances.get(addr, 0), \
+                    (addr.hex(), height)
+            assert chain.asset_owner_at(TOKEN, height) == owner
+            assert chain.fees_collected_at(height) == fees
+            block = chain.block_at(height)
+            if height and not block.tx_list:
+                assert block._state is chain.block_at(height - 1)._state
+    run_history(steps, check)
+
+
 def reference_pending_from(chain):
     """Per sender, the pending transactions and the value plus fees they
     commit, from a scan of the whole pending list."""
@@ -744,10 +793,6 @@ def reference_pending_from(chain):
         count, committed = out.get(sender, (0, 0))
         out[sender] = (count + 1, committed + tx.value + chain.tx_fee(tx))
     return out
-
-
-pool_step = st.one_of(history_step,
-                      st.tuples(st.just("submit"), st.lists(submission, min_size=1, max_size=4)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -132,6 +132,46 @@ def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     assert "leaked" not in out
 
 
+def undecodable_log(tmp_path):
+    """A clean log whose second line holds a byte that is not UTF-8."""
+    log = run_logged("honest_4_bidders", tmp_path / "out")
+    lines = log.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"event":"', b'"event":"\xff', 1)
+    log.write_bytes(b"\n".join(lines))
+    return log
+
+
+def non_utf8_scenario(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes((SCENARIOS / "honest_4_bidders.yaml").read_bytes()
+                     + b"# caf\xe9\n")
+    return path
+
+
+UNREADABLE = [
+    ("verify_log_missing", lambda tmp: ["verify-log", str(tmp / "missing.jsonl")], 2),
+    ("run_not_utf8", lambda tmp: ["run", str(non_utf8_scenario(tmp))], 2),
+    ("oracle_not_utf8", lambda tmp: ["oracle", str(non_utf8_scenario(tmp))], 2),
+    ("plot_missing_directory", lambda tmp: ["plot", "--out", str(tmp / "no" / "plot.csv")], 2),
+    ("verify_log_not_utf8", lambda tmp: ["verify-log", str(undecodable_log(tmp))], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in UNREADABLE],
+                         ids=[case[0] for case in UNREADABLE])
+def test_a_file_that_cannot_be_read_or_written_ends_without_a_traceback(
+        argv, code, tmp_path, capsys):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:  # a configuration error: one line on stderr
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1, captured.err
+    else:  # a log that is not UTF-8 fails as one that is not JSON does
+        assert captured.out.splitlines() == ["line 2 FAIL (not UTF-8)"]
+
+
 @pytest.mark.parametrize("where", ["endpoint"])
 def test_oracle_rejects_an_unknown_behavior(where, tmp_path, capsys):
     doc = yaml.safe_load((SCENARIOS / "honest_4_bidders.yaml").read_text())

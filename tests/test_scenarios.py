@@ -106,8 +106,9 @@ def test_scenario_passes_with_pinned_logs(name, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / log).read_bytes()).hexdigest()
                     for log in LOGS)
     assert digests == DIGESTS[name]
-    # the audit log keeps only lines; its records parse back to them
+    # both logs keep only lines; their records parse back to them
     assert [canonical(record) for record in runner.audit.records] == runner.audit.lines
+    assert [canonical(record) for record in runner.events.records] == runner.events.lines
 
 
 # Runs in a fresh interpreter: registers the kernel under its package name
@@ -149,3 +150,28 @@ def test_compiled_backend_gives_the_pinned_logs(compiled_kernel_path):
     for name, (passed, *digests) in out["results"].items():
         assert passed, name
         assert tuple(digests) == DIGESTS[name], name
+
+
+# Runs in a fresh interpreter, since the test session has imported yaml:
+# imports the package, then loads a scenario that is not valid YAML.
+YAML_ON_DEMAND = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import sealedbid
+from sealedbid.errors import ConfigError
+imported = "yaml" in sys.modules
+try:
+    sealedbid.load_scenario(sys.argv[2])
+except ConfigError as exc:
+    print(imported, "yaml" in sys.modules, str(exc).startswith("cannot parse scenario"))
+"""
+
+
+def test_only_load_scenario_imports_yaml(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: [unclosed\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", YAML_ON_DEMAND, str(ROOT / "src"), str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
