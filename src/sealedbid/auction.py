@@ -198,13 +198,13 @@ class AuctionInstance:
             raise StateError("%s requires state %s, not %s"
                              % (op, expected.value, self.state.value))
 
-    def emit(self, event: str, **fields) -> dict:
-        """Append one attested record to the public event stream."""
+    def emit(self, event: str, **fields) -> None:
+        """Append one attested record, at the next `seq`, to the event stream."""
         record = {"event": event, "seq": len(self.events)}
         record.update(fields)
         report = self.enclave.attest(canonical(record).encode())
         record["attestation"] = report.to_record()
-        return self.events.append(record)
+        self.events.append(record)
 
     # -- sealed registry ----------------------------------------------------------
 

@@ -3,7 +3,9 @@
 Records are canonicalized (sorted keys, no whitespace) so that runs with
 the same seed produce byte-identical logs. A log renders each record once,
 when it is appended, and keeps only the line; its records are parsed from
-the lines when they are read. `find_hex` searches a log's lines for many
+the lines when they are read. The writer sets each record's `seq`, the
+index of its line, so a line holds the `seq` that its writer chose and,
+for an event, attested. `find_hex` searches a log's lines for many
 hex strings in one pass; `HexNeedles` holds the strings and their word
 table, built once for any number of logs.
 """
@@ -127,11 +129,8 @@ class JsonlLog:
     def __init__(self):
         self.lines: List[str] = []
 
-    def append(self, record: dict) -> dict:
-        record = dict(record)
-        record["seq"] = len(self.lines)
+    def append(self, record: dict) -> None:
         self.lines.append(canonical(record))
-        return record
 
     def __len__(self) -> int:
         return len(self.lines)

@@ -40,7 +40,7 @@ from sealedbid.errors import (
     SealedStoreIntegrity,
     StateError,
 )
-from sealedbid.events import AuditLog, EventLog, canonical, hx, unhx
+from sealedbid.events import EventLog, canonical, hx, unhx
 from sealedbid.gas import (
     GasLedger,
     LAYER_SETTLEMENT,
@@ -53,7 +53,7 @@ from sealedbid.proposer import finalize_proposals, open_proposals, submit_propos
 from sealedbid.quorum import Endpoint, QuorumClient
 from sealedbid.scenario import Scenario, load_scenario
 from sealedbid.transactions import UnsignedTx, derive_address, sign_tx
-from sealedbid.verify import completeness_problems, disclosure_problems
+from sealedbid.verify import stream_problems
 
 
 @dataclass
@@ -230,14 +230,13 @@ class ScenarioRunner:
         )
         self.enclave = Enclave(seed=self.seed)
         endpoints = [Endpoint(spec, self.chain) for spec in scn.endpoints]
-        self.audit = AuditLog()
         self.client = QuorumClient(
             endpoints,
             sample_size=scn.quorum.sample_size,
             agreement_quorum=scn.quorum.agreement_quorum,
             rand=self.enclave.random,
-            audit_log=self.audit,
         )
+        self.audit = self.client.audit_log
         self.events = EventLog()
         self.gas = GasLedger(scn.auction.resolution_mode)
         self.auction: Optional[AuctionInstance] = None
@@ -353,8 +352,7 @@ class ScenarioRunner:
             key = int.from_bytes(key_bytes, "big")
             by_address[derive_address(secp256k1.public_key(key))] = key
         target = max(sorted(self.escrows.values()), key=self.chain.balance)
-        fee = scn.chain.tx_gas * scn.auction.gas_price
-        value = self.chain.balance(target) - fee
+        value = self.chain.balance(target) - scn.fee
         if value <= 0:
             return
         signed = self._transfer(target, by_address[target], self.attacker.address,
@@ -539,7 +537,7 @@ class ScenarioRunner:
         scn = self.scenario
         res = self.auction.resolution
         checks = []
-        fee = scn.chain.tx_gas * scn.auction.gas_price
+        fee = scn.fee
         engine = self._engine_winner()
         winner = engine["bidder"] if engine else None
         # escrows end up holding exactly the recorded dust
@@ -598,12 +596,13 @@ class ScenarioRunner:
             (b.name, amount) for b in self.scenario.bidders
             for amount in (b.funding, b.topup, b.funding + (b.topup or 0)) if amount))
         lines = self.events.lines
-        problems = (disclosure_problems(lines, self.escrows, bids)
-                    + completeness_problems(lines, self.escrows))
+        leaks, gaps = stream_problems(((line, json.loads(line)) for line in lines),
+                                      self.escrows, bids)
+        problems = leaks + gaps
         if not self.flags.get("compromised"):
-            leaks = self.enclave.scan_for_key_leaks(lines, self.audit.lines)
-            if leaks:
-                problems.append("%d private-key leak(s) in public logs" % leaks)
+            key_leaks = self.enclave.scan_for_key_leaks(lines, self.audit.lines)
+            if key_leaks:
+                problems.append("%d private-key leak(s) in public logs" % key_leaks)
         return CheckResult("confidentiality", not problems,
                            "; ".join(problems) if problems else
                            "no plaintext leaks before disclosure")

@@ -4,9 +4,10 @@ Every query samples n of the m declared endpoints uniformly without
 replacement (driven by enclave randomness), collects their responses,
 and accepts the plurality value only if at least q endpoints reported
 it; otherwise the query raises, as does a balance query whose agreed
-value is below zero. Every query, including failed
-ones, counts once in `query_count` and appends one record to the audit
-log: its parameters, every sample, the decision and the discrepancies.
+value is below zero. Every query, including failed ones, appends one
+record to the client's own audit log: its parameters, every sample, the
+decision and the discrepancies; one audit line per query, which
+`query_count` counts.
 
 Endpoint behaviors model the threat surface: honest endpoints mirror
 chain ground truth, `misreport_balance` / `misreport_height` skew their
@@ -17,7 +18,7 @@ timeout and counts toward no value.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from sealedbid.chain import SimChain
 from sealedbid.errors import (
@@ -56,6 +57,8 @@ class EndpointSpec:
     def __post_init__(self):
         if self.behavior not in BEHAVIOR_KINDS:
             raise ConfigError("unknown endpoint behavior %r" % self.behavior)
+        if not 0 <= self.probability <= 1:  # NaN too
+            raise ConfigError("probability %r is not in [0, 1]" % self.probability)
 
 
 class Endpoint:
@@ -115,9 +118,7 @@ def _sample(endpoint: Endpoint, value) -> dict:
 
 class QuorumClient:
     def __init__(self, endpoints: Sequence[Endpoint], sample_size: int,
-                 agreement_quorum: int,
-                 rand: Callable[[int], bytes],
-                 audit_log: Optional[AuditLog] = None):
+                 agreement_quorum: int, rand: Callable[[int], bytes]):
         if sample_size > len(endpoints):
             raise ConfigError("sample_size %d exceeds %d declared endpoints"
                               % (sample_size, len(endpoints)))
@@ -129,8 +130,11 @@ class QuorumClient:
         self.sample_size = sample_size
         self.agreement_quorum = agreement_quorum
         self._rand = rand
-        self.audit_log = audit_log if audit_log is not None else AuditLog()
-        self.query_count = 0
+        self.audit_log = AuditLog()
+
+    @property
+    def query_count(self) -> int:
+        return len(self.audit_log)
 
     # -- randomness helpers --------------------------------------------------
 
@@ -167,8 +171,8 @@ class QuorumClient:
         if value is None:
             all_withheld = all(v is None for _, v in responses)
             kind, reason = "failed", "timeout" if all_withheld else "no_quorum"
-        self.query_count += 1
         self.audit_log.append({
+            "seq": len(self.audit_log),
             "query": query,
             "params": {name: _jsonable(arg)
                        for name, arg in zip(QUERY_PARAMS[query], args)},

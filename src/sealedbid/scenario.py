@@ -137,10 +137,14 @@ class Scenario:
             chain_id=self.chain.chain_id,
         )
 
+    @property
+    def fee(self) -> int:
+        """What one transfer pays for its gas."""
+        return self.chain.tx_gas * self.auction.gas_price
+
     def wallet_balance(self, bidder: BidderScript) -> int:
         """A bidder wallet's genesis balance: its deposits, four fees and 1,000."""
-        fee = self.chain.tx_gas * self.auction.gas_price
-        return bidder.funding + (bidder.topup or 0) + 4 * fee + 1_000
+        return bidder.funding + (bidder.topup or 0) + 4 * self.fee + 1_000
 
 
 def _matches(value, declared) -> bool:
@@ -275,7 +279,14 @@ def validate_scenario(scn: Scenario) -> None:
             raise ConfigError("%s: proposal names unknown bidder %r" % (ctx, p.candidate))
         if not 1 <= p.after_open < scn.auction.proposal_window:
             raise ConfigError("%s: proposal offset %d outside the window" % (ctx, p.after_open))
+    # the transfers that `oracle_resolve` replays
+    transfers = {"%s:funding" % b.name for b in scn.bidders}
+    transfers.update("%s:topup" % b.name for b in scn.bidders if b.has_topup())
     for r in scn.faults.reorgs:
+        for label in r.censor:
+            if label not in transfers:
+                raise ConfigError("%s: reorg censors %r, which names no bidder transfer"
+                                  % (ctx, label))
         if r.at_height < 2:
             raise ConfigError("%s: reorg at height %d has nothing to replace"
                               % (ctx, r.at_height))

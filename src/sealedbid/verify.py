@@ -2,8 +2,10 @@
 
 The enclave computes the winner; these rules re-check what it published
 from the stream alone. `verify_log` applies them all, for `sealedbid
-verify-log`; the scenario runner applies `disclosure_problems` and
-`completeness_problems` with the escrows and bids it knows privately.
+verify-log`; the scenario runner applies `stream_problems` with the
+escrows and bids it knows privately. Either parses each line once and
+hands `stream_problems` the (line, record) pairs, which it reads in one
+pass for both the leaks before disclosure and the gaps in it.
 """
 
 import json
@@ -83,81 +85,65 @@ def stated_numbers(records: Iterable, amounts: Iterable[int]) -> Set[int]:
     return stated
 
 
-def disclosure_problems(lines: Iterable[str], escrows: Dict[str, bytes],
-                        bids: Iterable[Tuple[str, int]] = ()) -> List[str]:
-    """What an event stream shows before disclosure begins, at its first
-    `Resolved` or `ProposalsOpened` event: escrow addresses and bid values.
+def stream_problems(stream: Iterable[Tuple[str, dict]], escrows: Dict[str, bytes],
+                    bids: Iterable[Tuple[str, int]] = ()) -> Tuple[List[str], List[str]]:
+    """The leaks and the gaps of an event stream, from one pass over its
+    (line, record) pairs.
 
-    `lines` are the stream's JSON lines.
-    - An escrow leaks if its hex occurs in the lowercased lines before the
-      cut, also inside a longer hex run.
-    - A bid (name, amount) of at least MIN_CHECKED_BID leaks if the
-      records before the cut state the amount as a number (see
-      `stated_numbers`).
+    Leaks come before disclosure begins, at the first `Resolved` or
+    `ProposalsOpened` event: an escrow whose hex occurs in the lowercased
+    lines, also inside a longer hex run, and a bid (name, amount) of at
+    least MIN_CHECKED_BID that the records state as a number (see
+    `stated_numbers`). Each record before the cut is walked once for every
+    bid, and the lines before it are read once for every escrow (`find_hex`).
 
-    Each line up to the cut is parsed once, and its record is walked for
-    every bid and dropped; the lines before the cut are then read once for
-    every escrow (`find_hex`).
+    Gaps exist once the stream holds a `Resolved` event: the first `Closed`
+    event's `bidder_count`, the `BidderEnvelope` events and the distinct
+    escrows of the first `Resolved` event's `bidder_set` must be equal, as
+    `bidder_set` cannot vouch for itself; the envelopes' `registration_index`
+    values must run 0..n-1 in stream order; and each of `escrows`
+    (name -> address) must be in `bidder_set`, compared as bytes.
     """
     before: List[str] = []
+    first: Dict[str, dict] = {}
+    indices = []
 
     def records_before_the_cut():
-        for line in lines:
-            record = json.loads(line)
-            if record.get("event") in DISCLOSURE_EVENTS:
-                return
-            before.append(line)
-            yield record
+        cut = False
+        for line, record in stream:
+            event = record.get("event")
+            if event == "BidderEnvelope":
+                indices.append(record.get("registration_index"))
+            elif event in ("Resolved", "Closed"):
+                first.setdefault(event, record)
+            cut = cut or event in DISCLOSURE_EVENTS
+            if not cut:
+                before.append(line)
+                yield record
 
     bids = list(bids)
+    # `stated_numbers` reads every record it is given, so every record is noted
     stated = stated_numbers(records_before_the_cut(),
                             (amount for _, amount in bids if amount >= MIN_CHECKED_BID))
     found = find_hex(before, HexNeedles(escrow.hex() for escrow in escrows.values()))
-    problems = ["escrow of %s leaked before disclosure" % name
-                for name, escrow in escrows.items() if escrow.hex() in found]
-    problems.extend("bid value %d of %s visible pre-resolution" % (amount, name)
-                    for name, amount in bids if amount in stated)
-    return problems
-
-
-def completeness_problems(lines: Iterable[str], escrows: Dict[str, bytes]) -> List[str]:
-    """Where the disclosure of a stream with a `Resolved` event is
-    incomplete; a stream without one has nothing to disclose yet.
-
-    The `Closed` event's `bidder_count`, the `BidderEnvelope` events and
-    the distinct escrows of the `Resolved` event's `bidder_set` must be
-    equal, the envelopes' `registration_index` values must run 0..n-1 in
-    stream order, and each of `escrows` (name -> address) must be in
-    `bidder_set`, compared as bytes. The counts are public, so
-    `bidder_set` cannot vouch for itself. `lines` are the stream's JSON
-    lines, parsed one at a time; only the first `Resolved` and `Closed`
-    events count.
-    """
-    resolved = closed = None
-    indices = []
-    for line in lines:
-        record = json.loads(line)
-        event = record.get("event")
-        if event == "BidderEnvelope":
-            indices.append(record.get("registration_index"))
-        elif event == "Resolved" and resolved is None:
-            resolved = record
-        elif event == "Closed" and closed is None:
-            closed = record
-    if resolved is None:
-        return []
-    disclosed = {unhx(addr) for addr in resolved.get("bidder_set", [])}
-    counts = ((closed or {}).get("bidder_count"), len(indices), len(disclosed))
-    problems = []
+    leaks = ["escrow of %s leaked before disclosure" % name
+             for name, escrow in escrows.items() if escrow.hex() in found]
+    leaks.extend("bid value %d of %s visible pre-resolution" % (amount, name)
+                 for name, amount in bids if amount in stated)
+    if "Resolved" not in first:
+        return leaks, []
+    disclosed = {unhx(addr) for addr in first["Resolved"].get("bidder_set", [])}
+    counts = (first.get("Closed", {}).get("bidder_count"), len(indices), len(disclosed))
+    gaps = []
     if not counts[0] == counts[1] == counts[2]:
-        problems.append("Closed.bidder_count %r, %d BidderEnvelope event(s), "
-                        "%d escrow(s) in bidder_set" % counts)
+        gaps.append("Closed.bidder_count %r, %d BidderEnvelope event(s), "
+                    "%d escrow(s) in bidder_set" % counts)
     if indices != list(range(len(indices))):
-        problems.append("registration_index values %r do not run 0..%d"
-                        % (indices, len(indices) - 1))
-    problems.extend("escrow of %s missing from disclosure" % name
-                    for name, escrow in escrows.items() if escrow not in disclosed)
-    return problems
+        gaps.append("registration_index values %r do not run 0..%d"
+                    % (indices, len(indices) - 1))
+    gaps.extend("escrow of %s missing from disclosure" % name
+                for name, escrow in escrows.items() if escrow not in disclosed)
+    return leaks, gaps
 
 
 def _name(record: dict) -> str:
@@ -178,8 +164,7 @@ def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
     """
     numbered = [(number, line.rstrip("\n"))
                 for number, line in enumerate(lines, 1) if line.strip()]
-    texts = [line for _, line in numbered]
-    records = []
+    stream = []  # (line, record) pairs: each line is parsed once
     for number, line in numbered:
         try:
             line.encode("utf-8")
@@ -191,7 +176,8 @@ def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
             return ["line %d FAIL (not JSON: %s)" % (number, exc)], False
         if not isinstance(record, dict):
             return ["line %d FAIL (not a JSON object)" % number], False
-        records.append(record)
+        stream.append((line, record))
+    records = [record for _, record in stream]
     if not records:
         return ["verify-log: empty log"], False
     header = records[0]
@@ -249,10 +235,9 @@ def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
             report.append("payload %-15s signer=%s %s"
                           % (role, signer, "ok" if ok else "FAIL"))
             failures += 0 if ok else 1
-        problems = (["confidentiality FAIL: %s" % p
-                     for p in disclosure_problems(texts, escrows)]
-                    + ["completeness FAIL: %s" % p
-                       for p in completeness_problems(texts, escrows)])
+        leaks, gaps = stream_problems(stream, escrows)
+        problems = (["confidentiality FAIL: %s" % p for p in leaks]
+                    + ["completeness FAIL: %s" % p for p in gaps])
         report.extend(problems)
         failures += len(problems)
 

@@ -421,5 +421,19 @@ def test_confidentiality_check_reads_each_log_once(make_runner, monkeypatch, mod
     event_lines, audit_lines = runner.events.lines, runner.audit.lines
     assert scanned == [(event_lines[:cut], "escrows"), (event_lines, "keys"),
                        (audit_lines, "keys")]
-    # the rules parse the event lines through the cut, then all of them
-    assert parsed == event_lines[:cut + 1] + event_lines
+    # the rules read each event line's record from one parse
+    assert parsed == event_lines
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
+def test_verify_log_parses_each_line_once(make_runner, monkeypatch, mode):
+    runner = make_runner(**auction_doc(4, mode))
+    assert runner.run().passed
+    assert runner.auction.state is AuctionState.CLAIMED
+    parsed = []
+    real_loads = verify.json.loads
+    monkeypatch.setattr(verify.json, "loads",
+                        lambda line: parsed.append(line) or real_loads(line))
+    report, ok = verify.verify_log(runner.events.lines)
+    assert ok, report
+    assert parsed == runner.events.lines

@@ -231,6 +231,12 @@ REJECTED = [
     ("seed", "abc", "seed: expected int, got 'abc'"),
     ("bidders.0.funding", 1.5, "bidders[0].funding: expected int, got 1.5"),
     ("endpoints.0.probability", "p", "endpoints[0].probability: expected float, got 'p'"),
+    ("endpoints.0.probability", 1.5, "endpoints[0]: probability 1.5 is not in [0, 1]"),
+    ("endpoints.0.probability", -0.1, "endpoints[0]: probability -0.1 is not in [0, 1]"),
+    ("endpoints.0.probability", float("nan"),
+     "endpoints[0]: probability nan is not in [0, 1]"),
+    ("faults", {"reorgs": [{"at_height": 9, "depth": 1, "censor": ["nobody:funding"]}]},
+     "reorg censors 'nobody:funding', which names no bidder transfer"),
     ("auction.kappa", True, "auction.kappa: expected int, got True"),
     ("faults", {"compromise_enclave": "yes"},
      "faults.compromise_enclave: expected bool, got 'yes'"),

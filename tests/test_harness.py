@@ -14,14 +14,19 @@ from sealedbid.enclave import Enclave
 from sealedbid.events import HexNeedles, canonical, find_hex
 from sealedbid.harness import ScenarioRunner, run_scenario
 from sealedbid.scenario import load_scenario
-from sealedbid.verify import (
-    MIN_CHECKED_BID,
-    completeness_problems,
-    disclosure_problems,
-    stated_numbers,
-)
+from sealedbid.verify import MIN_CHECKED_BID, stated_numbers, stream_problems
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def leaks(lines, escrows, bids=()):
+    """What `stream_problems` finds before disclosure in a stream's lines."""
+    return stream_problems([(line, json.loads(line)) for line in lines], escrows, bids)[0]
+
+
+def gaps(lines, escrows):
+    """Where `stream_problems` finds the disclosure of a stream's lines incomplete."""
+    return stream_problems([(line, json.loads(line)) for line in lines], escrows)[1]
 
 
 @pytest.mark.parametrize("record", [
@@ -55,9 +60,9 @@ def test_leaks_are_cut_at_the_first_disclosure_event():
          "amount": 92000},
     ]
     escrows, bids = {"b5": escrow}, [("b5", 92000)]
-    assert disclosure_problems([canonical(r) for r in records], escrows, bids) == []
+    assert leaks([canonical(r) for r in records], escrows, bids) == []
     records[0].update(ciphertext="0x77%s77" % escrow.hex(), amount=92000)
-    assert disclosure_problems([canonical(r) for r in records], escrows, bids) == [
+    assert leaks([canonical(r) for r in records], escrows, bids) == [
         "escrow of b5 leaked before disclosure",
         "bid value 92000 of b5 visible pre-resolution"]
 
@@ -74,8 +79,8 @@ def test_an_escrow_that_ends_at_the_cut_leaks(prefix):
                 '{"event":"Resolved","note":"%s"}' % escrow.hex()]
 
     leak = ["escrow of b5 leaked before disclosure"]
-    assert disclosure_problems(lines(prefix + escrow.hex()), {"b5": escrow}) == leak
-    assert disclosure_problems(lines(prefix + escrow.hex()[:-1]), {"b5": escrow}) == []
+    assert leaks(lines(prefix + escrow.hex()), {"b5": escrow}) == leak
+    assert leaks(lines(prefix + escrow.hex()[:-1]), {"b5": escrow}) == []
 
 
 def test_a_resolved_stream_that_omits_an_escrow_reports_it():
@@ -88,17 +93,16 @@ def test_a_resolved_stream_that_omits_an_escrow_reports_it():
                {"event": "ProposalAccepted", "candidate": "0x" + hidden.hex()},
                {"event": "Resolved", "bidder_set": ["0x" + shown.hex(), "0x" + "5e" * 20]}]
     escrows = {"b1": shown, "b2": hidden}
-    assert completeness_problems([canonical(r) for r in records], escrows) == \
+    assert gaps([canonical(r) for r in records], escrows) == \
         ["escrow of b2 missing from disclosure"]
     records[-1]["bidder_set"][1] = "0x" + hidden.hex().upper()
-    assert completeness_problems([canonical(r) for r in records], escrows) == []
+    assert gaps([canonical(r) for r in records], escrows) == []
 
 
 def test_a_stream_with_only_proposals_opened_is_not_checked_for_completeness():
     records = [{"event": "Closed", "bidder_count": 1},
                {"event": "ProposalsOpened", "window_end_height": 20}]
-    assert completeness_problems([canonical(r) for r in records],
-                                 {"b1": bytes(range(20))}) == []
+    assert gaps([canonical(r) for r in records], {"b1": bytes(range(20))}) == []
 
 
 @pytest.mark.parametrize("seed", [179, 1055, 1513])
@@ -290,7 +294,7 @@ def test_one_pass_rules_equal_the_per_needle_rules(log):
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=ascii_only)
              for r in records]
     audit_lines = [canonical(r) for r in audit]
-    assert disclosure_problems(lines, escrows, bids) == \
+    assert leaks(lines, escrows, bids) == \
         per_needle_disclosure_problems(records, lines, escrows, bids)
     enclave, keys = scanning_enclave()
     assert enclave.scan_for_key_leaks(lines, audit_lines) == \
