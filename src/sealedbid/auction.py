@@ -11,10 +11,12 @@ returns Resolved until every settlement transaction is kappa-deep.
 Bids are escrow balances frozen at the deadline height. Resolution
 queries each registered escrow once at the cutoff for winner selection,
 then constructs self-funding settlement transactions: the winner's
-cutoff balance (minus the flat fee) pays the auctioneer, losers are
-refunded their full observed balance, and any post-cutoff excess returns
-to the winner's funding source. Asset-registry transfers carry no chain
-fee (escrow accounts hold no balance; see chain module notes).
+cutoff balance pays the auctioneer, losers are refunded their full
+observed balance, and any post-cutoff excess returns to the winner's
+funding source. One rule pays each of these: a payout above the flat fee
+to a known recipient is signed less the fee, and any other stays in the
+escrow as dust. Asset-registry transfers carry no chain fee (escrow
+accounts hold no balance; see chain module notes).
 
 Equal top bids break ties by the earliest height at which the escrow
 first reached its cutoff balance (located by binary search over
@@ -423,36 +425,23 @@ class AuctionInstance:
                 continue
             source = self.quorum.query_funding_source(entry.escrow_address, observed)
             refund_to = source if source else None
-            nonce = 0
             if winner is not None and entry.index == winner.index:
-                payment = winner_amount - fee
-                if payment > 0:
-                    txs.append(SettlementTx("winner_payment", self._sign_transfer(
-                        entry.handle, nonce, config.auctioneer_address, payment)))
-                    record.transferred += payment
+                # if full < winner_amount (possible only when the escrow was
+                # drained by a breach) the entry is left unbalanced on purpose
+                payouts = [("winner_payment", config.auctioneer_address, winner_amount),
+                           ("excess_return", refund_to, max(0, full - winner_amount))]
+            else:
+                payouts = [("refund", refund_to, full)]
+            nonce = 0
+            for role, to, gross in payouts:
+                if gross > fee and to is not None:
+                    txs.append(SettlementTx(role, self._sign_transfer(
+                        entry.handle, nonce, to, gross - fee)))
+                    record.transferred += gross - fee
                     record.fees += fee
                     nonce += 1
                 else:
-                    record.dust += winner_amount
-                excess = max(0, full - winner_amount)
-                if excess > fee and refund_to is not None:
-                    txs.append(SettlementTx("excess_return", self._sign_transfer(
-                        entry.handle, nonce, refund_to, excess - fee)))
-                    record.transferred += excess - fee
-                    record.fees += fee
-                elif excess:
-                    record.dust += excess
-                # if full < winner_amount (possible only when the escrow was
-                # drained by a breach) the entry is left unbalanced on purpose
-            else:
-                refund = full - fee
-                if refund > 0 and refund_to is not None:
-                    txs.append(SettlementTx("refund", self._sign_transfer(
-                        entry.handle, nonce, refund_to, refund)))
-                    record.transferred += refund
-                    record.fees += fee
-                else:
-                    record.dust += full
+                    record.dust += gross
 
         return ResolutionResult(
             winner_escrow=winner.escrow_address if winner else None,

@@ -54,6 +54,8 @@ class DeterministicStream:
 
     def __init__(self, seed):
         if isinstance(seed, int):
+            if not -2**127 <= seed < 2**127:
+                raise ConfigError("seed %d is outside the signed 128-bit range" % seed)
             seed = seed.to_bytes(16, "big", signed=True)
         self._state = hashlib.sha256(b"sealedbid/stream/" + bytes(seed)).digest()
         self._counter = 0

@@ -77,10 +77,8 @@ def oracle_resolve(scenario: Scenario) -> OracleOutcome:
     deadline = scenario.auction.deadline_height
     plans = []
     for b in scenario.bidders:
-        entries = [[b.funding_height, b.funding, "%s:funding" % b.name]]
-        if b.has_topup():
-            entries.append([b.topup_height, b.topup, "%s:topup" % b.name])
-        plans.append((b.name, entries))
+        plans.append((b.name, [[height, amount, label]
+                               for label, height, amount in b.transfers()]))
     # replay scripted reorg faults onto effective inclusion heights
     for fault in sorted(scenario.faults.reorgs, key=lambda r: r.at_height):
         if fault.depth == 0:
@@ -203,9 +201,10 @@ class ScenarioRunner:
         self.out_dir = Path(out_dir) if out_dir else None
         self.flags: Dict[str, object] = {}
         self.escrows: Dict[str, bytes] = {}          # bidder name -> escrow addr
-        self.tx_labels: Dict[bytes, str] = {}        # tx hash -> label
+        self.tx_labels: Dict[bytes, str] = {}        # bidder transfer hash -> label
         self.censored_labels: set = set()
-        self._tx_schedule: Dict[int, List[Tuple[str, Callable]]] = {}
+        # height -> (bidder name, transfer label, builder) of each bidder transfer
+        self._tx_schedule: Dict[int, List[Tuple[str, str, Callable]]] = {}
         self._action_schedule: Dict[int, List[Callable]] = {}
         self.reorg_results: List[dict] = []
 
@@ -246,21 +245,16 @@ class ScenarioRunner:
     def _at(self, height: int, action: Callable) -> None:
         self._action_schedule.setdefault(height, []).append(action)
 
-    def _tx_at(self, height: int, label: str, builder: Callable) -> None:
-        self._tx_schedule.setdefault(height, []).append((label, builder))
-
     def _advance_to(self, target: int) -> None:
         scn = self.scenario
         while self.chain.head_height < target:
             next_height = self.chain.head_height + 1
-            for label, builder in self._tx_schedule.pop(next_height, []):
+            for name, label, builder in self._tx_schedule.pop(next_height, []):
                 tx = builder()
                 result = self.chain.submit_tx(tx)
                 self.tx_labels[tx.tx_hash()] = label
-                if result.accepted and (label.endswith(":funding")
-                                        or label.endswith(":topup")):
-                    self.gas.charge(LAYER_SETTLEMENT, OP_BID,
-                                    actor=label.split(":")[0])
+                if result.accepted:
+                    self.gas.charge(LAYER_SETTLEMENT, OP_BID, actor=name)
             self.chain.mine_block()
             head = self.chain.head_height
             for action in self._action_schedule.pop(head, []):
@@ -323,21 +317,17 @@ class ScenarioRunner:
         return sign_tx(tx, key)
 
     def _schedule_funding(self, script, wallet, escrow: bytes) -> None:
-        def make_builder(amount):
-            return lambda: self._transfer(wallet.address, wallet.key, escrow, amount)
-
-        self._tx_at(script.funding_height, "%s:funding" % script.name,
-                    make_builder(script.funding))
-        if script.has_topup():
-            self._tx_at(script.topup_height, "%s:topup" % script.name,
-                        make_builder(script.topup))
+        for label, height, amount in script.transfers():
+            def build(amount=amount):
+                return self._transfer(wallet.address, wallet.key, escrow, amount)
+            self._tx_schedule.setdefault(height, []).append((script.name, label, build))
 
     def _escrow_asset(self) -> None:
+        """Submitted at the genesis head, so block 1 includes it."""
         scn = self.scenario
-        signed = self._transfer(
+        self.chain.submit_tx(self._transfer(
             self.auctioneer.address, self.auctioneer.key, ASSET_REGISTRY_ADDRESS, 0,
-            asset_transfer_data(scn.auction.token_id, self.auction.asset_escrow_address))
-        self._tx_at(1, "auctioneer:asset_escrow", lambda: signed)
+            asset_transfer_data(scn.auction.token_id, self.auction.asset_escrow_address)))
         self.gas.charge(LAYER_SETTLEMENT, OP_START, actor="auctioneer")
 
     def _breach(self) -> None:
@@ -357,9 +347,7 @@ class ScenarioRunner:
             return
         signed = self._transfer(target, by_address[target], self.attacker.address,
                                 value)
-        result = self.chain.submit_tx(signed)
-        self.tx_labels[signed.tx_hash()] = "attacker:drain"
-        self.flags["attacker_drain_accepted"] = result.accepted
+        self.flags["attacker_drain_accepted"] = self.chain.submit_tx(signed).accepted
         self._advance_to(self.chain.head_height + 1 + scn.auction.kappa)
 
     def _run_proposals(self) -> None:
@@ -377,13 +365,10 @@ class ScenarioRunner:
         scn = self.scenario
         kappa = scn.auction.kappa
         for _attempt in range(4):
-            for i, stx in enumerate(self.auction.resolution.settlement_txs):
-                tx_hash = stx.tx.tx_hash()
-                if self.chain.height_of(tx_hash) is not None:
+            for stx in self.auction.resolution.settlement_txs:
+                if self.chain.height_of(stx.tx.tx_hash()) is not None:
                     continue
-                result = self.chain.submit_tx(stx.tx)
-                self.tx_labels[tx_hash] = "settlement:%s:%d" % (stx.role, i)
-                if result.accepted:
+                if self.chain.submit_tx(stx.tx).accepted:
                     self.gas.charge(LAYER_SETTLEMENT, OP_CLAIM, actor="relayer")
             self._advance_to(self.chain.head_height + 1 + kappa)
             if self.auction.finalize(self.chain) is AuctionState.CLAIMED:
@@ -494,7 +479,7 @@ class ScenarioRunner:
         checks.append(self._confidentiality_check())
 
         # a lifecycle that stopped early may not have mined every funding
-        if (scn.bidders and not any(b.has_topup() for b in scn.bidders)
+        if (scn.bidders and all(b.topup is None for b in scn.bidders)
                 and not scn.faults.reorgs and self.escrows
                 and "quorum_failure" not in self.flags):
             checks.append(self._non_interactivity_check())
@@ -559,8 +544,9 @@ class ScenarioRunner:
         wallet_ok, wallet_detail = True, []
         for b in scn.bidders:
             wallet = self.wallets[b.name]
-            spent = b.funding + (b.topup or 0)
-            n_txs = 1 + (1 if b.has_topup() else 0)
+            amounts = [amount for _, _, amount in b.transfers()]
+            spent = sum(amounts)
+            n_txs = len(amounts)
             back = spent - (res.winning_amount if b.name == winner else 0)
             expected = (self.genesis_balances[wallet.address]
                         - spent - n_txs * fee
@@ -592,9 +578,11 @@ class ScenarioRunner:
         skipped once the enclave is compromised and its keys are public).
         """
         # each transfer and the whole deposit, once each
-        bids = list(dict.fromkeys(
-            (b.name, amount) for b in self.scenario.bidders
-            for amount in (b.funding, b.topup, b.funding + (b.topup or 0)) if amount))
+        bids = []
+        for b in self.scenario.bidders:
+            amounts = [amount for _, _, amount in b.transfers()]
+            bids.extend((b.name, amount) for amount in amounts + [sum(amounts)] if amount)
+        bids = list(dict.fromkeys(bids))
         lines = self.events.lines
         leaks, gaps = stream_problems(((line, json.loads(line)) for line in lines),
                                       self.escrows, bids)

@@ -14,9 +14,10 @@ strictly precede their funding heights.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union, get_args, get_origin
+from typing import List, Optional, Tuple, Union, get_args, get_origin
 
 from sealedbid.auction import AuctionConfig
+from sealedbid.enclave import DeterministicStream
 from sealedbid.errors import ConfigError
 from sealedbid.gas import MODE_EXHAUSTIVE, MODE_PROPOSER
 from sealedbid.quorum import EndpointSpec
@@ -60,8 +61,13 @@ class BidderScript:
     topup: Optional[int] = None
     topup_height: Optional[int] = None
 
-    def has_topup(self) -> bool:
-        return self.topup is not None
+    def transfers(self) -> List[Tuple[str, int, int]]:
+        """(label, height, amount) of the funding, then of the top-up if
+        any; the label names the transfer in a reorg's `censor` list."""
+        plan = [("%s:funding" % self.name, self.funding_height, self.funding)]
+        if self.topup is not None:
+            plan.append(("%s:topup" % self.name, self.topup_height, self.topup))
+        return plan
 
 
 @dataclass
@@ -112,12 +118,8 @@ class Scenario:
         return 1 + self.auction.kappa
 
     def last_transfer_height(self) -> int:
-        heights = [self.auction.deadline_height]
-        for b in self.bidders:
-            heights.append(b.funding_height)
-            if b.topup_height is not None:
-                heights.append(b.topup_height)
-        return max(heights)
+        return max([self.auction.deadline_height]
+                   + [height for b in self.bidders for _, height, _ in b.transfers()])
 
     def close_target_height(self) -> int:
         """Head height at which closing and resolution proceed."""
@@ -144,7 +146,7 @@ class Scenario:
 
     def wallet_balance(self, bidder: BidderScript) -> int:
         """A bidder wallet's genesis balance: its deposits, four fees and 1,000."""
-        return bidder.funding + (bidder.topup or 0) + 4 * self.fee + 1_000
+        return sum(amount for _, _, amount in bidder.transfers()) + 4 * self.fee + 1_000
 
 
 def _matches(value, declared) -> bool:
@@ -230,6 +232,10 @@ def validate_scenario(scn: Scenario) -> None:
         scn.auction_config(bytes(20))
     except ConfigError as exc:
         raise ConfigError("%s: auction: %s" % (ctx, exc))
+    try:
+        DeterministicStream(scn.seed)
+    except ConfigError as exc:
+        raise ConfigError("%s: %s" % (ctx, exc))
     if scn.chain.finality_depth < 1:
         raise ConfigError("%s: chain.finality_depth must be >= 1" % ctx)
     if scn.chain.tx_gas < 0:
@@ -280,8 +286,7 @@ def validate_scenario(scn: Scenario) -> None:
         if not 1 <= p.after_open < scn.auction.proposal_window:
             raise ConfigError("%s: proposal offset %d outside the window" % (ctx, p.after_open))
     # the transfers that `oracle_resolve` replays
-    transfers = {"%s:funding" % b.name for b in scn.bidders}
-    transfers.update("%s:topup" % b.name for b in scn.bidders if b.has_topup())
+    transfers = {label for b in scn.bidders for label, _, _ in b.transfers()}
     for r in scn.faults.reorgs:
         for label in r.censor:
             if label not in transfers:

@@ -154,7 +154,10 @@ def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
     """The report's lines on a public event stream, and whether it passed.
 
     Each record's attestation must verify under the `Deployed` event's
-    code hash and attestation address. Once the stream holds a `Resolved`
+    code hash and attestation address, and its attested `seq` must be its
+    position among the records, so an event dropped, replayed or moved
+    fails; a stream cut after its last event passes, as `seq` cannot tell
+    it from one still running. Once the stream holds a `Resolved`
     event, each payload's signer must be an escrow that the stream names,
     and the disclosure rules apply to the escrows of `bidder_set`. A
     malformed line or field ends the report with a FAIL line. Blank lines
@@ -191,7 +194,10 @@ def verify_log(lines: Iterable[str]) -> Tuple[List[str], bool]:
     report: List[str] = []
     failures = 0
 
-    for record in records:
+    for position, record in enumerate(records):
+        if type(record.get("seq")) is not int or record["seq"] != position:
+            report.append("%s FAIL (expected seq %d)" % (_name(record), position))
+            failures += 1
         attestation = record.get("attestation")
         if attestation is None:
             report.append("%s FAIL (no attestation)" % _name(record))

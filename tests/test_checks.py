@@ -447,6 +447,43 @@ def test_a_topup_after_the_deadline_is_returned_to_the_winner():
         ["asset_claim", "winner_payment", "excess_return", "refund"]
 
 
+def conservation_of(runner):
+    """(transferred, fees, dust) of each escrow, in registration order."""
+    return [(e.transferred, e.fees, e.dust)
+            for e in runner.auction.resolution.conservation.entries]
+
+
+def test_a_payout_of_exactly_the_fee_stays_as_dust(make_runner):
+    # the fee is 21,000: a's excess and b's refund are exactly the fee,
+    # c's refund is one unit more
+    runner = make_runner(
+        auction={"deadline_height": 10, "kappa": 2},
+        bidders=[{"name": "a", "registration_height": 4, "funding": 50_000,
+                  "funding_height": 6, "topup": 21_000, "topup_height": 12},
+                 {"name": "b", "registration_height": 5, "funding": 21_000,
+                  "funding_height": 7},
+                 {"name": "c", "registration_height": 6, "funding": 21_001,
+                  "funding_height": 8}])
+    report = runner.run()
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    assert [stx.role for stx in runner.auction.resolution.settlement_txs] == \
+        ["asset_claim", "winner_payment", "refund"]
+    assert conservation_of(runner) == [(29_000, 21_000, 21_000), (0, 0, 21_000),
+                                       (1, 21_000, 0)]
+
+
+def test_a_winning_bid_of_exactly_the_fee_pays_nothing(make_runner):
+    runner = make_runner(
+        auction={"deadline_height": 10, "kappa": 2},
+        bidders=[{"name": "a", "registration_height": 4, "funding": 21_000,
+                  "funding_height": 6}])
+    report = runner.run()
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    assert [stx.role for stx in runner.auction.resolution.settlement_txs] == \
+        ["asset_claim"]
+    assert conservation_of(runner) == [(0, 0, 21_000)]
+
+
 def test_an_excess_return_one_unit_short_fails_the_refund_check(monkeypatch):
     # b's refund and a's excess return are each one unit short
     monkeypatch.setattr(AuctionInstance, "_sign_transfer", signed_one_unit_short(False))

@@ -132,6 +132,44 @@ def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     assert "leaked" not in out
 
 
+@pytest.fixture(scope="module")
+def bundled_logs(tmp_path_factory):
+    """The event lines of each bundled scenario that has at least four events."""
+    logs = {}
+    for name in sorted(p.stem for p in SCENARIOS.glob("*.yaml")):
+        lines = run_logged(name, tmp_path_factory.mktemp(name)).read_text().splitlines()
+        if len(lines) >= 4:
+            logs[name] = lines
+    return logs
+
+
+SEQ_MUTATIONS = {
+    "third_dropped": lambda lines: lines[:2] + lines[3:],
+    "last_replayed": lambda lines: lines + lines[-1:],
+    "third_and_fourth_swapped": lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SEQ_MUTATIONS))
+def test_verify_log_fails_an_event_dropped_replayed_or_moved(mutation, bundled_logs):
+    # no_asset and sealed_tamper stop after two and three events
+    assert len(bundled_logs) == 11
+    for name, lines in bundled_logs.items():
+        report, passed = verify.verify_log(SEQ_MUTATIONS[mutation](lines))
+        assert not passed, name
+        assert any("FAIL (expected seq " in line for line in report), name
+
+
+def test_verify_log_names_the_expected_seq_and_passes_a_cut_stream(bundled_logs):
+    lines = bundled_logs["honest_4_bidders"]
+    report, passed = verify.verify_log(lines[:2] + lines[3:])
+    assert not passed
+    assert "event BidderEnvelope     seq=3   FAIL (expected seq 2)" in report
+    assert report[-1] == "verify-log: FAIL (9 event(s), 7 failure(s))"
+    # `seq` cannot tell a stream cut after its last event from one still running
+    assert verify.verify_log(lines[:-1])[1]
+
+
 def undecodable_log(tmp_path):
     """A clean log whose second line holds a byte that is not UTF-8."""
     log = run_logged("honest_4_bidders", tmp_path / "out")
@@ -240,6 +278,8 @@ REJECTED = [
     ("auction.kappa", True, "auction.kappa: expected int, got True"),
     ("faults", {"compromise_enclave": "yes"},
      "faults.compromise_enclave: expected bool, got 'yes'"),
+    ("seed", 2**127, "seed %d is outside the signed 128-bit range" % 2**127),
+    ("seed", -2**127 - 1, "seed %d is outside the signed 128-bit range" % (-2**127 - 1)),
 ]
 
 
@@ -253,6 +293,13 @@ def test_oracle_and_run_reject_what_the_engine_rejects(key, value, message, tmp_
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err, err
+
+
+def test_run_rejects_a_seed_outside_the_signed_128_bit_range(capsys):
+    argv = ["run", str(SCENARIOS / "honest_1_bidder.yaml"), "--seed", str(2**127)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: seed %d is outside the signed 128-bit range\n" % 2**127
 
 
 def test_a_float_field_takes_an_int(tmp_path, capsys):
@@ -285,7 +332,8 @@ def test_plot_writes_the_gas_grid(tmp_path, capsys):
     out = tmp_path / "plot.csv"
     assert main(["plot", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "wrote 80 data rows to %s\n" % out
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["mode", "pricing", "bidders", "operation", "layer", "gas"]
     assert [(mode, pricing) for mode, pricing, *_ in rows[1::20]] == [
         ("exhaustive", "default"), ("exhaustive", "adjusted"),

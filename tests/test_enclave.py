@@ -6,6 +6,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from sealedbid import events
 from sealedbid.enclave import (
     AttestationReport,
+    DeterministicStream,
     Enclave,
     Envelope,
     decrypt_envelope,
@@ -19,6 +20,12 @@ from sealedbid.errors import (
 )
 
 LABEL = "auction/00000000/registry"
+
+
+@pytest.mark.parametrize("seed", [2**127 - 1, -2**127])
+def test_a_seed_at_either_end_of_the_range_keeps_its_bytes(seed):
+    assert DeterministicStream(seed).read(64) == \
+        DeterministicStream(seed.to_bytes(16, "big", signed=True)).read(64)
 
 
 def sealed(*values):
