@@ -1,13 +1,11 @@
 """Pure-Python fallback for the hot kernels: keccak-256, secp256k1 group math,
-inverses mod N and recoverable ECDSA with RFC 6979 nonces.
+inverses mod N and recoverable ECDSA with a given nonce.
 
 Implements the backend contract stated in `sealedbid.crypto`, as does the
 compiled `_speedups` extension, and is the reference the extension is
-tested against.
+tested against. The RFC 6979 nonces are derived once for both backends,
+in `sealedbid.crypto.secp256k1`.
 """
-
-import hashlib
-import hmac
 
 IMPLEMENTATION = "pure"
 
@@ -257,47 +255,21 @@ def inverse_mod_n(k: int) -> int:
 HALF_N = N // 2
 
 
-def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
-    return hmac.new(key, msg, hashlib.sha256).digest()
-
-
-def _rfc6979_candidates(digest: bytes, private_key: int):
-    # hlen == qlen == 256 bits, so bits2int is the identity on the digest
-    x = private_key.to_bytes(32, "big")
-    h_reduced = (int.from_bytes(digest, "big") % N).to_bytes(32, "big")
-    v = b"\x01" * 32
-    k = b"\x00" * 32
-    k = _hmac_sha256(k, v + b"\x00" + x + h_reduced)
-    v = _hmac_sha256(k, v)
-    k = _hmac_sha256(k, v + b"\x01" + x + h_reduced)
-    v = _hmac_sha256(k, v)
-    while True:
-        v = _hmac_sha256(k, v)
-        candidate = int.from_bytes(v, "big")
-        if 1 <= candidate < N:
-            yield candidate
-        k = _hmac_sha256(k, v + b"\x00")
-        v = _hmac_sha256(k, v)
-
-
-def sign_recoverable(digest: bytes, private_key: int):
-    """(r, s, recovery_bit) for a 32-byte digest and a key in [1, N), with
-    s <= N/2; a nonce whose x(k*G) >= N, or that gives r or s = 0, is
-    skipped for the next."""
-    z = int.from_bytes(digest, "big")
-    for k in _rfc6979_candidates(digest, private_key):
-        x_r, y_r = scalar_mult_base(k)
-        if x_r >= N:  # would need recovery bit 2/3; draw the next nonce
-            continue
-        r = x_r
-        s = inverse_mod_n(k) * (z + r * private_key) % N
-        if r == 0 or s == 0:
-            continue
-        recovery_bit = y_r & 1
-        if s > HALF_N:
-            s = N - s
-            recovery_bit ^= 1
-        return r, s, recovery_bit
+def sign_with_nonce(digest: bytes, private_key: int, k: int):
+    """(r, s, recovery_bit) for a 32-byte digest, a key in [1, N) and the
+    nonce k, with s <= N/2; None when k is not in [1, N), when x(k*G) >= N
+    (which would need recovery bit 2 or 3), or when r or s is 0."""
+    if not 1 <= k < N:
+        return None
+    r, y_r = scalar_mult_base(k)
+    if r >= N:
+        return None
+    s = inverse_mod_n(k) * (int.from_bytes(digest, "big") + r * private_key) % N
+    if r == 0 or s == 0:
+        return None
+    if s > HALF_N:
+        return r, N - s, (y_r & 1) ^ 1
+    return r, s, y_r & 1
 
 
 def recover_public_key(digest: bytes, r: int, s: int, recovery_bit):

@@ -2,12 +2,13 @@
  * recoverable ECDSA.
  *
  * Implements the backend contract stated in `sealedbid.crypto`: the calls
- * the package makes (`keccak_256`, `scalar_mult_base`, `sign_recoverable`,
+ * the package makes (`keccak_256`, `scalar_mult_base`, `sign_with_nonce`,
  * `recover_public_key`) and the building blocks the tests compare
  * (`double_mult_base`, `lift_x`, `inverse_mod_n`); results match the
- * pure-Python reference `_purepy` exactly. A signature is one call: the
- * RFC 6979 nonce (HMAC-SHA256, in C here), k*G, s = (z + r*d)/k, low s and
- * the recovery bit; a recovery is one call too.
+ * pure-Python reference `_purepy` exactly. Signing with a nonce is one call:
+ * k*G, s = (z + r*d)/k, low s and the recovery bit, or a rejection of k. The
+ * RFC 6979 nonces come from `sealedbid.crypto.secp256k1`, which derives them
+ * for both backends with the stdlib's HMAC-SHA256. A recovery is one call.
  *
  * Field elements are four 64-bit limbs, least significant first, kept
  * reduced below p = 2^256 - 2^32 - 977; reductions use 2^256 = 0x1000003D1
@@ -928,194 +929,41 @@ static void double_mult(jac *r, const fe *u1, const fe *u2, const jac *q)
 }
 
 /* ------------------------------------------------------------------------
- * SHA-256 and HMAC-SHA256 (FIPS 180-4, RFC 2104), for RFC 6979 nonces
+ * Recoverable ECDSA: signing with a given nonce, with low s, and public-key
+ * recovery
  */
 
-static const uint32_t SHA256_K[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-};
-
-typedef struct { uint32_t h[8]; uint8_t buf[64]; uint64_t bytes; } sha256;
-
-static uint32_t ror32(uint32_t x, int n)
+/* Signs a digest with the private key d in [1, N) and the nonce k: r = x(k*G),
+ * s = (z + r*d)/k with s <= N/2, and the parity of y(k*G), flipped with s.
+ * Returns 0 when k is not in [1, N), when x(k*G) >= N (which would need
+ * recovery bits 2 or 3), or when r or s is 0; the caller draws the next
+ * RFC 6979 nonce. */
+static OUT_OF_LINE int ecdsa_sign(fe *r, fe *s, int *bit, const uint8_t digest[32], const fe *d,
+                                  const fe *k)
 {
-    return x >> n | x << (32 - n);
-}
-
-static uint32_t load32_be(const uint8_t *p)
-{
-    return (uint32_t)p[0] << 24 | (uint32_t)p[1] << 16 | (uint32_t)p[2] << 8 | p[3];
-}
-
-static OUT_OF_LINE void sha256_block(uint32_t h[8], const uint8_t *p)
-{
-    uint32_t w[64], a = h[0], b = h[1], c = h[2], d = h[3], e = h[4], f = h[5], g = h[6],
-             k = h[7], t1, t2;
-    for (int i = 0; i < 16; i++)
-        w[i] = load32_be(p + 4 * i);
-    for (int i = 16; i < 64; i++)
-        w[i] = w[i - 16] + w[i - 7]
-             + (ror32(w[i - 15], 7) ^ ror32(w[i - 15], 18) ^ w[i - 15] >> 3)
-             + (ror32(w[i - 2], 17) ^ ror32(w[i - 2], 19) ^ w[i - 2] >> 10);
-    for (int i = 0; i < 64; i++) {
-        t1 = k + (ror32(e, 6) ^ ror32(e, 11) ^ ror32(e, 25)) + ((e & f) ^ (~e & g))
-           + SHA256_K[i] + w[i];
-        t2 = (ror32(a, 2) ^ ror32(a, 13) ^ ror32(a, 22)) + ((a & b) ^ (a & c) ^ (b & c));
-        k = g; g = f; f = e; e = d + t1;
-        d = c; c = b; b = a; a = t1 + t2;
-    }
-    h[0] += a; h[1] += b; h[2] += c; h[3] += d;
-    h[4] += e; h[5] += f; h[6] += g; h[7] += k;
-}
-
-static void sha256_init(sha256 *c)
-{
-    static const uint32_t iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                   0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-    memcpy(c->h, iv, sizeof iv);
-    c->bytes = 0;
-}
-
-static OUT_OF_LINE void sha256_update(sha256 *c, const uint8_t *p,
-                                                             size_t n)
-{
-    while (n > 0) {
-        size_t at = c->bytes % 64, take = 64 - at < n ? 64 - at : n;
-        memcpy(c->buf + at, p, take);
-        c->bytes += take;
-        p += take;
-        n -= take;
-        if (c->bytes % 64 == 0)
-            sha256_block(c->h, c->buf);
-    }
-}
-
-static OUT_OF_LINE void sha256_final(sha256 *c, uint8_t out[32])
-{
-    uint8_t pad = 0x80, len[8];
-    for (int i = 0; i < 8; i++)
-        len[i] = (uint8_t)(c->bytes * 8 >> (56 - 8 * i));
-    sha256_update(c, &pad, 1);
-    pad = 0;
-    while (c->bytes % 64 != 56)
-        sha256_update(c, &pad, 1);
-    sha256_update(c, len, 8);
-    for (int i = 0; i < 32; i++)
-        out[i] = (uint8_t)(c->h[i / 4] >> (24 - 8 * (i % 4)));
-}
-
-/* an HMAC-SHA256 key: the hash states after its inner and outer pad blocks */
-typedef struct { sha256 inner, outer; } hmac_key;
-
-static OUT_OF_LINE void hmac_set_key(hmac_key *h, const uint8_t key[32])
-{
-    uint8_t pad[64];
-    for (int i = 0; i < 64; i++)
-        pad[i] = (i < 32 ? key[i] : 0) ^ 0x36;
-    sha256_init(&h->inner);
-    sha256_update(&h->inner, pad, 64);
-    for (int i = 0; i < 64; i++)
-        pad[i] ^= 0x36 ^ 0x5c;
-    sha256_init(&h->outer);
-    sha256_update(&h->outer, pad, 64);
-}
-
-/* out = HMAC(key, v || tail); out may be v */
-static OUT_OF_LINE void hmac_v(uint8_t out[32], const hmac_key *key,
-                                                       const uint8_t v[32],
-                                                       const uint8_t *tail, size_t n)
-{
-    sha256 c = key->inner;
-    sha256_update(&c, v, 32);
-    sha256_update(&c, tail, n);
-    sha256_final(&c, out);
-    c = key->outer;
-    sha256_update(&c, out, 32);
-    sha256_final(&c, out);
-}
-
-/* ------------------------------------------------------------------------
- * Recoverable ECDSA: RFC 6979 (deterministic nonces, HMAC-SHA256), signing
- * with low s, and public-key recovery
- */
-
-/* The generator of RFC 6979 section 3.2 for a key x and a digest h reduced
- * mod N (qlen = hlen = 256 bits, so bits2octets is that reduction): after
- * rfc6979_next, v holds the next candidate nonce. */
-typedef struct { hmac_key k; uint8_t v[32]; } rfc6979;
-
-static OUT_OF_LINE void rfc6979_init(rfc6979 *g, const uint8_t x[32], const uint8_t h[32])
-{
-    uint8_t k[32] = {0}, tail[65];
-    memcpy(tail + 1, x, 32);
-    memcpy(tail + 33, h, 32);
-    memset(g->v, 1, sizeof g->v);
-    hmac_set_key(&g->k, k);
-    for (int sep = 0; sep < 2; sep++) { /* K = HMAC_K(V || sep || x || h); V = HMAC_K(V) */
-        tail[0] = (uint8_t)sep;
-        hmac_v(k, &g->k, g->v, tail, sizeof tail);
-        hmac_set_key(&g->k, k);
-        hmac_v(g->v, &g->k, g->v, NULL, 0);
-    }
-}
-
-/* a rejected candidate first moves the state on: K = HMAC_K(V || 0), V = HMAC_K(V) */
-static void rfc6979_next(rfc6979 *g, int retry)
-{
-    if (retry) {
-        uint8_t k[32], zero = 0;
-        hmac_v(k, &g->k, g->v, &zero, 1);
-        hmac_set_key(&g->k, k);
-        hmac_v(g->v, &g->k, g->v, NULL, 0);
-    }
-    hmac_v(g->v, &g->k, g->v, NULL, 0);
-}
-
-/* Signs a digest with the private key d in [1, N): r = x(k*G), s = (z + r*d)/k
- * with s <= N/2, and the parity of y(k*G), flipped with s. A nonce is
- * skipped when it is not in [1, N), when x(k*G) >= N (which would need
- * recovery bits 2 or 3), or when r or s is 0. */
-static OUT_OF_LINE void ecdsa_sign(fe *r, fe *s, int *bit, const uint8_t digest[32], const fe *d)
-{
-    uint8_t x[32], h[32];
-    fe z, k;
+    fe z, k_inv;
     jac big_r;
     affine point;
-    rfc6979 gen;
+    if (fe_is_zero(k) || !limbs_less(k, &SC_N))
+        return 0;
+    base_mult(&big_r, k);
+    jac_to_affine(&point, &big_r);
+    if (!limbs_less(&point.x, &SC_N))
+        return 0;
     fe_from_be(&z, digest);
     sc_reduce_once(&z);
-    fe_to_be(x, d);
-    fe_to_be(h, &z);
-    rfc6979_init(&gen, x, h);
-    for (int retry = 0;; retry = 1) {
-        rfc6979_next(&gen, retry);
-        fe_from_be(&k, gen.v);
-        if (fe_is_zero(&k) || !limbs_less(&k, &SC_N))
-            continue;
-        base_mult(&big_r, &k);
-        jac_to_affine(&point, &big_r);
-        if (!limbs_less(&point.x, &SC_N))
-            continue;
-        *r = point.x;
-        sc_muladd(s, r, d, &z);
-        mod_inverse(&k, &k, &MOD_N);
-        sc_muladd(s, s, &k, &FE_ZERO);
-        if (fe_is_zero(r) || fe_is_zero(s))
-            continue;
-        *bit = (int)(point.y.l[0] & 1);
-        if (limbs_less(&SC_HALF_N, s)) {
-            limbs_sub(s, &SC_N, s);
-            *bit ^= 1;
-        }
-        return;
+    *r = point.x;
+    sc_muladd(s, r, d, &z);
+    mod_inverse(&k_inv, k, &MOD_N);
+    sc_muladd(s, s, &k_inv, &FE_ZERO);
+    if (fe_is_zero(r) || fe_is_zero(s))
+        return 0;
+    *bit = (int)(point.y.l[0] & 1);
+    if (limbs_less(&SC_HALF_N, s)) {
+        limbs_sub(s, &SC_N, s);
+        *bit ^= 1;
     }
+    return 1;
 }
 
 /* y for the curve point (x, y) with y odd when odd is set and even
@@ -1308,21 +1156,22 @@ static PyObject *py_inverse_mod_n(PyObject *self, PyObject *k)
     return limbs_to_int(&a);
 }
 
-static PyObject *py_sign_recoverable(PyObject *self, PyObject *args)
+static PyObject *py_sign_with_nonce(PyObject *self, PyObject *args)
 {
     const char *digest;
     Py_ssize_t len;
-    PyObject *key, *pr, *ps, *sig = NULL;
-    fe d, r, s;
+    PyObject *key, *nonce, *pr, *ps, *sig = NULL;
+    fe d, k, r, s;
     int bit;
-    if (!PyArg_ParseTuple(args, "y#O:sign_recoverable", &digest, &len, &key)
-        || check_digest(len) < 0 || int_to_limbs(key, &d) < 0)
+    if (!PyArg_ParseTuple(args, "y#OO:sign_with_nonce", &digest, &len, &key, &nonce)
+        || check_digest(len) < 0 || int_to_limbs(key, &d) < 0 || int_to_limbs(nonce, &k) < 0)
         return NULL;
     if (fe_is_zero(&d) || !limbs_less(&d, &SC_N)) {
         PyErr_SetString(PyExc_ValueError, "private key out of range");
         return NULL;
     }
-    ecdsa_sign(&r, &s, &bit, (const uint8_t *)digest, &d);
+    if (!ecdsa_sign(&r, &s, &bit, (const uint8_t *)digest, &d, &k))
+        Py_RETURN_NONE;
     pr = limbs_to_int(&r);
     ps = pr ? limbs_to_int(&s) : NULL;
     if (ps != NULL)
@@ -1359,9 +1208,10 @@ static PyMethodDef methods[] = {
      "keccak_256(data) -> the 32-byte keccak-256 digest of a bytes-like object."},
     {"scalar_mult_base", py_scalar_mult_base, METH_O,
      "scalar_mult_base(k) -> k*G as (x, y), or None when k = 0 (mod N)."},
-    {"sign_recoverable", py_sign_recoverable, METH_VARARGS,
-     "sign_recoverable(digest, key) -> (r, s, recovery_bit): the RFC 6979 signature\n"
-     "of a 32-byte digest under a key in [1, N), with s <= N/2."},
+    {"sign_with_nonce", py_sign_with_nonce, METH_VARARGS,
+     "sign_with_nonce(digest, key, k) -> (r, s, recovery_bit): the signature of a\n"
+     "32-byte digest under a key in [1, N) with the nonce k, with s <= N/2; None\n"
+     "when k is not in [1, N), when x(k*G) >= N, or when r or s is 0."},
     {"recover_public_key", py_recover_public_key, METH_VARARGS,
      "recover_public_key(digest, r, s, recovery_bit) -> the signer's public key\n"
      "(x, y); ValueError when r names no curve point or the key is infinity."},

@@ -275,7 +275,6 @@ class AuctionInstance:
         handle, address = self.enclave.generate_keypair()
         self._asset_handle = handle
         self.asset_escrow_address = address
-        self.enclave.seal_put("auction/%s/asset" % self.auction_id, handle.encode())
         self.emit("AssetEscrowAddress", address=hx(address))
         self.gas.charge(LAYER_EXECUTION, OP_START, actor="auctioneer")
         return address

@@ -1,15 +1,17 @@
 """Recoverable ECDSA over secp256k1 with deterministic (RFC 6979) nonces.
 
-This module owns the protocol checks: key ranges, the 32-byte digest,
-low-s and the recovery bit. Each signature and each recovery is one call
-into the selected backend, which derives the nonce, signs and recovers
-(in C on the compiled backend). Signatures are `(r, s, recovery_bit)`
-triples; recovery bits are restricted to {0, 1} by re-deriving the nonce
-in the (negligible) r >= N case, so they always fit the settlement wire
-format.
+This module owns the protocol checks (key ranges, the 32-byte digest,
+low-s and the recovery bit) and the one RFC 6979 nonce generator, on the
+stdlib's HMAC-SHA256. Signing tries its nonces in order against the
+selected backend, which signs with a given nonce (in C on the compiled
+backend) or rejects it; a recovery is one backend call. Signatures are
+`(r, s, recovery_bit)` triples; recovery bits are restricted to {0, 1} by
+rejecting the (negligible) nonces with x(k*G) >= N, so they always fit
+the settlement wire format.
 """
 
-from typing import Callable, Tuple
+import hmac
+from typing import Callable, Iterator, Tuple
 
 from sealedbid.crypto import backend
 from sealedbid.errors import KeyMaterialError, SignatureError
@@ -49,13 +51,33 @@ def public_key_bytes(point: Point) -> bytes:
     return point[0].to_bytes(32, "big") + point[1].to_bytes(32, "big")
 
 
+def rfc6979_nonces(digest: bytes, private_key: int) -> Iterator[int]:
+    """The candidate nonces of RFC 6979 section 3.2 with HMAC-SHA256, in
+    order; a caller that rejects one draws the next. qlen = hlen = 256
+    bits, so bits2int is the identity and bits2octets reduces mod N."""
+    x = private_key.to_bytes(32, "big")
+    h = (int.from_bytes(digest, "big") % N).to_bytes(32, "big")
+    k, v = bytes(32), b"\x01" * 32
+    for separator in (b"\x00", b"\x01"):
+        k = hmac.digest(k, v + separator + x + h, "sha256")
+        v = hmac.digest(k, v, "sha256")
+    while True:
+        v = hmac.digest(k, v, "sha256")
+        yield int.from_bytes(v, "big")
+        k = hmac.digest(k, v + b"\x00", "sha256")
+        v = hmac.digest(k, v, "sha256")
+
+
 def sign_recoverable(digest: bytes, private_key: int) -> Tuple[int, int, int]:
     """Sign a 32-byte digest; returns (r, s, recovery_bit) with s <= N/2."""
     if len(digest) != 32:
         raise SignatureError("digest must be 32 bytes")
     if not 1 <= private_key < N:
         raise KeyMaterialError("private key out of range")
-    return backend.sign_recoverable(digest, private_key)
+    for k in rfc6979_nonces(digest, private_key):
+        signature = backend.sign_with_nonce(digest, private_key, k)
+        if signature is not None:
+            return signature
 
 
 def recover_public_key(digest: bytes, r: int, s: int, recovery_bit: int) -> Point:

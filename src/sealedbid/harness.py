@@ -55,6 +55,9 @@ from sealedbid.scenario import Scenario, load_scenario
 from sealedbid.transactions import UnsignedTx, derive_address, sign_tx
 from sealedbid.verify import stream_problems
 
+# the flags `run` sets when the lifecycle stops early
+STOP_FLAGS = ("quorum_failure", "integrity_error")
+
 
 @dataclass
 class OracleOutcome:
@@ -331,10 +334,13 @@ class ScenarioRunner:
         self.gas.charge(LAYER_SETTLEMENT, OP_START, actor="auctioneer")
 
     def _breach(self) -> None:
-        """Enclave compromise: the attacker drains the richest escrow."""
+        """Enclave compromise: the attacker drains the richest escrow, if
+        there is one."""
         scn = self.scenario
         exported = self.enclave.compromise()
         self.flags["compromised"] = True
+        if not self.escrows:
+            return
         by_address = {}
         for handle, key_bytes in exported.items():
             if not handle.startswith("key-"):
@@ -416,6 +422,9 @@ class ScenarioRunner:
 
     # -- invariant suite --------------------------------------------------------
 
+    def _stopped(self) -> bool:
+        return any(flag in self.flags for flag in STOP_FLAGS)
+
     def _engine_winner(self) -> Optional[dict]:
         if self.auction is None or self.auction.resolution is None:
             return None
@@ -481,7 +490,7 @@ class ScenarioRunner:
         # a lifecycle that stopped early may not have mined every funding
         if (scn.bidders and all(b.topup is None for b in scn.bidders)
                 and not scn.faults.reorgs and self.escrows
-                and "quorum_failure" not in self.flags):
+                and not self._stopped()):
             checks.append(self._non_interactivity_check())
         return checks
 
@@ -494,8 +503,7 @@ class ScenarioRunner:
             # early final state, or a flagged failure
             stated = (not scn.auctioneer.escrow_asset
                       or scn.expect.final_state not in (None, "Resolved", "Claimed")
-                      or "quorum_failure" in self.flags
-                      or "integrity_error" in self.flags)
+                      or self._stopped())
             cause = self.flags.get("asset_unconfirmed")
             return CheckResult("oracle_agreement", stated, "auction did not resolve"
                                + (": " + cause if cause else ""))

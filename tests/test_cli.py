@@ -295,6 +295,17 @@ def test_oracle_and_run_reject_what_the_engine_rejects(key, value, message, tmp_
         assert err.startswith("configuration error: ") and message in err, err
 
 
+def test_run_of_a_breach_with_no_bidders_exits_0(tmp_path, capsys):
+    doc = yaml.safe_load((SCENARIOS / "enclave_compromise.yaml").read_text())
+    doc["bidders"] = []
+    path = tmp_path / "breach.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Traceback" not in captured.out
+
+
 def test_run_rejects_a_seed_outside_the_signed_128_bit_range(capsys):
     argv = ["run", str(SCENARIOS / "honest_1_bidder.yaml"), "--seed", str(2**127)]
     assert main(argv) == 2

@@ -132,6 +132,28 @@ def test_a_quorum_failure_still_gives_a_report_and_logs(make_runner, tmp_path):
     assert (tmp_path / "audit.jsonl").read_text().count("\n") == report.counters["queries"]
 
 
+def test_a_tampered_registry_that_stops_a_funding_passes_every_check(make_runner):
+    # the tamper stops the run before bob's funding is mined; a stopped run
+    # is not held to one funding transfer per escrow
+    doc = yaml.safe_load((SCENARIOS / "sealed_tamper.yaml").read_text())
+    doc["bidders"][0]["registration_height"] = 5
+    doc["bidders"].append({"name": "bob", "registration_height": 7,
+                           "funding": 100_000, "funding_height": 9})
+    report = make_runner(**doc).run()
+    assert report.final_state == "Open" and "integrity_error" in report.flags
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+
+
+def test_a_breach_with_no_escrow_drains_nothing(make_runner):
+    doc = yaml.safe_load((SCENARIOS / "enclave_compromise.yaml").read_text())
+    doc["bidders"] = []
+    report = make_runner(**doc).run()
+    assert report.final_state == "Claimed"
+    assert report.flags["compromised"] is True
+    assert "attacker_drain_accepted" not in report.flags
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+
+
 def test_the_report_names_its_crypto_backend(tmp_path):
     report = run_scenario(SCENARIOS / "honest_1_bidder.yaml", out_dir=tmp_path)
     assert report.backend == crypto.IMPLEMENTATION

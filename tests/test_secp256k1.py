@@ -4,11 +4,13 @@ Both backends are tested through the calls of the backend contract (see
 `sealedbid.crypto`): `scalar_mult_base` and `double_mult_base` give point
 addition as `double_mult_base(a, 1, Q) = a*G + Q` and point multiplication
 as `double_mult_base(0, b, Q) = b*Q`, `lift_x` gives the points of a given
-x, `inverse_mod_n` inverts scalars, and `sign_recoverable` and
-`recover_public_key` sign and recover in one call each.
+x, `inverse_mod_n` inverts scalars, `sign_with_nonce` signs with a given
+nonce and `recover_public_key` recovers in one call. The RFC 6979 nonces
+come from `secp256k1.rfc6979_nonces`, for both backends.
 """
 
 import hashlib
+import itertools
 import random
 import re
 from pathlib import Path
@@ -310,7 +312,7 @@ def contract_calls():
 
 def test_backend_exports_exactly_the_documented_calls(backend):
     made, blocks = contract_calls()
-    assert made == ["keccak_256", "scalar_mult_base", "sign_recoverable", "recover_public_key"]
+    assert made == ["keccak_256", "scalar_mult_base", "sign_with_nonce", "recover_public_key"]
     assert blocks == ["double_mult_base", "lift_x", "inverse_mod_n"]
     exported = {name for name in dir(backend)
                 if not name.startswith("_") and callable(getattr(backend, name))}
@@ -326,7 +328,7 @@ def test_the_package_makes_only_the_documented_calls():
     assert used - {"IMPLEMENTATION"} == set(contract_calls()[0])
 
 
-# -- signing and recovery in one backend call each
+# -- signing: one nonce generator, one backend call per nonce
 
 # (key, digest) -> (r, s, recovery bit), pinned from the pure-Python
 # reference's signing loop, so both backends answer to fixed values
@@ -385,17 +387,17 @@ PINNED_SIGNATURES = [
                          ids=["%s-%s" % row[:2] for row in PINNED_SIGNATURES])
 def test_pinned_signatures(backend, monkeypatch, key, digest, r, s, bit):
     key, digest = SIGNATURE_KEYS[key], SIGNATURE_DIGESTS[digest]
-    assert backend.sign_recoverable(digest, key) == (r, s, bit)
     assert backend.recover_public_key(digest, r, s, bit) == backend.scalar_mult_base(key)
     monkeypatch.setattr(secp256k1, "backend", backend)
     assert secp256k1.sign_recoverable(digest, key) == (r, s, bit)
 
 
-def test_the_published_rfc6979_vector(backend):
+def test_the_published_rfc6979_vector(backend, monkeypatch):
     # the secp256k1 vector Bitcoin libraries publish: key 1, SHA-256 of
     # "Satoshi Nakamoto"
+    monkeypatch.setattr(secp256k1, "backend", backend)
     digest = hashlib.sha256(b"Satoshi Nakamoto").digest()
-    assert backend.sign_recoverable(digest, 1) == (
+    assert secp256k1.sign_recoverable(digest, 1) == (
         0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
         0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5, 1)
 
@@ -405,10 +407,75 @@ def test_the_published_rfc6979_vector(backend):
                      st.sampled_from([1, 2, N - 2, N - 1])),
        digest=st.binary(min_size=32, max_size=32))
 def test_sign_recoverable_matches_the_reference(compiled_kernel, key, digest):
-    signature = compiled_kernel.sign_recoverable(digest, key)
-    assert signature == _purepy.sign_recoverable(digest, key)
+    k = next(secp256k1.rfc6979_nonces(digest, key))
+    signature = compiled_kernel.sign_with_nonce(digest, key, k)
+    assert signature == _purepy.sign_with_nonce(digest, key, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secp256k1, "backend", compiled_kernel)
+        assert secp256k1.sign_recoverable(digest, key) == signature
     assert compiled_kernel.recover_public_key(digest, *signature) == \
         _purepy.scalar_mult_base(key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.one_of(st.integers(min_value=0, max_value=(1 << 256) - 1),
+                   st.sampled_from([0, 1, N - 1, N, N + 1, (1 << 256) - 1])),
+       key=st.integers(min_value=1, max_value=N - 1),
+       digest=st.binary(min_size=32, max_size=32))
+def test_sign_with_nonce_matches_the_reference(compiled_kernel, k, key, digest):
+    signature = compiled_kernel.sign_with_nonce(digest, key, k)
+    assert signature == _purepy.sign_with_nonce(digest, key, k)
+    assert (signature is None) == (not 1 <= k < N)
+
+
+def test_first_nonces_are_pinned():
+    # key 1, digest 0, pinned from the pure-Python backend's own generator
+    # before the nonces moved into `secp256k1`, so the move changed no nonce
+    assert list(itertools.islice(secp256k1.rfc6979_nonces(bytes(32), 1), 3)) == [
+        0x010497D369B3D525CA15EC29C104A694210BB59FF6CABFC10AFE6DF0283896DF,
+        0xA9B1A1A84A4C2F96B6158ED7A81404C50CB74373C22E8D9E02D0411D719ACAE2,
+        0x440961852BB5677A94A39212B0276EDFE0AC86A12B044522406B2D6319D42B76,
+    ]
+
+
+@pytest.mark.parametrize("k", [0, N], ids=["0", "N"])
+def test_sign_with_nonce_rejects_a_nonce_out_of_range(backend, k):
+    assert backend.sign_with_nonce(b"\x55" * 32, 0xC0FFEE, k) is None
+
+
+def test_sign_with_nonce_rejects_a_zero_s(backend):
+    # z = -r*d (mod N) makes z + r*d, and so s, zero
+    key, k = 0xC0FFEE, 0xBEEF
+    r = backend.scalar_mult_base(k)[0]
+    digest = (-r * key % N).to_bytes(32, "big")
+    assert backend.sign_with_nonce(digest, key, k) is None
+    assert backend.sign_with_nonce(digest, key, k + 1) is not None
+
+
+class FirstNonceRejected:
+    """A backend whose first `sign_with_nonce` answer is None."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.nonces = []
+
+    def sign_with_nonce(self, digest, key, k):
+        self.nonces.append(k)
+        if len(self.nonces) == 1:
+            return None
+        return self.backend.sign_with_nonce(digest, key, k)
+
+
+def test_a_rejected_nonce_signs_with_the_next(backend, monkeypatch):
+    digest, key = b"\x66" * 32, 0xC0FFEE
+    stub = FirstNonceRejected(backend)
+    monkeypatch.setattr(secp256k1, "backend", stub)
+    signature = secp256k1.sign_recoverable(digest, key)
+    first, second = itertools.islice(secp256k1.rfc6979_nonces(digest, key), 2)
+    assert stub.nonces == [first, second]
+    assert signature == backend.sign_with_nonce(digest, key, second)
+    assert signature != backend.sign_with_nonce(digest, key, first)
+    assert backend.recover_public_key(digest, *signature) == backend.scalar_mult_base(key)
 
 
 def recovery_outcome(backend, args):
