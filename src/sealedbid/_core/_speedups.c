@@ -705,26 +705,17 @@ static void jac_add_affine(jac *r, const jac *p1, const affine *p2)
 #define COMB_WINDOWS (256 / COMB_BITS)
 #define COMB_DIGITS ((1 << COMB_BITS) - 1)
 
-static int comb_digit(const fe *k, int i)
-{
-    return (k->l[i / 8] >> (COMB_BITS * (i % 8))) & COMB_DIGITS;
-}
-
-/* w-NAF digits are odd and below 2^(w-1) in size, nonzero ones at least w
- * places apart: u2*q uses width 5 (odd multiples of q up to 15q, made per
- * call) and u1*G width 9 (up to 255G, from the comb table). */
-#define WNAF_Q 5
-#define WNAF_G 9
-#define ODD_Q (1 << (WNAF_Q - 2))
-#define ODD_G (1 << (WNAF_G - 2))
+/* w-NAF digits of width 5 are odd and below 16 in size, nonzero ones at
+ * least 5 places apart; they index the odd multiples of q up to 15q, made
+ * per call. */
+#define WNAF_W 5
+#define ODD_Q (1 << (WNAF_W - 2))
 #define WNAF_MAX 257
 
-/* G_TABLE[i][d - 1] = d * 256^i * G in affine form, for digits d in 1..255;
- * G_ODD[0][i] = (2i + 1)*G, from the table's first row, and
- * G_ODD[1][i] = lambda * G_ODD[0][i]. Filled once when the module is
- * initialised. */
+/* G_TABLE[i][d - 1] = d * 256^i * G in affine form, for digits d in 1..255:
+ * the one table of multiples of G, read by every k*G and every u1*G. Filled
+ * once when the module is initialised. */
 static affine G_TABLE[COMB_WINDOWS][COMB_DIGITS];
-static affine G_ODD[2][ODD_G];
 
 /* out[n] = pts[n] in affine form, with one inversion for all Z: before[n]
  * holds Z_0 * ... * Z_(n-1) */
@@ -779,22 +770,7 @@ static int build_g_table(void)
     }
     PyMem_Free(row);
     PyMem_Free(before);
-    for (int i = 0; i < ODD_G; i++) {
-        G_ODD[0][i] = G_ODD[1][i] = G_TABLE[0][2 * i];
-        fe_mul(&G_ODD[1][i].x, &G_ODD[1][i].x, &GLV_BETA);
-    }
     return 0;
-}
-
-/* r = k*G: one table addition per nonzero window, no doublings */
-static OUT_OF_LINE void base_mult(jac *r, const fe *k)
-{
-    *r = INFINITY_JAC;
-    for (int i = 0; i < COMB_WINDOWS; i++) {
-        int d = comb_digit(k, i);
-        if (d)
-            jac_add_affine(r, r, &G_TABLE[i][d - 1]);
-    }
 }
 
 /* bits [bit, bit + count) of k, for count < 32; bits past 255 read as zero */
@@ -808,9 +784,19 @@ static int get_bits(const fe *k, int bit, int count)
     return (int)(v & ((1u << count) - 1));
 }
 
-/* d = the width-w NAF of k, a two's complement value: sum of d[i] * 2^i = k;
+/* r += k*G: one table addition per nonzero window, no doublings */
+static OUT_OF_LINE void comb_add(jac *r, const fe *k)
+{
+    for (int i = 0; i < COMB_WINDOWS; i++) {
+        int d = get_bits(k, COMB_BITS * i, COMB_BITS);
+        if (d)
+            jac_add_affine(r, r, &G_TABLE[i][d - 1]);
+    }
+}
+
+/* d = the width-5 NAF of k, a two's complement value: sum of d[i] * 2^i = k;
  * returns the index past the last nonzero digit */
-static int wnaf(int16_t d[WNAF_MAX], const fe *k, int w)
+static int wnaf(int16_t d[WNAF_MAX], const fe *k)
 {
     fe s = *k;
     int sign = 1, carry = 0, len = 0;
@@ -824,29 +810,23 @@ static int wnaf(int16_t d[WNAF_MAX], const fe *k, int w)
             bit++;
             continue;
         }
-        int word = get_bits(&s, bit, w) + carry;
-        carry = (word >> (w - 1)) & 1;
-        word -= carry << w;
+        int word = get_bits(&s, bit, WNAF_W) + carry;
+        carry = (word >> (WNAF_W - 1)) & 1;
+        word -= carry << WNAF_W;
         d[bit] = (int16_t)(sign * word);
         len = bit + 1;
-        bit += w;
+        bit += WNAF_W;
     }
     return len;
 }
 
-/* r += digit*p for an odd w-NAF digit, with odd[i] = (2i + 1)*p affine.
- * Given scale = (c^2, c^3), the point first moves onto the curve whose
- * Jacobian Z is scaled by c, where r lives (see odd_multiples). */
-static void add_digit(jac *r, const affine *odd, int digit, const fe *scale)
+/* r += digit*p for an odd w-NAF digit, with odd[i] = (2i + 1)*p affine */
+static void add_digit(jac *r, const affine *odd, int digit)
 {
     affine t;
     if (digit == 0)
         return;
     t = odd[(digit < 0 ? -digit : digit) / 2];
-    if (scale != NULL) {
-        fe_mul(&t.x, &t.x, &scale[0]);
-        fe_mul(&t.y, &t.y, &scale[1]);
-    }
     if (digit < 0)
         fe_sub(&t.y, &FE_ZERO, &t.y);
     jac_add_affine(r, r, &t);
@@ -890,42 +870,38 @@ static void odd_multiples(affine out[ODD_Q], fe *zc, const affine *q)
     }
 }
 
-/* r = u1*G + u2*q by GLV: each scalar k splits as k1 + k2*lambda with k1
- * and k2 of about 128 bits, and lambda*(x, y) = (beta*x, y). One joint
- * w-NAF ladder runs over the four halves, so it makes about 129 doublings
- * where a plain ladder for u2*q alone makes 256. q is affine or infinity. */
+/* r = u1*G + u2*q for q affine or infinity. u2*q runs by GLV: u2 splits as
+ * k1 + k2*lambda with k1 and k2 of about 128 bits, and lambda*(x, y) =
+ * (beta*x, y), so one joint w-NAF ladder over the two halves makes about 129
+ * doublings where a plain ladder makes 256. Back on the true curve, u1*G is
+ * added from the comb, as k*G is when signing. */
 static void double_mult(jac *r, const fe *u1, const fe *u2, const jac *q)
 {
     affine odd[2][ODD_Q];   /* odd[1][i] = lambda * odd[0][i] */
-    int16_t d[4][WNAF_MAX]; /* digits of the halves of u1, then u2 */
-    fe half[4], zc = G_JAC.z, scale[2];
-    int len = 0, with_q = !fe_is_zero(&q->z);
-    split_lambda(&half[0], &half[1], u1);
-    split_lambda(&half[2], &half[3], u2);
-    for (int j = 0; j < (with_q ? 4 : 2); j++) {
-        int n = wnaf(d[j], &half[j], j < 2 ? WNAF_G : WNAF_Q);
-        if (n > len)
-            len = n;
-    }
-    if (with_q) {
+    int16_t d[2][WNAF_MAX]; /* digits of the halves of u2 */
+    fe half[2], zc;
+    int len = 0;
+    *r = INFINITY_JAC;
+    if (!fe_is_zero(&q->z)) {
+        split_lambda(&half[0], &half[1], u2);
+        for (int j = 0; j < 2; j++) {
+            int n = wnaf(d[j], &half[j]);
+            if (n > len)
+                len = n;
+        }
         odd_multiples(odd[0], &zc, &(affine){q->x, q->y});
         for (int i = 0; i < ODD_Q; i++) {
             odd[1][i] = odd[0][i];
             fe_mul(&odd[1][i].x, &odd[0][i].x, &GLV_BETA);
         }
-    }
-    fe_sqr(&scale[0], &zc);
-    fe_mul(&scale[1], &scale[0], &zc);
-    *r = INFINITY_JAC;
-    for (int i = len - 1; i >= 0; i--) {
-        jac_double(r, r);
-        for (int j = 0; j < 2; j++) {
-            add_digit(r, G_ODD[j], d[j][i], scale);
-            if (with_q)
-                add_digit(r, odd[j], d[j + 2][i], NULL);
+        for (int i = len - 1; i >= 0; i--) {
+            jac_double(r, r);
+            for (int j = 0; j < 2; j++)
+                add_digit(r, odd[j], d[j][i]);
         }
+        fe_mul(&r->z, &r->z, &zc); /* back from the curve scaled by zc */
     }
-    fe_mul(&r->z, &r->z, &zc); /* back from the curve scaled by zc */
+    comb_add(r, u1);
 }
 
 /* ------------------------------------------------------------------------
@@ -942,11 +918,11 @@ static OUT_OF_LINE int ecdsa_sign(fe *r, fe *s, int *bit, const uint8_t digest[3
                                   const fe *k)
 {
     fe z, k_inv;
-    jac big_r;
+    jac big_r = INFINITY_JAC;
     affine point;
     if (fe_is_zero(k) || !limbs_less(k, &SC_N))
         return 0;
-    base_mult(&big_r, k);
+    comb_add(&big_r, k);
     jac_to_affine(&point, &big_r);
     if (!limbs_less(&point.x, &SC_N))
         return 0;
@@ -1106,10 +1082,10 @@ static int check_digest(Py_ssize_t len)
 static PyObject *py_scalar_mult_base(PyObject *self, PyObject *k)
 {
     fe kn;
-    jac r;
+    jac r = INFINITY_JAC;
     if (int_to_scalar(k, &kn) < 0)
         return NULL;
-    base_mult(&r, &kn);
+    comb_add(&r, &kn);
     return to_affine(&r);
 }
 

@@ -1,7 +1,9 @@
 """Simulated public settlement chain.
 
 An account ledger with explicit block production, bounded reorgs, a
-finality window, and a single-asset ownership registry. Value is an
+finality window, and a single-asset ownership registry. The chain is the
+one record of what was included: `height_of` answers it, and a reorg
+reports only whether it applied. Value is an
 unsigned integer unit; each included value transfer pays a flat fee of
 `tx_gas * tx.gas_price` which is tracked (not redistributed), so
 
@@ -137,7 +139,6 @@ class SubmitResult:
 
     accepted: bool
     reason: Optional[str]
-    tx_hash: bytes
     queued: bool = False
 
 
@@ -145,8 +146,6 @@ class SubmitResult:
 class ReorgResult:
     applied: bool
     reason: Optional[str] = None
-    included: Tuple[bytes, ...] = ()
-    rejected: Tuple[Tuple[bytes, str], ...] = ()
 
 
 class _State:
@@ -214,23 +213,23 @@ class SimChain:
     def head_height(self) -> int:
         return len(self._blocks) - 1
 
+    def _known(self, height: int) -> int:
+        """`height`, if a block is there; ChainQueryError otherwise."""
+        if not 0 <= height <= self.head_height:
+            raise ChainQueryError("unknown height %d" % height)
+        return height
+
     def block_at(self, height: int) -> Block:
         with self._lock:
-            if not 0 <= height <= self.head_height:
-                raise ChainQueryError("unknown height %d" % height)
-            return self._blocks[height]
+            return self._blocks[self._known(height)]
 
     def balance_at(self, addr: bytes, height: int) -> int:
         with self._lock:
-            if not 0 <= height <= self.head_height:
-                raise ChainQueryError("unknown height %d" % height)
-            return self._blocks[height]._state.balances.get(addr, 0)
+            return self._blocks[self._known(height)]._state.balances.get(addr, 0)
 
     def asset_owner_at(self, token_id: int, height: int) -> bytes:
         with self._lock:
-            if not 0 <= height <= self.head_height:
-                raise ChainQueryError("unknown height %d" % height)
-            owner = self._blocks[height]._state.assets.get(token_id)
+            owner = self._blocks[self._known(height)]._state.assets.get(token_id)
             if owner is None:
                 raise ChainQueryError("unknown token %d at height %d" % (token_id, height))
             return owner
@@ -260,9 +259,7 @@ class SimChain:
 
     def fees_collected_at(self, height: int) -> int:
         with self._lock:
-            if not 0 <= height <= self.head_height:
-                raise ChainQueryError("unknown height %d" % height)
-            return self._blocks[height]._state.fees_collected
+            return self._blocks[self._known(height)]._state.fees_collected
 
     def height_of(self, tx_hash: bytes) -> Optional[int]:
         with self._lock:
@@ -276,8 +273,7 @@ class SimChain:
     def first_funder(self, addr: bytes, height: int) -> Optional[bytes]:
         """Sender of the first value transfer into `addr`, as of `height`."""
         with self._lock:
-            if not 0 <= height <= self.head_height:
-                raise ChainQueryError("unknown height %d" % height)
+            self._known(height)
             first = self._first_inflow.get(addr)
             if first is None or first[0] > height:
                 return None
@@ -299,20 +295,19 @@ class SimChain:
     # -- mutation -----------------------------------------------------------
 
     def submit_tx(self, tx: SignedTransaction) -> SubmitResult:
-        tx_hash = tx.tx_hash()
         if tx.v < 35 or tx.chain_id != self.chain_id:
-            return SubmitResult(False, REJECT_REPLAY, tx_hash)
+            return SubmitResult(False, REJECT_REPLAY)
         try:
             sender = recover_signer(tx)
         except SignatureError:
-            return SubmitResult(False, REJECT_BAD_SIGNATURE, tx_hash)
+            return SubmitResult(False, REJECT_BAD_SIGNATURE)
         if tx.to == ASSET_REGISTRY_ADDRESS:
             if tx.value != 0:
-                return SubmitResult(False, REJECT_ASSET_OP, tx_hash)
+                return SubmitResult(False, REJECT_ASSET_OP)
             try:
                 parse_asset_transfer(tx.data)
             except CodecError:
-                return SubmitResult(False, REJECT_ASSET_OP, tx_hash)
+                return SubmitResult(False, REJECT_ASSET_OP)
         cost = tx.value + self.tx_fee(tx)
         with self._lock:
             state = self._blocks[-1]._state
@@ -320,20 +315,20 @@ class SimChain:
             expected_nonce = state.nonces.get(sender, 0) + pending
             queued = self._queued.get(sender, {})
             if tx.nonce < expected_nonce:
-                return SubmitResult(False, REJECT_NONCE_GAP, tx_hash)
+                return SubmitResult(False, REJECT_NONCE_GAP)
             if tx.nonce > expected_nonce and (tx.nonce in queued
                                               or len(queued) >= MAX_QUEUED_PER_SENDER):
-                return SubmitResult(False, REJECT_NONCE_GAP, tx_hash)
+                return SubmitResult(False, REJECT_NONCE_GAP)
             spendable = state.balances.get(sender, 0) - committed
             if cost > spendable:
-                return SubmitResult(False, REJECT_INSUFFICIENT, tx_hash)
+                return SubmitResult(False, REJECT_INSUFFICIENT)
             if tx.nonce > expected_nonce:
                 self._queued.setdefault(sender, {})[tx.nonce] = tx
-                return SubmitResult(False, REJECT_NONCE_GAP, tx_hash, queued=True)
+                return SubmitResult(False, REJECT_NONCE_GAP, queued=True)
             self._admit(tx, sender, cost)
             if queued:
                 self._promote(sender, tx.nonce, spendable - cost)
-            return SubmitResult(True, None, tx_hash)
+            return SubmitResult(True, None)
 
     def _admit(self, tx: SignedTransaction, sender: bytes, cost: int) -> None:
         self._pending.append((tx, sender))
@@ -403,9 +398,13 @@ class SimChain:
 
         Transactions from the replaced blocks are dropped unless they
         appear in the replacement list. A replacement that does not fit
-        the re-mined nonces is reported as rejected and is not queued.
-        The untouched pending and queued sets survive the reorg.
+        the re-mined nonces is dropped, not queued; `height_of` tells
+        which replacements landed. The untouched pending and queued sets
+        survive the reorg. A negative depth is a ConfigError, and the
+        chain is left as it was.
         """
+        if depth < 0:
+            raise ConfigError("reorg depth must be >= 0, got %d" % depth)
         with self._lock:
             if depth == 0:
                 return ReorgResult(applied=True)
@@ -421,17 +420,10 @@ class SimChain:
                         del self._first_inflow[tx.to]
             stashed = self._pending, self._pending_from, self._queued
             self._pending, self._pending_from, self._queued = [], {}, {}
-            results = [(tx, self.submit_tx(tx)) for tx in replacement_txs]
-            included, rejected = [], []
-            for tx, result in results:
-                # a queued replacement lands if a later one filled its gap
-                if result.accepted or (result.queued and any(
-                        p is tx for p, _ in self._pending)):
-                    included.append(result.tx_hash)
-                else:
-                    rejected.append((result.tx_hash, result.reason))
+            # a queued replacement lands if a later one fills its gap
+            for tx in replacement_txs:
+                self.submit_tx(tx)
             for _ in range(depth):
                 self.mine_block()
             self._pending, self._pending_from, self._queued = stashed
-            return ReorgResult(applied=True, included=tuple(included),
-                               rejected=tuple(rejected))
+            return ReorgResult(applied=True)

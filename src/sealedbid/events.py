@@ -31,7 +31,7 @@ def hx(data: bytes) -> str:
 
 
 def unhx(text: str) -> bytes:
-    return bytes.fromhex(text[2:] if text.startswith("0x") else text)
+    return bytes.fromhex(text[2:] if text[:2] in ("0x", "0X") else text)
 
 
 def canonical(record: dict) -> str:

@@ -17,7 +17,7 @@ and the quorum client.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -145,20 +145,7 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "backend": self.backend,
-            "final_state": self.final_state,
-            "winner": self.winner,
-            "oracle": self.oracle,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "flags": self.flags,
-            "gas": self.gas,
-            "counters": self.counters,
-            "paths": self.paths,
-        }
+        return dict(asdict(self), passed=self.passed)
 
     def format_text(self) -> str:
         lines = ["scenario %s (seed %d, %s crypto): %s"

@@ -119,13 +119,16 @@ def _sample(endpoint: Endpoint, value) -> dict:
 class QuorumClient:
     def __init__(self, endpoints: Sequence[Endpoint], sample_size: int,
                  agreement_quorum: int, rand: Callable[[int], bytes]):
-        if sample_size > len(endpoints):
-            raise ConfigError("sample_size %d exceeds %d declared endpoints"
-                              % (sample_size, len(endpoints)))
-        if sample_size < 1:
-            raise ConfigError("sample_size must be >= 1")
+        if not 1 <= sample_size <= len(endpoints):
+            raise ConfigError("sample_size must be in [1, %d], the endpoint roster"
+                              % len(endpoints))
         if not 1 <= agreement_quorum <= sample_size:
             raise ConfigError("agreement_quorum must be in [1, sample_size]")
+        seen = set()
+        for endpoint in endpoints:
+            if endpoint.id in seen:
+                raise ConfigError("duplicate endpoint id %r" % endpoint.id)
+            seen.add(endpoint.id)
         self.endpoints = list(endpoints)
         self.sample_size = sample_size
         self.agreement_quorum = agreement_quorum

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union, get_args, get_origin
 
 from sealedbid.auction import AuctionConfig
+from sealedbid.chain import SimChain
 from sealedbid.enclave import DeterministicStream
 from sealedbid.errors import ConfigError
 from sealedbid.gas import MODE_EXHAUSTIVE, MODE_PROPOSER
-from sealedbid.quorum import EndpointSpec
+from sealedbid.quorum import Endpoint, EndpointSpec, QuorumClient
 
 
 @dataclass
@@ -227,33 +228,18 @@ def _build_faults(data) -> FaultPlan:
 
 
 def validate_scenario(scn: Scenario) -> None:
+    """The engine's objects check their own settings; this adds what only
+    the scenario states: its timeline, bidders, proposals and faults."""
     ctx = "scenario %r" % scn.name
     try:
         scn.auction_config(bytes(20))
-    except ConfigError as exc:
-        raise ConfigError("%s: auction: %s" % (ctx, exc))
-    try:
-        DeterministicStream(scn.seed)
+        stream = DeterministicStream(scn.seed)
+        chain = SimChain({bytes(20): scn.auctioneer.balance}, scn.chain.chain_id,
+                         scn.chain.finality_depth, tx_gas=scn.chain.tx_gas)
+        QuorumClient([Endpoint(spec, chain) for spec in scn.endpoints],
+                     scn.quorum.sample_size, scn.quorum.agreement_quorum, stream.read)
     except ConfigError as exc:
         raise ConfigError("%s: %s" % (ctx, exc))
-    if scn.chain.finality_depth < 1:
-        raise ConfigError("%s: chain.finality_depth must be >= 1" % ctx)
-    if scn.chain.tx_gas < 0:
-        raise ConfigError("%s: chain.tx_gas must be non-negative" % ctx)
-    if scn.auctioneer.balance < 0:
-        raise ConfigError("%s: auctioneer.balance must be non-negative" % ctx)
-    if not scn.endpoints:
-        raise ConfigError("%s: declares no endpoints" % ctx)
-    if not 1 <= scn.quorum.sample_size <= len(scn.endpoints):
-        raise ConfigError("%s: sample_size must be in [1, %d], the endpoint roster"
-                          % (ctx, len(scn.endpoints)))
-    if not 1 <= scn.quorum.agreement_quorum <= scn.quorum.sample_size:
-        raise ConfigError("%s: agreement_quorum must be in [1, sample_size]" % ctx)
-    seen_ids = set()
-    for ep in scn.endpoints:
-        if ep.id in seen_ids:
-            raise ConfigError("%s: duplicate endpoint id %r" % (ctx, ep.id))
-        seen_ids.add(ep.id)
     if scn.auction.deadline_height <= scn.open_height:
         raise ConfigError("%s: deadline %d must exceed the open height %d"
                           % (ctx, scn.auction.deadline_height, scn.open_height))

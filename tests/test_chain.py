@@ -437,14 +437,28 @@ def test_reorg_replay_recovers_no_sender_again(monkeypatch):
     assert len(calls) == len(txs)
     chain.mine_block()
     chain.mine_block()
-    result = chain.reorg(2, replacement_txs=txs)
-    assert result.included == tuple(tx.tx_hash() for tx in txs)
+    assert chain.reorg(2, replacement_txs=txs).applied
+    assert [chain.height_of(tx.tx_hash()) for tx in txs] == [1, 1, 1]
     assert len(calls) == len(txs)
     assert chain.balance_at(C, 1) == 24
     # a transaction decoded afresh is recovered, once
     fresh = SignedTransaction.from_raw(txs[2].raw())
     assert recover_signer(fresh) == recover_signer(fresh) == B
     assert len(calls) == len(txs) + 1
+
+
+def test_negative_reorg_depth_is_rejected_and_changes_nothing():
+    chain = make_chain(finality=6)
+    tx = transfer(chain, KEY_A, C, 7)
+    chain.submit_tx(tx)
+    for _ in range(5):
+        chain.mine_block()
+    before = [chain.balance_at(C, h) for h in range(6)]
+    with pytest.raises(ConfigError, match="reorg depth must be >= 0"):
+        chain.reorg(-2)
+    assert chain.head_height == 5
+    assert [chain.balance_at(C, h) for h in range(6)] == before == [0, 7, 7, 7, 7, 7]
+    assert chain.height_of(tx.tx_hash()) == 1
 
 
 def test_finalized_history_immutable_under_permitted_reorgs():
@@ -491,9 +505,7 @@ def test_reorg_replacements_land_in_any_nonce_order():
     second = transfer(chain, KEY_A, C, 7, nonce=1)
     chain.submit_tx(first), chain.submit_tx(second)
     chain.mine_block()
-    result = chain.reorg(1, replacement_txs=[second, first])
-    assert result.included == (second.tx_hash(), first.tx_hash())
-    assert result.rejected == ()
+    assert chain.reorg(1, replacement_txs=[second, first]).applied
     assert chain.height_of(first.tx_hash()) == chain.height_of(second.tx_hash()) == 1
 
 
@@ -501,9 +513,8 @@ def test_reorg_replacement_with_nonce_gap_rejected_not_queued():
     chain = make_chain()
     chain.mine_block()
     gapped = transfer(chain, KEY_A, C, 7, nonce=1)
-    result = chain.reorg(1, replacement_txs=[gapped])
-    assert result.applied and result.included == ()
-    assert result.rejected == ((gapped.tx_hash(), "nonce_gap"),)
+    assert chain.reorg(1, replacement_txs=[gapped]).applied
+    assert chain.height_of(gapped.tx_hash()) is None
     assert chain.submit_tx(transfer(chain, KEY_A, C, 5, nonce=0)).accepted
     chain.mine_block()
     assert chain.height_of(gapped.tx_hash()) is None

@@ -78,6 +78,25 @@ def test_verify_log_reports_an_escrow_inside_a_longer_hex_run(tmp_path, capsys):
     assert "confidentiality FAIL: escrow of %s leaked before disclosure" % escrow in out
 
 
+def test_verify_log_reads_a_bidder_set_entry_written_in_capitals(tmp_path, capsys):
+    log = run_logged("honest_4_bidders", tmp_path)
+
+    def capitalise(records):
+        bidder_set = first(records, "Resolved")["bidder_set"]
+        bidder_set[0] = "0X" + bidder_set[0][2:].upper()
+
+    rewrite_log(log, capitalise)
+    capsys.readouterr()
+    assert main(["verify-log", str(log)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    out = captured.out.splitlines()
+    # the edited record no longer matches its attestation; nothing else fails
+    assert [line for line in out if "FAIL" in line] == [
+        next(line for line in out if line.startswith("event Resolved")), out[-1]], out
+    assert out[-1].startswith("verify-log: FAIL")
+
+
 def swap_the_first_two_indices(records):
     one, two = [r for r in records if r["event"] == "BidderEnvelope"][:2]
     one["registration_index"], two["registration_index"] = 1, 0
@@ -230,9 +249,12 @@ def test_oracle_rejects_an_impossible_quorum(quorum, message, tmp_path, capsys):
     doc.setdefault("quorum", {}).update(quorum)
     path = tmp_path / "quorum.yaml"
     path.write_text(yaml.safe_dump(doc))
-    capsys.readouterr()
-    assert main(["oracle", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    for command in ("oracle", "run"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, err
+        assert err.count("\n") == 1, err
 
 
 def scenario_with(tmp_path, key, value):
@@ -256,9 +278,9 @@ REJECTED = [
     ("auction.proposal_window", 0, "kappa/gas_price/proposal_window out of range"),
     ("auction.token_id", -1, "token_id and chain_id must be non-negative"),
     ("chain.chain_id", -1, "token_id and chain_id must be non-negative"),
-    ("chain.finality_depth", 0, "chain.finality_depth must be >= 1"),
-    ("chain.tx_gas", -1, "chain.tx_gas must be non-negative"),
-    ("auctioneer.balance", -5, "auctioneer.balance must be non-negative"),
+    ("chain.finality_depth", 0, "finality_depth must be >= 1"),
+    ("chain.tx_gas", -1, "tx_gas must be non-negative"),
+    ("auctioneer.balance", -5, "genesis balance must be non-negative"),
     # removed inputs: an old document fails instead of running without them
     ("bidders.0.balance", -5, "bidders[0]: unknown keys ['balance']"),
     ("quorum.fallback", "honest", "quorum: unknown keys ['fallback']"),
@@ -293,6 +315,7 @@ def test_oracle_and_run_reject_what_the_engine_rejects(key, value, message, tmp_
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err, err
+        assert err.count("\n") == 1, err
 
 
 def test_run_of_a_breach_with_no_bidders_exits_0(tmp_path, capsys):

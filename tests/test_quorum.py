@@ -143,3 +143,18 @@ def test_a_colluding_minority_never_moves_the_balance(shape, offset, seed):
 def test_a_scenario_with_an_unknown_behavior_does_not_load(section):
     with pytest.raises(ConfigError, match="unknown endpoint behavior 'lie'"):
         scenario_from_dict(dict(name="lie", **section))
+
+
+@pytest.mark.parametrize("specs, sample_size, agreement_quorum, message", [
+    (honest("a", "b", "c"), 0, 1, r"sample_size must be in \[1, 3\], the endpoint roster"),
+    (honest("a", "b", "c"), 4, 2, r"sample_size must be in \[1, 3\], the endpoint roster"),
+    ([], 1, 1, r"sample_size must be in \[1, 0\], the endpoint roster"),
+    (honest("a", "b", "c"), 3, 4, r"agreement_quorum must be in \[1, sample_size\]"),
+    (honest("a", "b", "a"), 3, 2, "duplicate endpoint id 'a'"),
+], ids=["no_sample", "sample_above_roster", "no_endpoints", "quorum_above_sample",
+        "duplicate_id"])
+def test_the_client_rejects_an_impossible_roster(specs, sample_size, agreement_quorum,
+                                                 message):
+    with pytest.raises(ConfigError, match=message):
+        make_client(small_chain(), specs, sample_size=sample_size,
+                    agreement_quorum=agreement_quorum)

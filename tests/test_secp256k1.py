@@ -211,7 +211,7 @@ def test_generate_private_key_retries_out_of_range():
     assert secp256k1.generate_private_key(rand) == 42
 
 
-# -- GLV: the compiled double_mult_base splits each scalar k as k1 + k2*lambda
+# -- GLV: the compiled double_mult_base splits u2 as k1 + k2*lambda
 
 LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
 BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
@@ -283,6 +283,24 @@ def test_double_mult_base_matches_the_reference_at_glv_boundaries(compiled_kerne
     for u1, u2 in ((0, k), (k, 0), (k, k), (other, k), (k, other)):
         assert compiled_kernel.double_mult_base(u1, u2, q) == \
             _purepy.double_mult_base(u1, u2, q), (u1, u2)
+
+
+# -- where the ladder meets the comb: the compiled double_mult_base adds u1*G
+# to the ladder's u2*Q one comb window at a time, so a u1 of one nonzero
+# window adds a point equal to the ladder's sum or to its negative
+
+COMB_SCALARS = [d * 256 ** j for j in (0, 1, 15, 31) for d in (1, 2, 128, 255)]
+
+
+@pytest.mark.parametrize("u", COMB_SCALARS, ids=hex)
+def test_double_mult_base_where_the_ladder_meets_the_comb(backend, u):
+    g = _purepy.scalar_mult_base(1)
+    minus_g = (g[0], P - g[1])
+    cases = [(u, u, g), (u, N - u, g), (u, u, minus_g), (0, u, g), (u, 0, g), (u, 1, None)]
+    for u1, u2, q in cases:
+        assert backend.double_mult_base(u1, u2, q) == _purepy.double_mult_base(u1, u2, q), \
+            (u1, u2, q)
+    assert backend.double_mult_base(u, N - u, g) is None
 
 
 def test_inverse_mod_n_matches_the_reference(backend):
