@@ -2,10 +2,11 @@
 
 An account ledger with explicit block production, bounded reorgs, a
 finality window, and a single-asset ownership registry. The chain is the
-one record of what was included: `height_of` answers it, and a reorg
-reports only whether it applied. Value is an
-unsigned integer unit; each included value transfer pays a flat fee of
-`tx_gas * tx.gas_price` which is tracked (not redistributed), so
+one record of what was included: `height_of` answers it, and a reorg,
+which replays what it replaces less what its caller censors, reports
+only whether it applied. Value is an unsigned integer unit; each
+included value transfer pays a flat fee of `tx_gas * tx.gas_price`
+which is tracked (not redistributed), so
 
     sum(balances) + fees_collected == genesis supply
 
@@ -32,10 +33,10 @@ The transaction pool keeps two sets, after go-ethereum's legacypool:
 A stale nonce (one below the next pending nonce), a second transaction
 at a nonce already queued, and a future nonce past the queue bound are
 rejected outright. Admitting the transaction at the next pending nonce
-discards any queued one at that nonce and promotes the sender's queued
-transactions that now follow without a gap into pending, in nonce
-order. Promotion runs the funds check of admission; it stops at the
-first transaction that cannot pay, which is dropped.
+promotes the sender's queued transactions that now follow without a gap
+into pending, in nonce order. Promotion runs the funds check of
+admission; it stops at the first transaction that cannot pay, which is
+dropped.
 """
 
 import threading
@@ -336,12 +337,10 @@ class SimChain:
         self._pending_from[sender] = (pending + 1, committed + cost)
 
     def _promote(self, sender: bytes, admitted_nonce: int, spendable: int) -> None:
-        """Discard `sender`'s queued transaction at `admitted_nonce`, then
-        move the queued ones that follow it without a gap into pending, in
-        nonce order, while `spendable` pays for them. The first that
-        cannot pay is dropped."""
+        """Move `sender`'s queued transactions that follow `admitted_nonce`
+        without a gap into pending, in nonce order, while `spendable` pays
+        for them. The first that cannot pay is dropped."""
         queued = self._queued[sender]
-        queued.pop(admitted_nonce, None)
         nonce = admitted_nonce + 1
         while nonce in queued:
             tx = queued.pop(nonce)
@@ -393,16 +392,14 @@ class SimChain:
         state.nonces[sender] = tx.nonce + 1
         return True
 
-    def reorg(self, depth: int, replacement_txs=()) -> ReorgResult:
-        """Replace the last `depth` blocks, re-mining with `replacement_txs`.
-
-        Transactions from the replaced blocks are dropped unless they
-        appear in the replacement list. A replacement that does not fit
-        the re-mined nonces is dropped, not queued; `height_of` tells
-        which replacements landed. The untouched pending and queued sets
-        survive the reorg. A negative depth is a ConfigError, and the
-        chain is left as it was.
-        """
+    def reorg(self, depth: int, censor=frozenset()) -> ReorgResult:
+        """Replace the last `depth` blocks, replaying their transactions in
+        block order except those whose hashes are in `censor`. A replayed
+        transaction that no longer fits, such as a sender's next one after
+        a censored nonce, is dropped, not queued; `height_of` tells which
+        landed. The untouched pending and queued sets survive the reorg. A
+        reorg past the finality window or into genesis is refused, and a
+        negative depth is a ConfigError; neither changes the chain."""
         if depth < 0:
             raise ConfigError("reorg depth must be >= 0, got %d" % depth)
         with self._lock:
@@ -412,16 +409,19 @@ class SimChain:
                 return ReorgResult(applied=False, reason="finality")
             removed = self._blocks[-depth:]
             del self._blocks[-depth:]
+            replay = []
             for block in removed:
                 for tx in block.tx_list:
-                    self._tx_index.pop(tx.tx_hash(), None)
+                    tx_hash = tx.tx_hash()
+                    self._tx_index.pop(tx_hash, None)
                     first = self._first_inflow.get(tx.to)
                     if first is not None and first[0] > self.head_height:
                         del self._first_inflow[tx.to]
+                    if tx_hash not in censor:
+                        replay.append(tx)
             stashed = self._pending, self._pending_from, self._queued
             self._pending, self._pending_from, self._queued = [], {}, {}
-            # a queued replacement lands if a later one fills its gap
-            for tx in replacement_txs:
+            for tx in replay:
                 self.submit_tx(tx)
             for _ in range(depth):
                 self.mine_block()

@@ -191,8 +191,7 @@ class ScenarioRunner:
         self.out_dir = Path(out_dir) if out_dir else None
         self.flags: Dict[str, object] = {}
         self.escrows: Dict[str, bytes] = {}          # bidder name -> escrow addr
-        self.tx_labels: Dict[bytes, str] = {}        # bidder transfer hash -> label
-        self.censored_labels: set = set()
+        self.transfer_hashes: Dict[str, bytes] = {}  # bidder transfer label -> hash
         # height -> (bidder name, transfer label, builder) of each bidder transfer
         self._tx_schedule: Dict[int, List[Tuple[str, str, Callable]]] = {}
         self._action_schedule: Dict[int, List[Callable]] = {}
@@ -242,7 +241,7 @@ class ScenarioRunner:
             for name, label, builder in self._tx_schedule.pop(next_height, []):
                 tx = builder()
                 result = self.chain.submit_tx(tx)
-                self.tx_labels[tx.tx_hash()] = label
+                self.transfer_hashes[label] = tx.tx_hash()
                 if result.accepted:
                     self.gas.charge(LAYER_SETTLEMENT, OP_BID, actor=name)
             self.chain.mine_block()
@@ -254,23 +253,13 @@ class ScenarioRunner:
                     self._apply_reorg(fault)
 
     def _apply_reorg(self, fault) -> None:
-        head = self.chain.head_height
-        depth = fault.depth
-        dropped = []
-        if depth and depth <= min(self.chain.finality_depth, head):
-            for height in range(head - depth + 1, head + 1):
-                dropped.extend(self.chain.block_at(height).tx_list)
-        replacements = []
-        for tx in dropped:
-            label = self.tx_labels.get(tx.tx_hash(), "")
-            if label in fault.censor:
-                self.censored_labels.add(label)
-            else:
-                replacements.append(tx)
-        result = self.chain.reorg(depth, replacements)
+        """The chain replays what a reorg replaces, less what this names."""
+        censor = {self.transfer_hashes[label] for label in fault.censor
+                  if label in self.transfer_hashes}
+        result = self.chain.reorg(fault.depth, censor)
         self.reorg_results.append({
             "at_height": fault.at_height,
-            "depth": depth,
+            "depth": fault.depth,
             "applied": result.applied,
             "reason": result.reason,
         })
@@ -366,6 +355,7 @@ class ScenarioRunner:
             self._advance_to(self.chain.head_height + 1 + kappa)
             if self.auction.finalize(self.chain) is AuctionState.CLAIMED:
                 break
+        self._advance_to(max((r.at_height for r in scn.faults.reorgs), default=0))
         pending = [stx.role for stx in self.auction.resolution.settlement_txs
                    if self.chain.height_of(stx.tx.tx_hash()) is None]
         if pending:
@@ -468,8 +458,7 @@ class ScenarioRunner:
             "supply %d vs genesis %d" % (supply, expected_supply)))
 
         if (auction is not None and auction.state is AuctionState.CLAIMED
-                and not self.flags.get("compromised")
-                and not self.censored_labels):
+                and not self.flags.get("compromised")):
             checks.extend(self._settlement_checks())
 
         checks.append(self._confidentiality_check())
@@ -510,10 +499,10 @@ class ScenarioRunner:
 
     def _settlement_checks(self) -> List[CheckResult]:
         """Exact value accounting after Claimed, to the unit. What the
-        auctioneer and each bidder should hold follows from the script's
-        deposits, the published winner and amount, and the fee, never
-        from the payloads, so a payload that pays the wrong amount or the
-        wrong address fails."""
+        auctioneer and each bidder should hold follows from the deposits
+        that the chain included, the published winner and amount, and the
+        fee, never from the payloads, so a payload that pays the wrong
+        amount or the wrong address fails, with or without censorship."""
         scn = self.scenario
         res = self.auction.resolution
         checks = []
@@ -539,7 +528,8 @@ class ScenarioRunner:
         wallet_ok, wallet_detail = True, []
         for b in scn.bidders:
             wallet = self.wallets[b.name]
-            amounts = [amount for _, _, amount in b.transfers()]
+            amounts = [amount for label, _, amount in b.transfers()
+                       if self.chain.height_of(self.transfer_hashes[label]) is not None]
             spent = sum(amounts)
             n_txs = len(amounts)
             back = spent - (res.winning_amount if b.name == winner else 0)

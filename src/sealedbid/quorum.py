@@ -59,6 +59,11 @@ class EndpointSpec:
             raise ConfigError("unknown endpoint behavior %r" % self.behavior)
         if not 0 <= self.probability <= 1:  # NaN too
             raise ConfigError("probability %r is not in [0, 1]" % self.probability)
+        # a setting that its behavior never reads would load and change nothing
+        if self.offset and not self.behavior.startswith("misreport_"):
+            raise ConfigError("offset applies only to misreport_* behaviors")
+        if self.probability != 1 and self.behavior != "withhold":
+            raise ConfigError("probability applies only to the withhold behavior")
 
 
 class Endpoint:

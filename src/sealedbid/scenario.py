@@ -10,7 +10,8 @@ All times are settlement block heights. The runner derives a fixed
 timeline: the asset is escrowed in block 1, the auction opens once that
 is kappa-confirmed, and resolution happens after every scripted transfer
 is kappa-deep, so registration heights must be at least kappa+1 and
-strictly precede their funding heights.
+strictly precede their funding heights. A run reaches every scripted
+reorg, mining past settlement if one is scripted later.
 """
 
 from dataclasses import dataclass, field

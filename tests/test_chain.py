@@ -176,22 +176,6 @@ def test_duplicate_queued_nonce_rejected():
     assert result.reason == "nonce_gap" and not result.queued
 
 
-def test_admission_discards_queued_tx_at_same_nonce():
-    chain = make_chain()
-    chain.mine_block()
-    old = transfer(chain, KEY_A, C, 7, nonce=1)
-    assert chain.submit_tx(old).queued
-    zero = transfer(chain, KEY_A, C, 5, nonce=0)
-    assert chain.reorg(1, replacement_txs=[zero]).applied  # nonce 1 is next
-    assert chain.submit_tx(transfer(chain, KEY_A, C, 9, nonce=1)).accepted
-    chain.mine_block()
-    assert chain.reorg(2).applied  # A is back at nonce 0
-    assert chain.submit_tx(zero).accepted
-    chain.mine_block()
-    assert chain.height_of(old.tx_hash()) is None
-    assert chain.balance(C) == 5
-
-
 def test_queued_tx_that_cannot_pay_at_promotion_is_dropped():
     chain = make_chain(genesis={A: GAS + 100})
     parked = transfer(chain, KEY_A, B, 90, nonce=1)
@@ -402,13 +386,15 @@ def test_reorg_cannot_touch_genesis():
 
 def test_reorg_removing_funding_changes_cutoff_balance():
     chain = make_chain()
-    chain.submit_tx(transfer(chain, KEY_A, C, 7))
+    funding = transfer(chain, KEY_A, C, 7)
+    chain.submit_tx(funding)
     chain.mine_block()  # height 1 carries the funding
     assert chain.balance_at(C, 1) == 7
-    result = chain.reorg(1, replacement_txs=())
+    result = chain.reorg(1, censor={funding.tx_hash()})
     assert result.applied
     assert chain.head_height == 1
     assert chain.balance_at(C, 1) == 0
+    assert chain.height_of(funding.tx_hash()) is None
 
 
 def test_reorg_reincludes_replacements():
@@ -417,7 +403,7 @@ def test_reorg_reincludes_replacements():
     chain.submit_tx(tx)
     chain.mine_block()
     chain.mine_block()
-    assert chain.reorg(2, replacement_txs=[tx]).applied
+    assert chain.reorg(2).applied
     assert chain.head_height == 2
     assert chain.balance_at(C, 1) == 7  # re-landed in the first re-mined block
     assert chain.height_of(tx.tx_hash()) == 1
@@ -437,7 +423,7 @@ def test_reorg_replay_recovers_no_sender_again(monkeypatch):
     assert len(calls) == len(txs)
     chain.mine_block()
     chain.mine_block()
-    assert chain.reorg(2, replacement_txs=txs).applied
+    assert chain.reorg(2).applied
     assert [chain.height_of(tx.tx_hash()) for tx in txs] == [1, 1, 1]
     assert len(calls) == len(txs)
     assert chain.balance_at(C, 1) == 24
@@ -499,21 +485,31 @@ def test_queued_pool_survives_reorg():
     assert chain.balance(C) == 15
 
 
-def test_reorg_replacements_land_in_any_nonce_order():
+def test_a_reorg_replays_in_block_order():
+    # A's nonce 1 lands after its nonce 0 although B's transfer came first
     chain = make_chain()
     first = transfer(chain, KEY_A, C, 5, nonce=0)
-    second = transfer(chain, KEY_A, C, 7, nonce=1)
-    chain.submit_tx(first), chain.submit_tx(second)
+    chain.submit_tx(first)
     chain.mine_block()
-    assert chain.reorg(1, replacement_txs=[second, first]).applied
-    assert chain.height_of(first.tx_hash()) == chain.height_of(second.tx_hash()) == 1
+    other, second = transfer(chain, KEY_B, C, 9), transfer(chain, KEY_A, C, 7, nonce=1)
+    chain.submit_tx(other), chain.submit_tx(second)
+    chain.mine_block()
+    assert chain.reorg(2).applied
+    assert chain.block_at(1).tx_list == (first, other, second)
+    assert [chain.height_of(tx.tx_hash()) for tx in (first, other, second)] == [1, 1, 1]
+    assert chain.head_height == 2 and not chain.block_at(2).tx_list
+    assert chain.balance(C) == 21
 
 
 def test_reorg_replacement_with_nonce_gap_rejected_not_queued():
+    # censoring A's nonce 0 leaves its replayed nonce 1 with a gap
     chain = make_chain()
-    chain.mine_block()
+    zero = transfer(chain, KEY_A, C, 3, nonce=0)
     gapped = transfer(chain, KEY_A, C, 7, nonce=1)
-    assert chain.reorg(1, replacement_txs=[gapped]).applied
+    chain.submit_tx(zero), chain.submit_tx(gapped)
+    chain.mine_block()
+    assert chain.reorg(1, censor={zero.tx_hash()}).applied
+    assert chain.height_of(zero.tx_hash()) is None
     assert chain.height_of(gapped.tx_hash()) is None
     assert chain.submit_tx(transfer(chain, KEY_A, C, 5, nonce=0)).accepted
     chain.mine_block()
@@ -601,13 +597,12 @@ def test_state_root_and_header_hash_of_a_fixed_history():
     chain.submit_tx(transfer(chain, KEY_A, C, 5))
     chain.mine_block()
     late = transfer(chain, KEY_B, C, 9)
-    chain.submit_tx(late)
-    chain.submit_tx(transfer(chain, KEY_A, ASSET_REGISTRY_ADDRESS, 0,
-                             data=asset_transfer_data(3, C)))
+    move = transfer(chain, KEY_A, ASSET_REGISTRY_ADDRESS, 0, data=asset_transfer_data(3, C))
+    chain.submit_tx(late), chain.submit_tx(move)
     # the fee-exempt asset move changes A's nonce but not its balance
     assert chain.mine_block().state_root.hex() == \
         "41ef4f8d4287b88840d02b602f02a552ba905163c9ca2ca2913b1931f1a4e2e0"
-    assert chain.reorg(1, replacement_txs=[late]).applied
+    assert chain.reorg(1, censor={move.tx_hash()}).applied
     chain.mine_block()
     head = chain.block_at(3)
     assert head.state_root.hex() == \
@@ -624,11 +619,10 @@ def test_a_block_removed_by_a_reorg_keeps_its_own_commitments():
     chain.submit_tx(transfer(chain, KEY_A, C, 5))
     chain.mine_block()
     late = transfer(chain, KEY_B, C, 9)
-    chain.submit_tx(late)
-    chain.submit_tx(transfer(chain, KEY_A, ASSET_REGISTRY_ADDRESS, 0,
-                             data=asset_transfer_data(3, C)))
+    move = transfer(chain, KEY_A, ASSET_REGISTRY_ADDRESS, 0, data=asset_transfer_data(3, C))
+    chain.submit_tx(late), chain.submit_tx(move)
     removed = chain.mine_block()
-    assert chain.reorg(1, replacement_txs=[late]).applied
+    assert chain.reorg(1, censor={move.tx_hash()}).applied
     assert removed.state_root.hex() == \
         "41ef4f8d4287b88840d02b602f02a552ba905163c9ca2ca2913b1931f1a4e2e0"
     assert removed.header_hash().hex() == \
@@ -686,9 +680,10 @@ def run_history(steps, check):
     """Build a chain step by step and call `check(chain)` after each one:
     a block of submissions at the sender's next nonce (or one past it, so
     some wait queued), the same submissions left pending ("submit"), or a
-    reorg whose replacements come from the blocks it removes. The pool's
-    transactions are shared, and `recover_signer` recovers each sender
-    once, so the examples stay fast on the pure-Python backend."""
+    reorg that censors every transaction of the blocks it removes but the
+    picked ones. The pool's transactions are shared, and `recover_signer`
+    recovers each sender once, so the examples stay fast on the
+    pure-Python backend."""
     chain = make_chain(genesis=HISTORY_GENESIS, assets={TOKEN: HISTORY_OWNER})
     check(chain)
     for step in steps:
@@ -704,9 +699,10 @@ def run_history(steps, check):
             depth = min(depth, chain.head_height)
             removed = [chain.block_at(chain.head_height - i).tx_list
                        for i in range(depth)]
-            replacements = [removed[b][t] for b, t in picks
-                            if b < len(removed) and t < len(removed[b])]
-            chain.reorg(depth, replacements)
+            kept = {removed[b][t] for b, t in picks
+                    if b < len(removed) and t < len(removed[b])}
+            chain.reorg(depth, {tx.tx_hash() for txs in removed for tx in txs
+                                if tx not in kept})
         check(chain)
 
 

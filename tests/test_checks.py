@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from sealedbid import auction as auction_module
 from sealedbid.auction import AuctionInstance
 from sealedbid.chain import SimChain
 from sealedbid.events import hx
-from sealedbid.harness import ScenarioRunner, run_scenario
+from sealedbid.harness import ScenarioRunner, oracle_resolve, run_scenario
 from sealedbid.scenario import scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -406,6 +407,92 @@ def test_the_oracle_drops_a_topup_the_chain_rejects():
     report = runner_of(CENSORED_FUNDING).run()
     assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
     assert (report.winner, report.oracle) == (None, {"winners": [], "amount": 0})
+
+
+SETTLEMENT_CHECKS = {"escrows_drained", "auctioneer_payment", "bidder_refunds_exact",
+                     "asset_delivery"}
+
+# The reorg censors alice's funding below kappa, so bob wins; the auction
+# settles, and the settlement checks count only the transfers on chain
+# (an `@example` of the property below).
+CENSORED_CLAIMED = {
+    "name": "censored_claimed", "seed": 5, "chain": {"finality_depth": 3},
+    "auction": {"deadline_height": 9, "kappa": 3},
+    "endpoints": [{"id": "ep%d" % i} for i in range(3)],
+    "bidders": [{"name": "alice", "registration_height": 5, "funding": 700_000,
+                 "funding_height": 8},
+                {"name": "bob", "registration_height": 5, "funding": 650_000,
+                 "funding_height": 7},
+                {"name": "carol", "registration_height": 6, "funding": 100_000,
+                 "funding_height": 7}],
+    "faults": {"reorgs": [{"at_height": 8, "depth": 2, "censor": ["alice:funding"]}]},
+    "expect": {"final_state": "Claimed", "winner": "bob"},
+}
+
+
+def test_a_short_refund_fails_the_settlement_checks_of_a_censored_run(monkeypatch):
+    refund_one_unit_short(monkeypatch)
+    report = runner_of(CENSORED_CLAIMED).run()
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {"escrows_drained", "bidder_refunds_exact"}, failed
+
+
+AMOUNTS = st.sampled_from((0, 21_000, 21_001, 50_000, 80_000))  # the fee is 21,000
+
+
+@st.composite
+def small_auctions(draw):
+    """A valid scenario of up to 4 bidders and 3 honest endpoints, in
+    either mode (in proposer mode every bidder is proposed once), with
+    optional top-ups and at most one reorg no deeper than kappa or the
+    finality window, which censors up to 2 transfers."""
+    kappa, finality = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    open_height = 1 + kappa
+    deadline = draw(st.integers(open_height + 1, open_height + 4))
+    bidders = []
+    for i in range(draw(st.integers(0, 4))):
+        registration = draw(st.integers(open_height, deadline - 1))
+        funding_height = draw(st.integers(registration + 1, deadline + 1))
+        bidder = {"name": "b%d" % i, "registration_height": registration,
+                  "funding": draw(AMOUNTS), "funding_height": funding_height}
+        if draw(st.booleans()):
+            bidder.update(topup=draw(AMOUNTS),
+                          topup_height=draw(st.integers(funding_height + 1, funding_height + 3)))
+        bidders.append(bidder)
+    doc = {"name": "small", "seed": draw(st.integers(0, 2**16)),
+           "chain": {"finality_depth": finality},
+           "auction": {"deadline_height": deadline, "kappa": kappa},
+           "endpoints": [{"id": "ep%d" % i} for i in range(3)], "bidders": bidders}
+    if draw(st.booleans()):
+        doc["auction"]["resolution_mode"] = "proposer"
+        doc["proposals"] = [{"candidate": b["name"], "after_open": draw(st.integers(1, 9))}
+                            for b in bidders]
+    if draw(st.booleans()):
+        labels = ["%s:%s" % (b["name"], kind) for b in bidders
+                  for kind in ("funding", "topup") if kind in b]
+        censor = draw(st.lists(st.sampled_from(labels), max_size=2, unique=True)
+                      if labels else st.just([]))
+        doc["faults"] = {"reorgs": [{
+            "at_height": draw(st.integers(2, deadline + 2 * kappa + 4)),
+            "depth": draw(st.integers(0, min(kappa, finality))), "censor": censor}]}
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=small_auctions())
+@example(doc=CENSORED_CLAIMED)
+def test_a_small_auction_passes_every_check_and_agrees_with_the_oracle(doc):
+    runner = runner_of(doc)
+    report = runner.run()
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    oracle = oracle_resolve(runner.scenario)
+    if report.winner is None:
+        assert not oracle.has_winner
+    else:
+        assert report.winner["bidder"] in oracle.winner_names
+        assert report.winner["amount"] == oracle.amount
+    if report.final_state == "Claimed":
+        assert SETTLEMENT_CHECKS <= {c.name for c in report.checks}
 
 
 def test_a_bare_hex_auction_id_states_no_bid():

@@ -295,6 +295,16 @@ REJECTED = [
     ("endpoints.0.probability", -0.1, "endpoints[0]: probability -0.1 is not in [0, 1]"),
     ("endpoints.0.probability", float("nan"),
      "endpoints[0]: probability nan is not in [0, 1]"),
+    # a setting that the endpoint's behavior never reads
+    ("endpoints.0", {"id": "ep0", "offset": 5},
+     "endpoints[0]: offset applies only to misreport_* behaviors"),
+    ("endpoints.0", {"id": "ep0", "behavior": "withhold", "offset": 9},
+     "endpoints[0]: offset applies only to misreport_* behaviors"),
+    ("endpoints.0", {"id": "ep0", "behavior": "misreport_balance", "offset": 7,
+                     "probability": 0.5},
+     "endpoints[0]: probability applies only to the withhold behavior"),
+    ("endpoints.0.probability", 0.5,
+     "endpoints[0]: probability applies only to the withhold behavior"),
     ("faults", {"reorgs": [{"at_height": 9, "depth": 1, "censor": ["nobody:funding"]}]},
      "reorg censors 'nobody:funding', which names no bidder transfer"),
     ("auction.kappa", True, "auction.kappa: expected int, got True"),

@@ -154,6 +154,25 @@ def test_a_breach_with_no_escrow_drains_nothing(make_runner):
     assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 
 
+def test_a_reorg_scripted_past_settlement_still_happens(make_runner):
+    # the run would end at height 9; the depth-6 reorg at 10 then takes
+    # alice's funding off the chain, so her escrow cannot pay the winner
+    runner = make_runner(
+        chain={"finality_depth": 6}, auction={"deadline_height": 6, "kappa": 1},
+        bidders=[{"name": "alice", "registration_height": 3, "funding": 500_000,
+                  "funding_height": 5},
+                 {"name": "bob", "registration_height": 3, "funding": 400_000,
+                  "funding_height": 4}],
+        faults={"reorgs": [{"at_height": 10, "depth": 6, "censor": ["alice:funding"]}]})
+    report = runner.run()
+    assert report.counters["reorgs"] == [
+        {"at_height": 10, "depth": 6, "applied": True, "reason": None}]
+    assert report.counters["blocks"] == 10
+    assert runner.chain.height_of(runner.transfer_hashes["alice:funding"]) is None
+    assert runner.chain.height_of(runner.transfer_hashes["bob:funding"]) is not None
+    assert report.flags["unclaimed_payloads"] == ["winner_payment"]
+
+
 def test_the_report_names_its_crypto_backend(tmp_path):
     report = run_scenario(SCENARIOS / "honest_1_bidder.yaml", out_dir=tmp_path)
     assert report.backend == crypto.IMPLEMENTATION
