@@ -40,7 +40,12 @@ from typing import Dict, List, Optional, Tuple
 
 from sealedbid.chain import ASSET_REGISTRY_ADDRESS, SimChain, asset_transfer_data
 from sealedbid.enclave import Enclave, Envelope
-from sealedbid.errors import ConfigError, RegistrationError, StateError
+from sealedbid.errors import (
+    ConfigError,
+    EnvelopeAuthError,
+    RegistrationError,
+    StateError,
+)
 from sealedbid.events import EventLog, canonical, hx, unhx
 from sealedbid.gas import (
     GasLedger,
@@ -99,7 +104,6 @@ class RegistryEntry:
     index: int
     handle: str
     escrow_address: bytes
-    encryption_key: bytes
     claim_address: bytes
     registration_height: int
 
@@ -108,7 +112,6 @@ class RegistryEntry:
             "index": self.index,
             "handle": self.handle,
             "escrow_address": hx(self.escrow_address),
-            "encryption_key": hx(self.encryption_key),
             "claim_address": hx(self.claim_address),
             "registration_height": self.registration_height,
         }
@@ -116,8 +119,7 @@ class RegistryEntry:
     @classmethod
     def from_record(cls, r: dict) -> "RegistryEntry":
         return cls(r["index"], r["handle"], unhx(r["escrow_address"]),
-                   unhx(r["encryption_key"]), unhx(r["claim_address"]),
-                   r["registration_height"])
+                   unhx(r["claim_address"]), r["registration_height"])
 
 
 @dataclass(frozen=True)
@@ -295,27 +297,28 @@ class AuctionInstance:
         return True
 
     def register_bidder(self, registration: Envelope) -> Envelope:
-        """One enclave call per bidder: returns the escrow address envelope."""
+        """One enclave call per bidder: the escrow address, in a reply keyed
+        from the request, which is opened first so a replay draws nothing."""
         self._require_state(AuctionState.OPEN, "register_bidder")
         self.register_call_count += 1
+        try:
+            plaintext, reply_key = self.enclave.decrypt_input(registration)
+            claim_address = unhx(json.loads(plaintext)["claim_address"])
+        except EnvelopeAuthError as exc:
+            raise RegistrationError("registration rejected: %s" % exc) from exc
+        except Exception as exc:
+            raise RegistrationError("malformed registration payload") from exc
+        if len(claim_address) != 20:
+            raise RegistrationError("bad claim address length")
         head = self.quorum.query_height()
         if head >= self.config.deadline_height:
             raise RegistrationError("registration after the deadline is rejected")
-        try:
-            payload = json.loads(self.enclave.decrypt_input(registration))
-            encryption_key = unhx(payload["encryption_key"])
-            claim_address = unhx(payload["claim_address"])
-        except Exception as exc:
-            raise RegistrationError("malformed registration payload") from exc
-        if len(encryption_key) != 32 or len(claim_address) != 20:
-            raise RegistrationError("bad key or claim address length")
         count = self._registry_count()
         handle, escrow_address = self.enclave.generate_keypair()
         entry = RegistryEntry(
             index=count,
             handle=handle,
             escrow_address=escrow_address,
-            encryption_key=encryption_key,
             claim_address=claim_address,
             registration_height=head,
         )
@@ -327,7 +330,7 @@ class AuctionInstance:
             "escrow_address": hx(escrow_address),
             "registration_index": entry.index,
         }).encode()
-        envelope = self.enclave.encrypt_to(encryption_key, response)
+        envelope = self.enclave.encrypt_to(reply_key, registration, response)
         self.emit("BidderEnvelope", registration_index=entry.index,
                   **envelope.to_record())
         self.gas.charge(LAYER_EXECUTION, OP_BID, actor="bidder-%d" % entry.index)

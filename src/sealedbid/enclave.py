@@ -2,20 +2,26 @@
 
 An Enclave owns signing keys (never exported), a tamper-evident sealed
 store with rollback protection, a randomness stream seeded per run,
-recipient-keyed output envelopes, and a software attestation stub that
-binds a code identity to each emitted payload.
+encrypted registrations and their replies, and a software attestation
+stub that binds a code identity to each emitted payload.
 
-Envelope suite (build-time constant): X25519 ephemeral key agreement,
-HKDF-SHA256, ChaCha20-Poly1305 with the key pair hashes as AAD. A fresh
-ephemeral key is drawn from enclave randomness per envelope, so the
-zero nonce is single-use.
+Envelope suite (build-time constant), after HPKE's bidirectional mode
+(RFC 9180, section 9.8): one X25519 agreement between a bidder's fresh
+ephemeral key and the enclave's input key keys both directions.
+HKDF-SHA256 of the secret, salted with both public keys, gives the request
+key (info `sealedbid/envelope/v1`) and the reply key
+(`sealedbid/envelope-reply/v1`). Each seals one ChaCha20-Poly1305 message
+under the zero nonce, with the request's two public keys, which the reply
+also names, as AAD. The zero nonce stays single-use: the input key accepts
+each ephemeral key once, once it authenticates, so a replayed request is
+refused before anything is drawn or sealed.
 """
 
 import hashlib
 import hmac
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Sequence, Set, Tuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -23,8 +29,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from sealedbid.crypto import keccak_256, secp256k1
 from sealedbid.errors import (
@@ -46,7 +50,9 @@ from sealedbid.transactions import (
 # the code identity every attestation binds
 CODE_HASH = keccak_256(b"sealedbid/auction-logic/v1")
 
-_ENVELOPE_INFO = b"sealedbid/envelope/v1"
+_REQUEST_INFO = b"sealedbid/envelope/v1"
+_REPLY_INFO = b"sealedbid/envelope-reply/v1"
+_NONCE = b"\x00" * 12
 
 
 class DeterministicStream:
@@ -74,11 +80,16 @@ class DeterministicStream:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Recipient-keyed authenticated ciphertext emitted by the enclave."""
+    """A request to the enclave's input key, or the reply to one; both name
+    the request's input and ephemeral public keys."""
 
     recipient_public_key: bytes
     sender_ephemeral: bytes
     ciphertext: bytes
+
+    @property
+    def aad(self) -> bytes:
+        return self.sender_ephemeral + self.recipient_public_key
 
     def to_record(self) -> dict:
         return {
@@ -148,6 +159,7 @@ class Enclave:
         # encrypted-input identity (bidders encrypt registrations to this)
         self._input_key = X25519PrivateKey.from_private_bytes(self._stream(32))
         self.input_public_key = self._input_key.public_key().public_bytes_raw()
+        self._accepted: Set[bytes] = set()  # request ephemerals already opened
 
     # -- randomness ----------------------------------------------------------
 
@@ -220,20 +232,26 @@ class Enclave:
 
     # -- envelopes ---------------------------------------------------------------
 
-    def encrypt_to(self, recipient_public_key: bytes, plaintext: bytes) -> Envelope:
-        if not isinstance(recipient_public_key, (bytes, bytearray)) \
-                or len(recipient_public_key) != 32:
-            raise KeyMaterialError("recipient key must be 32 bytes")
-        with self._lock:
-            ephemeral_private_bytes = self._stream(32)
-        return _seal_envelope(recipient_public_key, plaintext, ephemeral_private_bytes)
-
-    def decrypt_input(self, envelope: Envelope) -> bytes:
-        """Open an envelope addressed to the enclave's input key."""
+    def decrypt_input(self, envelope: Envelope) -> Tuple[bytes, bytes]:
+        """Open a request to the input key once: (plaintext, reply key)."""
         if envelope.recipient_public_key != self.input_public_key:
             raise EnvelopeAuthError("envelope is not addressed to this enclave")
         with self._lock:
-            return _open_box(self._input_key, envelope)
+            if envelope.sender_ephemeral in self._accepted:
+                raise EnvelopeAuthError("envelope replays an accepted request")
+            shared = self._input_key.exchange(
+                X25519PublicKey.from_public_bytes(envelope.sender_ephemeral))
+            request_key, reply_key = _envelope_keys(shared, envelope.aad)
+            plaintext = _open(request_key, envelope)
+            self._accepted.add(envelope.sender_ephemeral)
+            return plaintext, reply_key
+
+    def encrypt_to(self, reply_key: bytes, request: Envelope,
+                   plaintext: bytes) -> Envelope:
+        """The reply to `request`, sealed under the reply key `decrypt_input`
+        gave for it: no key agreement and no draw."""
+        sealed = ChaCha20Poly1305(reply_key).encrypt(_NONCE, bytes(plaintext), request.aad)
+        return replace(request, ciphertext=sealed)
 
     # -- attestation ---------------------------------------------------------------
 
@@ -272,53 +290,44 @@ class Enclave:
         return sum(len(find_hex(lines, keys)) for lines in logs)
 
 
-def _seal_envelope(recipient_public_key: bytes, plaintext: bytes,
-                   ephemeral_private_bytes: bytes) -> Envelope:
-    """Encrypt `plaintext` to a recipient's X25519 key under the ephemeral
-    key whose 32 private bytes are given."""
-    recipient_pub = bytes(recipient_public_key)
-    ephemeral = X25519PrivateKey.from_private_bytes(bytes(ephemeral_private_bytes))
-    ephemeral_pub = ephemeral.public_key().public_bytes_raw()
-    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_pub))
-    key = HKDF(algorithm=SHA256(), length=32,
-               salt=ephemeral_pub + recipient_pub,
-               info=_ENVELOPE_INFO).derive(shared)
-    ciphertext = ChaCha20Poly1305(key).encrypt(b"\x00" * 12, bytes(plaintext),
-                                               ephemeral_pub + recipient_pub)
-    return Envelope(recipient_pub, ephemeral_pub, ciphertext)
+def _envelope_keys(shared: bytes, salt: bytes) -> Tuple[bytes, bytes]:
+    """HKDF-SHA256 (RFC 5869, one 32-byte block each) of one X25519 secret:
+    the (request, reply) keys."""
+    prk = hmac.digest(salt, shared, "sha256")
+    return (hmac.digest(prk, _REQUEST_INFO + b"\x01", "sha256"),
+            hmac.digest(prk, _REPLY_INFO + b"\x01", "sha256"))
 
 
-def _open_box(private_key: X25519PrivateKey, envelope: Envelope) -> bytes:
-    ephemeral = X25519PublicKey.from_public_bytes(envelope.sender_ephemeral)
-    shared = private_key.exchange(ephemeral)
-    key = HKDF(algorithm=SHA256(), length=32,
-               salt=envelope.sender_ephemeral + envelope.recipient_public_key,
-               info=_ENVELOPE_INFO).derive(shared)
+def _open(key: bytes, envelope: Envelope) -> bytes:
     try:
-        return ChaCha20Poly1305(key).decrypt(
-            b"\x00" * 12, envelope.ciphertext,
-            envelope.sender_ephemeral + envelope.recipient_public_key)
+        return ChaCha20Poly1305(key).decrypt(_NONCE, envelope.ciphertext, envelope.aad)
     except InvalidTag as exc:
         raise EnvelopeAuthError("envelope failed authentication") from exc
 
 
 def encrypt_to_key(recipient_public_key: bytes, plaintext: bytes,
-                   ephemeral_private_bytes: bytes) -> Envelope:
-    """Sender-side sealing for parties outside an enclave (e.g. bidders
-    encrypting registration payloads to the enclave's input key)."""
+                   ephemeral_private_bytes: bytes) -> Tuple[Envelope, bytes]:
+    """Seal a request to the enclave's input key under the ephemeral key
+    whose 32 private bytes are given (bidders run this outside the
+    enclave); returns the envelope and the key that opens its reply."""
     if len(recipient_public_key) != 32:
         raise KeyMaterialError("recipient key must be 32 bytes")
     if len(ephemeral_private_bytes) != 32:
         raise KeyMaterialError("ephemeral key must be 32 bytes")
-    return _seal_envelope(recipient_public_key, plaintext, ephemeral_private_bytes)
+    recipient_pub = bytes(recipient_public_key)
+    ephemeral = X25519PrivateKey.from_private_bytes(bytes(ephemeral_private_bytes))
+    ephemeral_pub = ephemeral.public_key().public_bytes_raw()
+    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_pub))
+    request_key, reply_key = _envelope_keys(shared, ephemeral_pub + recipient_pub)
+    ciphertext = ChaCha20Poly1305(request_key).encrypt(
+        _NONCE, bytes(plaintext), ephemeral_pub + recipient_pub)
+    return Envelope(recipient_pub, ephemeral_pub, ciphertext), reply_key
 
 
-def decrypt_envelope(private_key: X25519PrivateKey, envelope: Envelope) -> bytes:
-    """Recipient-side decryption (bidders run this outside the enclave)."""
-    expected_pub = private_key.public_key().public_bytes_raw()
-    if expected_pub != envelope.recipient_public_key:
-        raise EnvelopeAuthError("envelope is addressed to a different key")
-    return _open_box(private_key, envelope)
+def decrypt_envelope(reply_key: bytes, envelope: Envelope) -> bytes:
+    """Open the enclave's reply with the key `encrypt_to_key` returned
+    (bidders run this outside the enclave)."""
+    return _open(reply_key, envelope)
 
 
 def verify_attestation(report: AttestationReport, expected_code_hash: bytes,

@@ -18,11 +18,8 @@ and the quorum client.
 
 import json
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
-
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from sealedbid import crypto
 from sealedbid.auction import AuctionInstance, AuctionState
@@ -170,17 +167,7 @@ class _Wallet:
     def __init__(self, stream: DeterministicStream):
         self.key = secp256k1.generate_private_key(stream.read)
         self.address = derive_address(secp256k1.public_key(self.key))
-        self.encryption_private = stream.read(32)
         self.registration_ephemeral = stream.read(32)
-
-    @cached_property
-    def encryption_key(self) -> X25519PrivateKey:
-        """The bidder's X25519 key, built once from `encryption_private`."""
-        return X25519PrivateKey.from_private_bytes(self.encryption_private)
-
-    @property
-    def encryption_public(self) -> bytes:
-        return self.encryption_key.public_key().public_bytes_raw()
 
 
 class ScenarioRunner:
@@ -267,15 +254,15 @@ class ScenarioRunner:
     # -- lifecycle ----------------------------------------------------------------
 
     def _register(self, bidder_script) -> None:
+        """The bidder's one interaction: a request sealed to the enclave's
+        input key names its claim address, and the reply, keyed from that
+        same request, returns its escrow address."""
         wallet = self.wallets[bidder_script.name]
-        payload = canonical({
-            "encryption_key": hx(wallet.encryption_public),
-            "claim_address": hx(wallet.address),
-        }).encode()
-        registration = encrypt_to_key(self.enclave.input_public_key, payload,
-                                      wallet.registration_ephemeral)
+        payload = canonical({"claim_address": hx(wallet.address)}).encode()
+        registration, reply_key = encrypt_to_key(
+            self.enclave.input_public_key, payload, wallet.registration_ephemeral)
         envelope = self.auction.register_bidder(registration)
-        response = json.loads(decrypt_envelope(wallet.encryption_key, envelope))
+        response = json.loads(decrypt_envelope(reply_key, envelope))
         escrow = unhx(response["escrow_address"])
         self.escrows[bidder_script.name] = escrow
         self._schedule_funding(bidder_script, wallet, escrow)

@@ -10,11 +10,12 @@ All times are settlement block heights. The runner derives a fixed
 timeline: the asset is escrowed in block 1, the auction opens once that
 is kappa-confirmed, and resolution happens after every scripted transfer
 is kappa-deep, so registration heights must be at least kappa+1 and
-strictly precede their funding heights. A run reaches every scripted
-reorg, mining past settlement if one is scripted later.
+strictly precede their funding heights, and no transfer may come after
+the deadline plus kappa plus the proposal window. A run reaches every
+scripted reorg, mining past settlement if one is scripted later.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import List, Optional, Tuple, Union, get_args, get_origin
 
 from sealedbid.auction import AuctionConfig
@@ -175,21 +176,39 @@ def _checked(value, declared, context):
     return value
 
 
-def _build(cls, data, context):
+def _field(value, declared, context):
+    """A document value as its field declares it: a section is built from
+    its mapping, and a list of sections item by item (absent is empty)."""
+    if is_dataclass(declared):
+        return _build(declared, value, context)
+    item = get_args(declared)[0] if get_origin(declared) is list else None
+    if not is_dataclass(item):
+        return _checked(value, declared, context)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError("%s: expected a list, got %r" % (context, value))
+    return [_build(item, v, "%s[%d]" % (context, i)) for i, v in enumerate(value)]
+
+
+def _build(cls, data, context=""):
+    """A `cls` from its mapping at the key path `context` ("" is the scenario)."""
+    where = context or "scenario"
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ConfigError("%s: expected a mapping, got %r" % (context, type(data).__name__))
+        raise ConfigError("%s: expected a mapping, got %r" % (where, type(data).__name__))
     fields = cls.__dataclass_fields__
     unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigError("%s: unknown keys %s" % (context, sorted(unknown)))
-    for key, value in data.items():
-        _checked(value, fields[key].type, "%s.%s" % (context, key))
+        raise ConfigError("%s: unknown keys %s" % (where, sorted(unknown)))
+    values = {key: _field(value, fields[key].type,
+                          "%s.%s" % (context, key) if context else key)
+              for key, value in data.items()}
     try:
-        return cls(**data)
+        return cls(**values)
     except (TypeError, ConfigError) as exc:
-        raise ConfigError("%s: %s" % (context, exc))
+        raise ConfigError("%s: %s" % (where, exc))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -197,35 +216,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError("scenario document must be a mapping")
     if "name" not in data:
         raise ConfigError("scenario: missing required key 'name'")
-    scn = Scenario(
-        name=_checked(data["name"], str, "name"),
-        seed=_checked(data.get("seed", 0), int, "seed"),
-        description=_checked(data.get("description", ""), str, "description"),
-        chain=_build(ChainParams, data.get("chain"), "chain"),
-        auction=_build(AuctionParams, data.get("auction"), "auction"),
-        auctioneer=_build(AuctioneerParams, data.get("auctioneer"), "auctioneer"),
-        quorum=_build(QuorumParams, data.get("quorum"), "quorum"),
-        endpoints=[_build(EndpointSpec, e, "endpoints[%d]" % i)
-                   for i, e in enumerate(data.get("endpoints") or [])],
-        bidders=[_build(BidderScript, b, "bidders[%d]" % i)
-                 for i, b in enumerate(data.get("bidders") or [])],
-        proposals=[_build(ProposalScript, p, "proposals[%d]" % i)
-                   for i, p in enumerate(data.get("proposals") or [])],
-        faults=_build_faults(data.get("faults")),
-        expect=_build(Expectations, data.get("expect"), "expect"),
-    )
+    scn = _build(Scenario, data)
     validate_scenario(scn)
     return scn
-
-
-def _build_faults(data) -> FaultPlan:
-    if data is None:
-        return FaultPlan()
-    if not isinstance(data, dict):
-        raise ConfigError("faults: expected a mapping")
-    reorgs = [_build(ReorgFault, r, "faults.reorgs[%d]" % i)
-              for i, r in enumerate(data.get("reorgs") or [])]
-    return _build(FaultPlan, dict(data, reorgs=reorgs), "faults")
 
 
 def validate_scenario(scn: Scenario) -> None:
@@ -244,6 +237,7 @@ def validate_scenario(scn: Scenario) -> None:
     if scn.auction.deadline_height <= scn.open_height:
         raise ConfigError("%s: deadline %d must exceed the open height %d"
                           % (ctx, scn.auction.deadline_height, scn.open_height))
+    limit = scn.auction.deadline_height + scn.auction.kappa + scn.auction.proposal_window
     names = set()
     for b in scn.bidders:
         bctx = "%s bidder %r" % (ctx, b.name)
@@ -265,6 +259,9 @@ def validate_scenario(scn: Scenario) -> None:
                               % (bctx, b.topup_height, b.funding_height))
         if b.funding < 0 or (b.topup or 0) < 0:
             raise ConfigError("%s: negative amounts" % bctx)
+        if b.transfers()[-1][1] > limit:
+            raise ConfigError("%s: transfer at height %d is past the limit %d"
+                              % (bctx, b.transfers()[-1][1], limit))
     if scn.proposals and scn.auction.resolution_mode != MODE_PROPOSER:
         raise ConfigError("%s: proposals require proposer mode" % ctx)
     for p in scn.proposals:

@@ -146,6 +146,9 @@ class SignedTransaction:
     def from_raw(cls, raw: bytes) -> "SignedTransaction":
         if isinstance(raw, str):
             raw = bytes.fromhex(raw[2:] if raw.startswith("0x") else raw)
+        elif not isinstance(raw, bytes):
+            raise CodecError("a raw transaction is hex or bytes, not %s"
+                             % type(raw).__name__)
         fields = rlp.decode(raw)
         if not isinstance(fields, list) or len(fields) != 9:
             raise CodecError("signed transaction must decode to 9 fields")

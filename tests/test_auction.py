@@ -23,8 +23,8 @@ from sealedbid import (
 from sealedbid.auction import AuctionInstance, AuctionState
 from sealedbid.chain import SimChain
 from sealedbid.crypto import secp256k1
-from sealedbid.enclave import Enclave
-from sealedbid.errors import StateError
+from sealedbid.enclave import Enclave, encrypt_to_key
+from sealedbid.errors import RegistrationError, StateError
 from sealedbid.proposer import open_proposals
 from sealedbid.transactions import SignedTransaction
 
@@ -348,23 +348,74 @@ def test_each_transaction_is_encoded_and_hashed_once(make_runner, monkeypatch, m
     assert [hashed[raw] for raw in raws] == [1] * len(raws)
 
 
+class _CountedX25519Key:
+    """An X25519 private key whose key agreements are counted."""
+
+    def __init__(self, key, exchanges):
+        self._key, self._exchanges = key, exchanges
+
+    def exchange(self, peer):
+        self._exchanges.append(1)
+        return self._key.exchange(peer)
+
+    def __getattr__(self, name):
+        return getattr(self._key, name)
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "proposer"])
 @pytest.mark.parametrize("n", [4, 12])
 def test_x25519_keys_built_per_auction(make_runner, monkeypatch, mode, n):
-    # the enclave's input key, then per bidder: its wallet key, its
-    # registration's ephemeral key and the enclave's reply ephemeral key
+    # keys: the enclave's input key, then one registration ephemeral per
+    # bidder; agreements: one per registration on each side, since the
+    # reply is keyed from the request
     runner = make_runner(**auction_doc(n, mode))
-    calls = []
+    loads, exchanges = [], []
     real = X25519PrivateKey.from_private_bytes.__func__
 
     def from_private_bytes(cls, data):
-        calls.append(len(data))
-        return real(cls, data)
+        loads.append(len(data))
+        return _CountedX25519Key(real(cls, data), exchanges)
 
     monkeypatch.setattr(X25519PrivateKey, "from_private_bytes",
                         classmethod(from_private_bytes))
     assert runner.run().passed
-    assert len(calls) == 3 * n + 1
+    assert len(loads) == n + 1
+    assert len(exchanges) == 2 * n
+
+
+def test_a_replayed_registration_is_refused_before_any_draw_or_seal(make_runner,
+                                                                   monkeypatch):
+    # the host sends each bidder's request again right after it registers
+    runner = make_runner(**auction_doc(3))
+    real = runner._register
+    refused = []
+
+    def register(script):
+        real(script)
+        wallet, enclave = runner.wallets[script.name], runner.enclave
+        payload = events.canonical({"claim_address": events.hx(wallet.address)}).encode()
+        request, _ = encrypt_to_key(enclave.input_public_key, payload,
+                                    wallet.registration_ephemeral)
+        before = (len(runner.events), runner.auction._registry_count(),
+                  runner.client.query_count, runner.gas.total())
+        touched = []
+        with monkeypatch.context() as patch:
+            patch.setattr(enclave, "_stream", lambda n: touched.append("draw"))
+            patch.setattr(enclave, "seal_put", lambda *args: touched.append("seal"))
+            with pytest.raises(RegistrationError, match="replays an accepted request"):
+                runner.auction.register_bidder(request)
+        assert touched == []
+        assert (len(runner.events), runner.auction._registry_count(),
+                runner.client.query_count, runner.gas.total()) == before
+        refused.append(script.name)
+
+    runner._register = register
+    report = runner.run()
+    assert refused == ["b0", "b1", "b2"] and report.final_state == "Claimed"
+    # each replay still counts as a call to the enclave
+    assert [c.name for c in report.checks if not c.passed] == ["non_interactivity"]
+    assert [r["registration_index"] for r in runner.events.records
+            if r["event"] == "BidderEnvelope"] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("n", [4, 12])

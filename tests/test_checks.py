@@ -277,7 +277,7 @@ def test_a_zero_funding_counts_as_the_bidders_one_transfer():
 # Two colluding height misreporters (f = q, outside the trust assumption)
 # make the agreed head lag one block behind the challenge window's end.
 LAGGING_HEAD = {
-    "name": "fz489", "seed": 236205,
+    "name": "fz489", "seed": 11,
     "auction": {"deadline_height": 12, "kappa": 4,
                 "resolution_mode": "proposer", "proposal_window": 5},
     "chain": {"finality_depth": 2},
@@ -613,7 +613,7 @@ def stuck(seed):
 
 
 def test_an_unconfirmed_deadline_fails_liveness():
-    report = runner_of(stuck(5)).run()
+    report = runner_of(stuck(6)).run()
     assert report.final_state == "Open"
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["liveness"]

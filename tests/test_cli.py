@@ -151,6 +151,23 @@ def test_verify_log_reports_malformed_input(case, tmp_path, capsys):
     assert "leaked" not in out
 
 
+@pytest.mark.parametrize("raw", [-2**200, 2**64, 10**6, None])
+def test_verify_log_fails_a_payload_that_is_not_hex(raw, tmp_path, capsys):
+    # an int is no transaction: it is refused before any bytes are built
+    log = run_logged("honest_4_bidders", tmp_path)
+
+    def edit(records):
+        first(records, "Resolved")["payloads"][0]["raw"] = raw
+
+    rewrite_log(log, edit)
+    capsys.readouterr()
+    assert main(["verify-log", str(log)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("payload ")][0].endswith(
+        "signer=<unrecoverable> FAIL"), out
+    assert out[-1].startswith("verify-log: FAIL")
+
+
 @pytest.fixture(scope="module")
 def bundled_logs(tmp_path_factory):
     """The event lines of each bundled scenario that has at least four events."""
@@ -310,6 +327,17 @@ REJECTED = [
     ("auction.kappa", True, "auction.kappa: expected int, got True"),
     ("faults", {"compromise_enclave": "yes"},
      "faults.compromise_enclave: expected bool, got 'yes'"),
+    # a misspelt section, and a section that is not a list
+    ("bidder", [], "scenario: unknown keys ['bidder']"),
+    ("bidders", 1.5, "bidders: expected a list, got 1.5"),
+    ("endpoints", 1.5, "endpoints: expected a list, got 1.5"),
+    ("proposals", 2, "proposals: expected a list, got 2"),
+    ("faults", {"reorgs": 1}, "faults.reorgs: expected a list, got 1"),
+    # a transfer past deadline + kappa + proposal_window (12 + 6 + 10)
+    ("bidders.3.funding_height", 29,
+     "bidder 'dave': transfer at height 29 is past the limit 28"),
+    ("bidders.3.funding_height", 2**64,
+     "bidder 'dave': transfer at height %d is past the limit 28" % 2**64),
     ("seed", 2**127, "seed %d is outside the signed 128-bit range" % 2**127),
     ("seed", -2**127 - 1, "seed %d is outside the signed 128-bit range" % (-2**127 - 1)),
 ]
@@ -326,6 +354,12 @@ def test_oracle_and_run_reject_what_the_engine_rejects(key, value, message, tmp_
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err, err
         assert err.count("\n") == 1, err
+
+
+def test_a_transfer_at_the_height_limit_loads(tmp_path, capsys):
+    path = scenario_with(tmp_path, "bidders.3.funding_height", 28)
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "winner: carol"
 
 
 def test_run_of_a_breach_with_no_bidders_exits_0(tmp_path, capsys):

@@ -1,15 +1,17 @@
 """Emulated enclave: sealed-store fault paths, envelopes, attestation and the key scan."""
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from sealedbid import events
+from sealedbid import enclave as enclave_module, events
 from sealedbid.enclave import (
     AttestationReport,
     DeterministicStream,
     Enclave,
     Envelope,
     decrypt_envelope,
+    encrypt_to_key,
     verify_attestation,
 )
 from sealedbid.errors import (
@@ -61,20 +63,85 @@ def test_replayed_snapshot_is_a_rollback():
         enclave.seal_get(LABEL)
 
 
+def registered(enclave, ephemeral=bytes(range(32)), plaintext=b"claim"):
+    """A request to `enclave`'s input key, opened: (request, reply key
+    the bidder holds, reply key the enclave derived)."""
+    request, bidder_key = encrypt_to_key(enclave.input_public_key, plaintext, ephemeral)
+    opened, enclave_key = enclave.decrypt_input(request)
+    assert opened == plaintext
+    return request, bidder_key, enclave_key
+
+
 def test_envelope_record_round_trip_and_authentication():
     enclave = Enclave(seed=7)
-    recipient_private = X25519PrivateKey.from_private_bytes(bytes(range(32)))
-    recipient_public = recipient_private.public_key().public_bytes_raw()
-    envelope = enclave.encrypt_to(recipient_public, b"escrow")
+    request, reply_key, enclave_key = registered(enclave)
+    assert enclave_key == reply_key
+    envelope = enclave.encrypt_to(enclave_key, request, b"escrow")
+    # the reply names the request's keys
+    assert (envelope.recipient_public_key, envelope.sender_ephemeral) == \
+        (enclave.input_public_key, request.sender_ephemeral)
     restored = Envelope.from_record(envelope.to_record())
     assert restored == envelope
-    assert decrypt_envelope(recipient_private, restored) == b"escrow"
+    assert decrypt_envelope(reply_key, restored) == b"escrow"
     with pytest.raises(EnvelopeAuthError):
-        decrypt_envelope(X25519PrivateKey.from_private_bytes(bytes(32)), restored)
+        decrypt_envelope(bytes(32), restored)
     flipped = Envelope(envelope.recipient_public_key, envelope.sender_ephemeral,
                        bytes([envelope.ciphertext[0] ^ 1]) + envelope.ciphertext[1:])
     with pytest.raises(EnvelopeAuthError):
-        decrypt_envelope(recipient_private, flipped)
+        decrypt_envelope(reply_key, flipped)
+    # the reply's keys are its AAD: naming another request fails
+    moved = Envelope(envelope.recipient_public_key, bytes(32), envelope.ciphertext)
+    with pytest.raises(EnvelopeAuthError):
+        decrypt_envelope(reply_key, moved)
+
+
+def test_the_reply_key_is_not_the_request_key():
+    enclave = Enclave(seed=7)
+    request, reply_key, _ = registered(enclave)
+    with pytest.raises(EnvelopeAuthError):
+        decrypt_envelope(reply_key, request)
+    # both are HKDF-SHA256 of the one secret and salt, under their own info
+    shared, salt = bytes(range(32, 64)), request.aad
+    request_key, reply_key = enclave_module._envelope_keys(shared, salt)
+    assert request_key != reply_key
+    for info, key in ((b"sealedbid/envelope/v1", request_key),
+                      (b"sealedbid/envelope-reply/v1", reply_key)):
+        assert key == HKDF(algorithm=SHA256(), length=32, salt=salt,
+                           info=info).derive(shared)
+
+
+def test_one_registrations_reply_key_cannot_open_anothers_reply():
+    enclave = Enclave(seed=7)
+    _, first_key, _ = registered(enclave, bytes(range(32)))
+    second, second_key, enclave_key = registered(enclave, bytes(range(1, 33)))
+    assert first_key != second_key
+    reply = enclave.encrypt_to(enclave_key, second, b"escrow")
+    assert decrypt_envelope(second_key, reply) == b"escrow"
+    with pytest.raises(EnvelopeAuthError):
+        decrypt_envelope(first_key, reply)
+
+
+def test_the_input_key_accepts_each_request_once(monkeypatch):
+    enclave = Enclave(seed=7)
+    request, _, _ = registered(enclave)
+
+    class NoAgreement:
+        def exchange(self, peer):
+            raise AssertionError("a replayed request reached the key agreement")
+
+    monkeypatch.setattr(enclave, "_input_key", NoAgreement())
+    with pytest.raises(EnvelopeAuthError, match="replays an accepted request"):
+        enclave.decrypt_input(request)
+
+
+def test_a_forged_request_does_not_use_up_its_ephemeral_key():
+    enclave = Enclave(seed=7)
+    request, _ = encrypt_to_key(enclave.input_public_key, b"claim", bytes(range(32)))
+    forged = Envelope(request.recipient_public_key, request.sender_ephemeral,
+                      bytes(len(request.ciphertext)))
+    with pytest.raises(EnvelopeAuthError, match="failed authentication"):
+        enclave.decrypt_input(forged)
+    assert enclave.decrypt_input(request)[0] == b"claim"
 
 
 def test_attestation_record_round_trip_verifies():

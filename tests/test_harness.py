@@ -105,9 +105,10 @@ def test_a_stream_with_only_proposals_opened_is_not_checked_for_completeness():
     assert gaps([canonical(r) for r in records], {"b1": bytes(range(20))}) == []
 
 
-@pytest.mark.parametrize("seed", [179, 1055, 1513])
+@pytest.mark.parametrize("seed", [2419, 2897, 3264])
 def test_bid_digits_inside_ciphertext_are_not_a_leak(seed):
-    # each seed puts one bid's decimal digits inside the hex of an envelope
+    # each seed puts one bid's decimal digits, between hex letters, inside
+    # the ciphertext of an envelope
     report = run_scenario(SCENARIOS / "honest_10_bidders.yaml", seed=seed)
     assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 

@@ -26,33 +26,33 @@ LOGS = ("events.jsonl", "audit.jsonl", "gas.csv")
 # sha256 of (events.jsonl, audit.jsonl, gas.csv) per scenario
 DIGESTS = {
     "colluding_quorum": (
-        "e0a491564a752e577a813909e94ee79462de3ade2fae20b1958293f185ae4067",
-        "45f0e40256c0a1fb02663c983767eccaffcc9436ca93e3b6b91d78adcc06f18f",
+        "034702bc64303ca977d1e17fdcbaba3a2a7d1650fef18eebfb357212f2b67336",
+        "2a7ee069476a6f5da36fabc489e8aa8770a03cbc91a5815155e8544eece1e3d0",
         "45925c76c11820e0ca15b804f98ba191de0b4a574fe68bf54acd8bf26de60b26",
     ),
     "enclave_compromise": (
-        "390dfc9be570fe54cefe454d3e8da42a054952d76f2ee6aa24b7bc029ef02cc9",
-        "be106707c39d4a46fb631383ff139ac74d688578733bc0c654e452268e046ecd",
+        "5ee411c2f5bae862dceacb223791e325d58fd5c5801325e7ddfa591573d303f9",
+        "41fd697bc48a3db94a4072274cfe22e879756ad0a3f429c5dfef015788cd6592",
         "fda9962705601c7c8850cdd83ffef9678d7b34754f1db58f6877925c765d8a08",
     ),
     "honest_10_bidders": (
-        "1e1bb22c2ff4dbfe17c25b2e24436bee2454f83129356fdcccbc1b48f5590d14",
-        "4e54db686cb1e2bdcea1c35c3ac4d46c8290e305c42d57148d4dced5697375d6",
+        "544c295c98ad7f8e0396aa5e81713f55fa0cb4f8559c043106231aecce36c9ed",
+        "610ba48bc6731d0cc33e1080ac341f4fda46a648c4d902bac04bc7e478068abe",
         "1140c728cc40423b7cc8d3ace1db9f64b4554547fc522e185b7a9796130755fb",
     ),
     "honest_1_bidder": (
-        "b718f33106ee0c012e6baf76b5852be9e3eb701bed8bed9fdd908c32553f6dfb",
-        "a4c349256f8aa15268829093a1ae47ca077bc6bf13bbe9f47f70979c6b2fa8fd",
+        "e66b67275b1285ab464440970f6faca437765aac91cae130d1c1c7da25617294",
+        "187858c35f0ce9b9d138769d4d95fee2f079e6c8cf0ed83b5965417e8489bb77",
         "0fdec8f9d79f81497ff9bfbc45a732d8531600dee68774ee58cb648b346829a2",
     ),
     "honest_4_bidders": (
-        "62adebaa809ed90845c0af888959c02a1d3f37f973967c212909214efff55baa",
-        "14eda6d7e109518e12701426ffab7e9af2c42a09d0fc84379ed9e919a97a44e4",
+        "bbc2c6c4b9f579ede2d1687dfa45e4e180d98ac002df296f7f4dc6950b72dec0",
+        "ca0fc07c06daa17353a0ce77a6119f16c8551cd318cd084a25932fdbb4edc2e7",
         "f201abbe64d814902e6c82d36877cee63dd842dcd9470a7793774b6d769d23a9",
     ),
     "misreporting_minority": (
-        "84a52610e7c0e62726fa03eb2131e8ac2b79475fa6a46d8f4e02c09551da133d",
-        "298b0889e145b2623da693a5e8e637e0f0d0acfa052f20ec703daf83d4f36cb5",
+        "c28e140d8e43cd66e69dbe1a7739a7115a2facd81885556bdef28d2e96d5bcaa",
+        "dd42e48f8507b7f13b8202b44710ca9d71dbc0c186dce600ad36782f8c5a2f94",
         "73d8a2cb4ac71c676ba83e443c84f78a48b58e99d5dbeb3ca467ebf2701dd6d4",
     ),
     "no_asset": (
@@ -66,18 +66,18 @@ DIGESTS = {
         "22a56ab71a5110f828355f47fcd03f91e52a01034cf0e6bbfe713c22eba75f51",
     ),
     "proposer_4_bidders": (
-        "547fb9e9ad0265ff51e7b4b6238350976b3f8b2076cb6eec957ffa5985cef390",
-        "26ce3a0ff8e3283d39c476c9dc114a8b648186c4f2ddda70249e47eb535f0a09",
+        "564b04dbba86cd96f258777722610c5136ea1f9d774b81a173971ff612876043",
+        "5d864b3f0bbee73d0c4097e4083a12ef375a5d16e25795c1b85df567b175f516",
         "eae4032852e908e1d21259d9e2f84f7748c11f9dfe66f34b6a09d8d41c5fd192",
     ),
     "proposer_no_proposals": (
-        "f486e4a8222d8873a66cc115b35aaa9ccbf62d0bb10b4a77a240a6ca6fccbe28",
-        "29270c10f0bf85c22a56d43758d52ba99a22ad4d2fa7f34626601d13a239950d",
+        "4ad42da8af8183f842ea8f125f959ace4502131ec00a7e7a9030568fd29623ee",
+        "1533b6c5732035f12ca376fe7971ea037f931a91424ce90a5e91292cbb140068",
         "144acafa2245a74453b5971f272ad214950963c9d82fd35736f92ac9556956ec",
     ),
     "reorg_under_kappa": (
-        "7fda22d36879e5202f7a58ccedc5c2af4fb19b54f9cfcdf5a1915673a4b2c9a8",
-        "4a071d998b6998c6358820e181fe97d27da86f65597ee18113848a688a7ad5d0",
+        "20555cd00e2b8e2aef10cf87c7a83cec36968f32ab794d5d035af1a7c66a105d",
+        "41b2a401115c48dd60f15638f32abe21f307ddbde3a70cf363d59594e64a3f87",
         "73d8a2cb4ac71c676ba83e443c84f78a48b58e99d5dbeb3ca467ebf2701dd6d4",
     ),
     "sealed_tamper": (
@@ -86,8 +86,8 @@ DIGESTS = {
         "b4484fa550e7398c36032a1c79f498925a1f20e748af0804456cd270962aa1e1",
     ),
     "tie_break": (
-        "bb50006b8d9cb2114dffef0f733114e08f4ac60aec682bba635f55c57f071b04",
-        "567e5a1e90fb565c43cbca72c124d6c803d710f6b68175b0e355f0d1939b35cc",
+        "5ee90749e4f340750e3e728929b900ad18b52786ad0147aefa960be35e5a8cf7",
+        "187e74455f0c632a703e86b65b12798c195f9c58212b944c189a182c8a68ec12",
         "14684f2653d71f298df22ec1bc3d822b8d539e9e489a5968b1e227834a12681f",
     ),
 }

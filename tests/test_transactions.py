@@ -1,6 +1,7 @@
 """Settlement transaction signing, serialization, and recovery."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -140,6 +141,19 @@ def test_from_raw_validates_structure():
     raw = bytearray(stx.raw())
     with pytest.raises(CodecError):
         SignedTransaction.from_raw(bytes(raw[:-2]))  # truncated
+
+
+@pytest.mark.parametrize("raw", [10**6, -2**200, None, 1.5, [b"\x80"]])
+def test_from_raw_takes_only_hex_or_bytes(raw):
+    # an int is refused before `bytes(N)` could build N zero bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match="is hex or bytes"):
+            SignedTransaction.from_raw(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_unsigned_tx_field_validation():
