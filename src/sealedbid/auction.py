@@ -300,9 +300,9 @@ class AuctionInstance:
         """One enclave call per bidder: the escrow address, in a reply keyed
         from the request, which is opened first so a replay draws nothing."""
         self._require_state(AuctionState.OPEN, "register_bidder")
-        self.register_call_count += 1
         try:
             plaintext, reply_key = self.enclave.decrypt_input(registration)
+            self.register_call_count += 1  # authentic and not a replay
             claim_address = unhx(json.loads(plaintext)["claim_address"])
         except EnvelopeAuthError as exc:
             raise RegistrationError("registration rejected: %s" % exc) from exc

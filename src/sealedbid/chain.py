@@ -19,24 +19,14 @@ Asset transfers are ordinary signed transactions addressed to
 ASSET_REGISTRY_ADDRESS with data = rlp([token_id, recipient]) and zero
 value; they apply only if the signer currently owns the token.
 
-The transaction pool keeps two sets, after go-ethereum's legacypool:
-
-- pending: executable transactions, in arrival order. A sender's pending
-  transactions carry consecutive nonces starting at its account nonce,
-  and the next block includes all of them unless one is invalidated at
-  mining.
-- queued: future-nonce transactions parked per sender, keyed by nonce,
-  at most MAX_QUEUED_PER_SENDER (64) per sender. A transaction whose
-  nonce is past the sender's next pending nonce waits here until the gap
-  fills, so relayers may submit a nonce chain in any order.
-
-A stale nonce (one below the next pending nonce), a second transaction
-at a nonce already queued, and a future nonce past the queue bound are
-rejected outright. Admitting the transaction at the next pending nonce
-promotes the sender's queued transactions that now follow without a gap
-into pending, in nonce order. Promotion runs the funds check of
-admission; it stops at the first transaction that cannot pay, which is
-dropped.
+The transaction pool holds pending transactions in arrival order and
+admits by one rule: a transaction enters pending only at its sender's
+next nonce (the account nonce plus its pending count) and only if the
+sender's balance pays for it on top of what its pending transactions
+already commit. Any other nonce is rejected as a nonce gap, and nothing
+is kept for later, so a relayer submits a nonce chain in order. The next
+block includes every pending transaction unless one is invalidated at
+mining.
 """
 
 import threading
@@ -55,8 +45,6 @@ REJECT_REPLAY = "replay_protection"
 REJECT_NONCE_GAP = "nonce_gap"
 REJECT_INSUFFICIENT = "insufficient_funds"
 REJECT_ASSET_OP = "invalid_asset_op"
-
-MAX_QUEUED_PER_SENDER = 64  # go-ethereum's default AccountQueue
 
 
 def asset_transfer_data(token_id: int, recipient: bytes) -> bytes:
@@ -133,14 +121,11 @@ class SubmitResult:
 
     `accepted` means the transaction entered the pending set: the next
     block includes it unless it is invalidated at mining. Otherwise
-    `reason` names the rejection. `queued` is True only for a future
-    nonce parked in the queued set (`accepted=False`,
-    `reason="nonce_gap"`); it becomes pending when its nonce gap fills.
+    `reason` names the rejection, and the chain keeps nothing of it.
     """
 
     accepted: bool
     reason: Optional[str]
-    queued: bool = False
 
 
 @dataclass(frozen=True)
@@ -202,7 +187,6 @@ class SimChain:
         self._pending: List[Tuple[SignedTransaction, bytes]] = []  # (tx, sender)
         # sender -> (its transactions in _pending, the value plus fees they commit)
         self._pending_from: Dict[bytes, Tuple[int, int]] = {}
-        self._queued: Dict[bytes, Dict[int, SignedTransaction]] = {}  # sender -> nonce -> tx
         self._blocks: List[Block] = [Block(0, (), None, state)]
         self._tx_index: Dict[bytes, int] = {}  # tx_hash -> inclusion height
         # address -> (height, sender) of its first value inflow
@@ -243,10 +227,8 @@ class SimChain:
             return self._blocks[-1]._state.nonces.get(addr, 0)
 
     def next_nonce(self, addr: bytes) -> int:
-        """Account nonce plus executable transactions pending from `addr`.
-
-        Queued (future-nonce) transactions are not counted.
-        """
+        """Account nonce plus transactions pending from `addr`: the one
+        nonce `submit_tx` admits from it."""
         with self._lock:
             return self.account_nonce(addr) + self._pending_from.get(addr, (0, 0))[0]
 
@@ -257,10 +239,6 @@ class SimChain:
         with self._lock:
             state = self._blocks[-1]._state
             return sum(state.balances.values()) + state.fees_collected
-
-    def fees_collected_at(self, height: int) -> int:
-        with self._lock:
-            return self._blocks[self._known(height)]._state.fees_collected
 
     def height_of(self, tx_hash: bytes) -> Optional[int]:
         with self._lock:
@@ -279,12 +257,6 @@ class SimChain:
             if first is None or first[0] > height:
                 return None
             return first[1]
-
-    def pending_count(self) -> int:
-        """Executable transactions awaiting the next block; queued ones are
-        not counted."""
-        with self._lock:
-            return len(self._pending)
 
     # -- fees ---------------------------------------------------------------
 
@@ -313,45 +285,13 @@ class SimChain:
         with self._lock:
             state = self._blocks[-1]._state
             pending, committed = self._pending_from.get(sender, (0, 0))
-            expected_nonce = state.nonces.get(sender, 0) + pending
-            queued = self._queued.get(sender, {})
-            if tx.nonce < expected_nonce:
+            if tx.nonce != state.nonces.get(sender, 0) + pending:
                 return SubmitResult(False, REJECT_NONCE_GAP)
-            if tx.nonce > expected_nonce and (tx.nonce in queued
-                                              or len(queued) >= MAX_QUEUED_PER_SENDER):
-                return SubmitResult(False, REJECT_NONCE_GAP)
-            spendable = state.balances.get(sender, 0) - committed
-            if cost > spendable:
+            if cost > state.balances.get(sender, 0) - committed:
                 return SubmitResult(False, REJECT_INSUFFICIENT)
-            if tx.nonce > expected_nonce:
-                self._queued.setdefault(sender, {})[tx.nonce] = tx
-                return SubmitResult(False, REJECT_NONCE_GAP, queued=True)
-            self._admit(tx, sender, cost)
-            if queued:
-                self._promote(sender, tx.nonce, spendable - cost)
+            self._pending.append((tx, sender))
+            self._pending_from[sender] = (pending + 1, committed + cost)
             return SubmitResult(True, None)
-
-    def _admit(self, tx: SignedTransaction, sender: bytes, cost: int) -> None:
-        self._pending.append((tx, sender))
-        pending, committed = self._pending_from.get(sender, (0, 0))
-        self._pending_from[sender] = (pending + 1, committed + cost)
-
-    def _promote(self, sender: bytes, admitted_nonce: int, spendable: int) -> None:
-        """Move `sender`'s queued transactions that follow `admitted_nonce`
-        without a gap into pending, in nonce order, while `spendable` pays
-        for them. The first that cannot pay is dropped."""
-        queued = self._queued[sender]
-        nonce = admitted_nonce + 1
-        while nonce in queued:
-            tx = queued.pop(nonce)
-            cost = tx.value + self.tx_fee(tx)
-            if cost > spendable:
-                break
-            self._admit(tx, sender, cost)
-            spendable -= cost
-            nonce += 1
-        if not queued:
-            del self._queued[sender]
 
     def mine_block(self) -> Block:
         with self._lock:
@@ -396,10 +336,11 @@ class SimChain:
         """Replace the last `depth` blocks, replaying their transactions in
         block order except those whose hashes are in `censor`. A replayed
         transaction that no longer fits, such as a sender's next one after
-        a censored nonce, is dropped, not queued; `height_of` tells which
-        landed. The untouched pending and queued sets survive the reorg. A
-        reorg past the finality window or into genesis is refused, and a
-        negative depth is a ConfigError; neither changes the chain."""
+        a censored nonce, is rejected by `submit_tx` like any other and
+        dropped; `height_of` tells which landed. The pending set survives
+        the reorg untouched. A reorg past the finality window or into
+        genesis is refused, and a negative depth is a ConfigError; neither
+        changes the chain."""
         if depth < 0:
             raise ConfigError("reorg depth must be >= 0, got %d" % depth)
         with self._lock:
@@ -419,11 +360,11 @@ class SimChain:
                         del self._first_inflow[tx.to]
                     if tx_hash not in censor:
                         replay.append(tx)
-            stashed = self._pending, self._pending_from, self._queued
-            self._pending, self._pending_from, self._queued = [], {}, {}
+            stashed = self._pending, self._pending_from
+            self._pending, self._pending_from = [], {}
             for tx in replay:
                 self.submit_tx(tx)
             for _ in range(depth):
                 self.mine_block()
-            self._pending, self._pending_from, self._queued = stashed
+            self._pending, self._pending_from = stashed
             return ReorgResult(applied=True)

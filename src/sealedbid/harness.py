@@ -515,8 +515,12 @@ class ScenarioRunner:
         wallet_ok, wallet_detail = True, []
         for b in scn.bidders:
             wallet = self.wallets[b.name]
-            amounts = [amount for label, _, amount in b.transfers()
-                       if self.chain.height_of(self.transfer_hashes[label]) is not None]
+            # a censored transfer sent again is the same transaction, and
+            # its two labels name one hash: count each included hash once
+            included = {self.transfer_hashes[label]: amount
+                        for label, _, amount in b.transfers()}
+            amounts = [amount for tx_hash, amount in included.items()
+                       if self.chain.height_of(tx_hash) is not None]
             spent = sum(amounts)
             n_txs = len(amounts)
             back = spent - (res.winning_amount if b.name == winner else 0)

@@ -237,6 +237,7 @@ def validate_scenario(scn: Scenario) -> None:
     if scn.auction.deadline_height <= scn.open_height:
         raise ConfigError("%s: deadline %d must exceed the open height %d"
                           % (ctx, scn.auction.deadline_height, scn.open_height))
+    # no transfer or reorg comes later, so a run mines a bounded number of blocks
     limit = scn.auction.deadline_height + scn.auction.kappa + scn.auction.proposal_window
     names = set()
     for b in scn.bidders:
@@ -279,6 +280,9 @@ def validate_scenario(scn: Scenario) -> None:
         if r.at_height < 2:
             raise ConfigError("%s: reorg at height %d has nothing to replace"
                               % (ctx, r.at_height))
+        if r.at_height > limit:
+            raise ConfigError("%s: reorg at height %d is past the limit %d"
+                              % (ctx, r.at_height, limit))
         if r.depth < 0:
             raise ConfigError("%s: negative reorg depth" % ctx)
 

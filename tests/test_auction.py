@@ -412,10 +412,31 @@ def test_a_replayed_registration_is_refused_before_any_draw_or_seal(make_runner,
     runner._register = register
     report = runner.run()
     assert refused == ["b0", "b1", "b2"] and report.final_state == "Claimed"
-    # each replay still counts as a call to the enclave
-    assert [c.name for c in report.checks if not c.passed] == ["non_interactivity"]
+    # a refused replay is not a call the bidder made
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    assert runner.auction.register_call_count == 3
     assert [r["registration_index"] for r in runner.events.records
             if r["event"] == "BidderEnvelope"] == [0, 1, 2]
+
+
+def test_a_second_registration_under_a_fresh_key_fails_non_interactivity(make_runner):
+    # b0 registers again with a new ephemeral key, which the enclave accepts
+    runner = make_runner(**auction_doc(3))
+    real = runner._register
+
+    def register(script):
+        real(script)
+        if script.name == "b0":
+            wallet, enclave = runner.wallets["b0"], runner.enclave
+            payload = events.canonical({"claim_address": events.hx(wallet.address)}).encode()
+            request, _ = encrypt_to_key(enclave.input_public_key, payload, bytes(range(32)))
+            runner.auction.register_bidder(request)
+
+    runner._register = register
+    report = runner.run()
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["non_interactivity"]
+    assert failed[0].detail.startswith("register calls 4/3;")
 
 
 @pytest.mark.parametrize("n", [4, 12])

@@ -147,50 +147,17 @@ def test_pending_nonce_chain_in_one_block():
     assert chain.account_nonce(A) == 2
 
 
-def test_future_nonce_queued_until_gap_fills():
+def test_a_future_nonce_is_rejected_and_changes_nothing():
     chain = make_chain()
-    later = chain.submit_tx(transfer(chain, KEY_A, C, 7, nonce=1))
-    assert not later.accepted and later.reason == "nonce_gap" and later.queued
-    assert chain.next_nonce(A) == 0 and chain.pending_count() == 0
-    first = chain.submit_tx(transfer(chain, KEY_A, C, 5, nonce=0))
-    assert first.accepted and not first.queued
-    assert chain.next_nonce(A) == 2 and chain.pending_count() == 2
-    block = chain.mine_block()
-    assert [tx.nonce for tx in block.tx_list] == [0, 1]
-    assert chain.balance(C) == 12
-
-
-def test_queue_bound_per_sender():
-    chain = make_chain()
-    for nonce in range(1, 65):
-        assert chain.submit_tx(transfer(chain, KEY_A, C, 1, nonce=nonce)).queued
-    result = chain.submit_tx(transfer(chain, KEY_A, C, 1, nonce=65))
-    assert result.reason == "nonce_gap" and not result.queued
-    assert chain.submit_tx(transfer(chain, KEY_B, C, 1, nonce=1)).queued
-
-
-def test_duplicate_queued_nonce_rejected():
-    chain = make_chain()
-    assert chain.submit_tx(transfer(chain, KEY_A, C, 1, nonce=2)).queued
-    result = chain.submit_tx(transfer(chain, KEY_A, C, 2, nonce=2))
-    assert result.reason == "nonce_gap" and not result.queued
-
-
-def test_queued_tx_that_cannot_pay_at_promotion_is_dropped():
-    chain = make_chain(genesis={A: GAS + 100})
-    parked = transfer(chain, KEY_A, B, 90, nonce=1)
-    assert chain.submit_tx(parked).queued  # affordable on its own
-    assert chain.submit_tx(transfer(chain, KEY_A, C, 5, nonce=2,
-                                    gas_price=0)).queued
-    assert chain.submit_tx(transfer(chain, KEY_A, C, 90, nonce=0)).accepted
-    assert chain.pending_count() == 1  # promotion stopped at nonce 1
-    assert len(chain.mine_block().tx_list) == 1
-    assert chain.submit_tx(transfer(chain, KEY_A, C, 1, nonce=1,
-                                    gas_price=0)).accepted
-    assert chain.pending_count() == 2  # nonce 2 stayed queued
-    chain.mine_block()
-    assert chain.height_of(parked.tx_hash()) is None
-    assert chain.balance(B) == 0 and chain.balance(C) == 96
+    later = transfer(chain, KEY_A, C, 7, nonce=1)
+    result = chain.submit_tx(later)
+    assert not result.accepted and result.reason == "nonce_gap"
+    assert (chain._pending, chain._pending_from, chain.next_nonce(A)) == ([], {}, 0)
+    # the gap fills, and only the transaction at the next nonce lands
+    assert chain.submit_tx(transfer(chain, KEY_A, C, 5, nonce=0)).accepted
+    assert chain.next_nonce(A) == 1
+    assert [tx.nonce for tx in chain.mine_block().tx_list] == [0]
+    assert chain.height_of(later.tx_hash()) is None and chain.balance(C) == 5
 
 
 # -- mining ----------------------------------------------------------------------
@@ -218,7 +185,7 @@ def test_sequential_apply_oracle():
         chain.mine_block()
     for account, balance in expected.items():
         assert chain.balance(account) == balance
-    assert chain.fees_collected_at(chain.head_height) == fees
+    assert chain._blocks[-1]._state.fees_collected == fees
 
 
 def test_value_and_asset_transfer_in_one_block():
@@ -467,22 +434,9 @@ def test_pending_pool_survives_reorg():
     chain.mine_block()
     chain.submit_tx(transfer(chain, KEY_B, C, 11))
     assert chain.reorg(1).applied
-    assert chain.pending_count() == 1
+    assert chain.next_nonce(B) == 1
     chain.mine_block()
     assert chain.balance(C) == 11
-
-
-def test_queued_pool_survives_reorg():
-    chain = make_chain()
-    chain.mine_block()
-    parked = transfer(chain, KEY_B, C, 11, nonce=1)
-    assert chain.submit_tx(parked).queued
-    assert chain.reorg(1).applied
-    assert chain.pending_count() == 0
-    assert chain.submit_tx(transfer(chain, KEY_B, C, 4, nonce=0)).accepted
-    chain.mine_block()
-    assert chain.height_of(parked.tx_hash()) is not None
-    assert chain.balance(C) == 15
 
 
 def test_a_reorg_replays_in_block_order():
@@ -520,24 +474,37 @@ def test_reorg_replacement_with_nonce_gap_rejected_not_queued():
 # -- concurrency -----------------------------------------------------------------------
 
 def test_concurrent_submissions_are_safe():
+    # each of four threads owns two senders and submits each one's nonces
+    # in order, while a fifth mines blocks
     keys = [3000 + i for i in range(8)]
     genesis = {addr_of(k): 1_000_000 for k in keys}
     chain = SimChain(genesis, chain_id=1, finality_depth=6)
-    prepared = []
-    for k in keys:
-        for nonce in range(10):
-            prepared.append(transfer(chain, k, C, 10, nonce=nonce))
+    by_thread = [[transfer(chain, k, C, 10, nonce=nonce)
+                  for nonce in range(10) for k in keys[2 * i:2 * i + 2]]
+                 for i in range(4)]
+    accepted = []
 
     def submit(txs):
         for tx in txs:
-            chain.submit_tx(tx)
+            accepted.append(chain.submit_tx(tx).accepted)
 
-    threads = [threading.Thread(target=submit, args=(prepared[i::4],))
-               for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def mine():
+        while any(t.is_alive() for t in threads):
+            chain.mine_block()
+
+    threads = [threading.Thread(target=submit, args=(txs,)) for txs in by_thread]
+    miner = threading.Thread(target=mine)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside submit_tx, not between calls
+    try:
+        for t in threads + [miner]:
+            t.start()
+        for t in threads + [miner]:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [miner])
+    assert accepted == [True] * 80
     chain.mine_block()
     assert chain.balance(C) == 8 * 10 * 10
     assert chain.total_supply() == 8 * 1_000_000
@@ -678,8 +645,8 @@ history_step = st.one_of(
 
 def run_history(steps, check):
     """Build a chain step by step and call `check(chain)` after each one:
-    a block of submissions at the sender's next nonce (or one past it, so
-    some wait queued), the same submissions left pending ("submit"), or a
+    a block of submissions at the sender's next nonce (or one past it, which
+    the pool rejects), the same submissions left pending ("submit"), or a
     reorg that censors every transaction of the blocks it removes but the
     picked ones. The pool's transactions are shared, and `recover_signer`
     recovers each sender once, so the examples stay fast on the
@@ -785,7 +752,7 @@ def test_history_queries_match_a_replay_from_genesis(steps):
                 assert chain.balance_at(addr, height) == balances.get(addr, 0), \
                     (addr.hex(), height)
             assert chain.asset_owner_at(TOKEN, height) == owner
-            assert chain.fees_collected_at(height) == fees
+            assert chain._blocks[height]._state.fees_collected == fees
             block = chain.block_at(height)
             if height and not block.tx_list:
                 assert block._state is chain.block_at(height - 1)._state
@@ -805,9 +772,9 @@ def reference_pending_from(chain):
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(pool_step, min_size=1, max_size=10))
 def test_pending_index_matches_a_list_scan(steps):
-    """The per-sender count and sum that `submit_tx` reads, kept by
-    `_promote`, `mine_block` and `reorg`, after every submission (a
-    reorg's own included) and every step."""
+    """The per-sender count and sum that `submit_tx` reads and extends,
+    and `mine_block` and `reorg` reset, after every submission (a reorg's
+    own included) and every step."""
     def check(chain):
         assert chain._pending_from == reference_pending_from(chain)
         for key in HISTORY_KEYS:

@@ -478,9 +478,22 @@ def small_auctions(draw):
     return doc
 
 
+# b0's funding is censored and its top-up of the same amount is the same
+# signed transaction: one hash under two labels, which lands once
+CENSORED_RESENT = {
+    "name": "small", "seed": 0, "chain": {"finality_depth": 1},
+    "auction": {"deadline_height": 3, "kappa": 1},
+    "endpoints": [{"id": "ep%d" % i} for i in range(3)],
+    "bidders": [{"name": "b0", "registration_height": 2, "funding": 50_000,
+                 "funding_height": 3, "topup": 50_000, "topup_height": 4}],
+    "faults": {"reorgs": [{"at_height": 3, "depth": 1, "censor": ["b0:funding"]}]},
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(doc=small_auctions())
 @example(doc=CENSORED_CLAIMED)
+@example(doc=CENSORED_RESENT)
 def test_a_small_auction_passes_every_check_and_agrees_with_the_oracle(doc):
     runner = runner_of(doc)
     report = runner.run()
@@ -532,6 +545,25 @@ def test_a_topup_after_the_deadline_is_returned_to_the_winner():
     assert (report.winner["bidder"], report.winner["amount"]) == ("a", 50_000)
     assert [stx.role for stx in runner.auction.resolution.settlement_txs] == \
         ["asset_claim", "winner_payment", "excess_return", "refund"]
+
+
+def test_the_relayer_lands_a_nonce_chain_sent_out_of_order():
+    # a's escrow pays winner_payment at nonce 0 and excess_return at nonce 1;
+    # sent last first, excess_return is rejected until winner_payment lands
+    runner = runner_of(top_up_doc(12))
+    real = runner._settle
+
+    def settle():
+        runner.auction.resolution.settlement_txs.reverse()
+        real()
+
+    runner._settle = settle
+    report = runner.run()
+    assert report.final_state == "Claimed"
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    height = {stx.role: runner.chain.height_of(stx.tx.tx_hash())
+              for stx in runner.auction.resolution.settlement_txs}
+    assert height["excess_return"] > height["winner_payment"]
 
 
 def conservation_of(runner):

@@ -338,6 +338,11 @@ REJECTED = [
      "bidder 'dave': transfer at height 29 is past the limit 28"),
     ("bidders.3.funding_height", 2**64,
      "bidder 'dave': transfer at height %d is past the limit 28" % 2**64),
+    # a reorg past the same limit
+    ("faults", {"reorgs": [{"at_height": 29, "depth": 1}]},
+     "reorg at height 29 is past the limit 28"),
+    ("faults", {"reorgs": [{"at_height": 2**64, "depth": 1}]},
+     "reorg at height %d is past the limit 28" % 2**64),
     ("seed", 2**127, "seed %d is outside the signed 128-bit range" % 2**127),
     ("seed", -2**127 - 1, "seed %d is outside the signed 128-bit range" % (-2**127 - 1)),
 ]
@@ -358,6 +363,12 @@ def test_oracle_and_run_reject_what_the_engine_rejects(key, value, message, tmp_
 
 def test_a_transfer_at_the_height_limit_loads(tmp_path, capsys):
     path = scenario_with(tmp_path, "bidders.3.funding_height", 28)
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "winner: carol"
+
+
+def test_a_reorg_at_the_height_limit_loads(tmp_path, capsys):
+    path = scenario_with(tmp_path, "faults", {"reorgs": [{"at_height": 28, "depth": 1}]})
     assert main(["oracle", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "winner: carol"
 
